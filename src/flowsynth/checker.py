@@ -1,19 +1,21 @@
 """Apply a synthesized analysis to traces: verdicts, reports, explanations.
 
 The serialized analysis omits reflexive order pairs and implies the
-transitive closure; the loader re-derives the closure and re-verifies the
-order laws (and, in effect mode, bottom and least-upper-bound existence)
-before any trace is checked.
+transitive closure.  The loader rebuilds the order as one up-set bitset per
+element and checks the order laws on those before any trace is checked: a
+cycle breaks antisymmetry (the smallest equivalent pair is reported); in
+effect mode the bottom's up-set holds every element, and a and b have a
+least upper bound iff up(a) & up(b) is itself some element's up-set.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any
 
-from .errors import InvalidAnalysisError, NotRejected, ParseError
+from .errors import CycleError, InvalidAnalysisError, NotRejected, ParseError
+from .graph import _upset_pairs, _upsets, scc_condense
 from .lattice import Element
 from .traces import Corpus, Edge, Trace, trace_edges
 
@@ -31,10 +33,6 @@ class AnalysisSpec:
     cut: frozenset[Edge]
     default_element: str
     metadata: dict[str, Any] = field(default_factory=dict)
-
-    @cached_property
-    def by_name(self) -> dict[str, Element]:
-        return {element.name: element for element in self.elements}
 
     def element_of(self, node: str) -> str:
         return self.assignment.get(node, self.default_element)
@@ -200,59 +198,77 @@ def load_analysis(text: str) -> AnalysisSpec:
         raise InvalidAnalysisError(f"analysis document missing field(s): {', '.join(missing)}")
     if doc["mode"] not in ("qualifier", "effect"):
         raise InvalidAnalysisError(f"unknown mode {doc['mode']!r}")
+    for key in ("elements", "leq", "cut"):
+        if not isinstance(doc[key], list):
+            raise InvalidAnalysisError(f"'{key}' must be an array")
 
     elements = []
     names: set[str] = set()
     for raw in doc["elements"]:
         if not isinstance(raw, dict) or not {"name", "members", "synthetic"} <= set(raw):
             raise InvalidAnalysisError("element entries need name, members, synthetic")
-        name = raw["name"]
+        name, members = raw["name"], raw["members"]
+        if not isinstance(name, str):
+            raise InvalidAnalysisError(f"element name must be a string, got {name!r}")
         if name in names:
             raise InvalidAnalysisError(f"duplicate element name {name}")
+        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+            raise InvalidAnalysisError(f"members of element {name} must be an array of strings")
         names.add(name)
-        elements.append(Element(name, frozenset(raw["members"]), bool(raw["synthetic"])))
+        elements.append(Element(name, frozenset(members), bool(raw["synthetic"])))
 
-    claimed: set[str] = set()
+    owner: dict[str, str] = {}
     for element in elements:
         if not element.synthetic and not element.members:
             raise InvalidAnalysisError(f"non-synthetic element {element.name} has no members")
-        overlap = element.members & claimed
+        overlap = [member for member in element.members if member in owner]
         if overlap:
             raise InvalidAnalysisError(
                 f"element {element.name} shares members with another element: {sorted(overlap)}"
             )
-        claimed.update(element.members)
+        owner.update(dict.fromkeys(element.members, element.name))
 
-    pairs = set()
+    successors: dict[str, list[str]] = {name: [] for name in sorted(names)}
     for pair in doc["leq"]:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InvalidAnalysisError("leq entries must be pairs")
+        if not _is_string_pair(pair):
+            raise InvalidAnalysisError("leq entries must be pairs of element names")
         a, b = pair
         if a not in names or b not in names:
             raise InvalidAnalysisError(f"leq pair references unknown element: {pair}")
-        pairs.add((a, b))
-    relation = _reflexive_transitive_closure(names, pairs)
-    for a, b in relation:
-        if a != b and (b, a) in relation:
-            raise InvalidAnalysisError(f"order is not antisymmetric: {a} and {b} are equivalent")
+        if a != b:
+            successors[a].append(b)
+    try:
+        up = _upsets(successors)
+    except CycleError:
+        # the smallest element on a cycle, then the smallest one equivalent to it
+        edges = [(a, b) for a, dsts in successors.items() for b in dsts]
+        cycle = next(c for c in scc_condense(names, edges).components if len(c) > 1)
+        a, b = sorted(cycle)[:2]
+        raise InvalidAnalysisError(f"order is not antisymmetric: {a} and {b} are equivalent") from None
 
     assignment = doc["assignment"]
     if not isinstance(assignment, dict):
         raise InvalidAnalysisError("'assignment' must be an object")
     for node, target in assignment.items():
-        if target not in names:
+        if not isinstance(target, str) or target not in names:
             raise InvalidAnalysisError(f"assignment of {node} targets unknown element {target}")
-    if doc["default_element"] not in names:
-        raise InvalidAnalysisError(f"default element {doc['default_element']!r} is not an element")
+        if owner.get(node, target) != target:
+            raise InvalidAnalysisError(
+                f"assignment of {node} targets {target}, but {node} is a member of {owner[node]}"
+            )
+    default = doc["default_element"]
+    if not isinstance(default, str) or default not in names:
+        raise InvalidAnalysisError(f"default element {default!r} is not an element")
 
     cut = set()
     for pair in doc["cut"]:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InvalidAnalysisError("cut entries must be pairs")
+        if not _is_string_pair(pair):
+            raise InvalidAnalysisError("cut entries must be pairs of node ids")
         cut.add((pair[0], pair[1]))
 
+    ordered = list(successors)
     if doc["mode"] == "effect":
-        _verify_semilattice(sorted(names), relation)
+        _verify_joins(ordered, up)
 
     if not isinstance(doc["metadata"], dict):
         raise InvalidAnalysisError("'metadata' must be an object")
@@ -260,46 +276,32 @@ def load_analysis(text: str) -> AnalysisSpec:
     return AnalysisSpec(
         mode=doc["mode"],
         elements=tuple(sorted(elements, key=lambda e: e.name)),
-        relation=relation,
+        relation=_upset_pairs(ordered, up),
         assignment=dict(assignment),
         cut=frozenset(cut),
-        default_element=doc["default_element"],
+        default_element=default,
         metadata=doc["metadata"],
     )
 
 
-def _reflexive_transitive_closure(
-    names: set[str], pairs: set[tuple[str, str]]
-) -> frozenset[tuple[str, str]]:
-    above: dict[str, set[str]] = {name: {name} for name in names}
-    for a, b in pairs:
-        above[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for name in names:
-            expanded = set(above[name])
-            for upper in above[name]:
-                expanded |= above[upper]
-            if expanded != above[name]:
-                above[name] = expanded
-                changed = True
-    return frozenset((a, b) for a, uppers in above.items() for b in uppers)
+def _is_string_pair(entry: object) -> bool:
+    return isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is type(entry[1]) is str
 
 
-def _verify_semilattice(names: list[str], relation: frozenset[tuple[str, str]]) -> None:
+def _verify_joins(names: list[str], up: dict[str, int]) -> None:
     """Effect mode needs a bottom and a unique least upper bound for every
-    pair of elements."""
-    bottoms = [n for n in names if all((n, other) in relation for other in names)]
-    if len(bottoms) != 1:
+    pair of elements.  In an antisymmetric order, z is the least upper bound
+    of a and b iff up[z] is their common upper bounds, up[a] & up[b]."""
+    everything = (1 << len(names)) - 1
+    bottoms = sum(1 for name in names if up[name] == everything)
+    if bottoms != 1:
         raise InvalidAnalysisError(
-            f"effect semilattice needs exactly one bottom element, found {len(bottoms)}"
+            f"effect semilattice needs exactly one bottom element, found {bottoms}"
         )
-    for a in names:
-        for b in names:
-            uppers = [z for z in names if (a, z) in relation and (b, z) in relation]
-            least = [z for z in uppers if all((z, w) in relation for w in uppers)]
-            if len(least) != 1:
+    upsets = set(up.values())
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if (up[a] & up[b]) not in upsets:
                 raise InvalidAnalysisError(
                     f"elements {a} and {b} lack a unique least upper bound"
                 )

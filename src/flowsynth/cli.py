@@ -1,7 +1,9 @@
 """Command-line entry point: synth, check, expand, explain.
 
-Exit codes: 0 success; 1 infeasible/conflict; 2 input parse/validation;
-3 invalid or inconsistent analysis; 4 check found misses or false alarms.
+Exit codes: 0 success; 1 infeasible/conflict, or refinement hit its
+iteration ceiling; 2 input parse/validation (including a negative
+--max-exact-candidates); 3 invalid or inconsistent analysis; 4 check found
+misses or false alarms.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .checker import AnalysisSpec, CheckReport, check_corpus, dump_analysis, explain_rejection, load_analysis
@@ -19,6 +22,7 @@ from .errors import (
     InvalidAnalysisError,
     NotRejected,
     ParseError,
+    RefinementLimitError,
     UnknownNode,
     ValidationError,
 )
@@ -98,6 +102,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidAnalysisError as exc:
         print(f"invalid analysis: {exc}", file=sys.stderr)
         return EXIT_INVALID_ANALYSIS
+    except RefinementLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFLICT
 
 
 def _load_corpus_inputs(args) -> Corpus:
@@ -108,26 +115,15 @@ def _load_corpus_inputs(args) -> Corpus:
     else:
         corpus = Corpus(mode=args.mode or QUALIFIER)
     if args.stack_traces is not None:
-        extra = stack_traces_from_dir(args.stack_traces)
-        corpus = Corpus(
-            mode=corpus.mode,
-            traces=corpus.traces + extra,
-            required_edges=corpus.required_edges,
-            min_positive_support=corpus.min_positive_support,
-            metadata=corpus.metadata,
-        )
+        corpus = replace(corpus, traces=corpus.traces + stack_traces_from_dir(args.stack_traces))
     if args.mode is not None and args.mode != corpus.mode:
-        corpus = Corpus(
-            mode=args.mode,
-            traces=corpus.traces,
-            required_edges=corpus.required_edges,
-            min_positive_support=corpus.min_positive_support,
-            metadata=corpus.metadata,
-        )
+        corpus = replace(corpus, mode=args.mode)
     return corpus
 
 
 def run_synth(args) -> int:
+    if args.max_exact_candidates < 0:
+        raise ValidationError("--max-exact-candidates must be >= 0")
     corpus = _load_corpus_inputs(args)
     config = SolverConfig(solver=args.solver, max_exact_candidates=args.max_exact_candidates)
     try:

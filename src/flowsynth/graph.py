@@ -28,10 +28,6 @@ class FlowEdge:
     protected: bool
 
     @property
-    def key(self) -> Edge:
-        return (self.src, self.dst)
-
-    @property
     def is_self_loop(self) -> bool:
         return self.src == self.dst
 
@@ -71,9 +67,6 @@ class FlowGraph:
 
     def edge_keys(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
-
-    def protected_edges(self) -> frozenset[Edge]:
-        return frozenset(key for key, edge in self.edges.items() if edge.protected)
 
     def cuttable_edges(self) -> frozenset[Edge]:
         return frozenset(key for key, edge in self.edges.items() if edge.cuttable)
@@ -258,42 +251,60 @@ def scc_condense(nodes: Iterable[str], edges: Iterable[Edge]) -> Condensation:
     return Condensation(tuple(components), membership, quotient)
 
 
+def _upsets(successors: dict) -> dict:
+    """Each node's up-set (itself plus everything it reaches) as an int
+    bitset, bit i standing for the i-th key of `successors`: Kahn's
+    topological sort, then one reverse-topological pass that ORs each
+    node's successors' up-sets into its own.  Raises CycleError on a
+    cycle, self-loops included."""
+    indegree = dict.fromkeys(successors, 0)
+    for dsts in successors.values():
+        for dst in dsts:
+            indegree[dst] += 1
+    topo = [node for node, degree in indegree.items() if degree == 0]
+    for node in topo:  # the list grows while it is walked: a FIFO queue
+        for succ in successors[node]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                topo.append(succ)
+    if len(topo) != len(successors):
+        raise CycleError("input relation contains a cycle")
+    bit = {node: 1 << i for i, node in enumerate(successors)}
+    up: dict = {}
+    for node in reversed(topo):
+        mask = bit[node]
+        for succ in successors[node]:
+            mask |= up[succ]
+        up[node] = mask
+    return up
+
+
+def _upset_pairs(nodes: list, up: dict) -> frozenset[tuple]:
+    """The order as pairs: (a, b) for every b in a's up-set, bit i of an
+    up-set standing for nodes[i]."""
+    pairs = set()
+    for a, mask in up.items():
+        while mask:
+            low = mask & -mask
+            pairs.add((a, nodes[low.bit_length() - 1]))
+            mask ^= low
+    return frozenset(pairs)
+
+
 def hasse_reduce(edges: Iterable[tuple]) -> frozenset[tuple]:
     """Transitive reduction of an acyclic relation: the minimal edge set
     with the same reachability.  Raises CycleError on cyclic input."""
     edge_set = set(edges)
-    nodes = sorted({n for edge in edge_set for n in edge})
-    adjacency = {node: sorted({d for s, d in edge_set if s == node}) for node in nodes}
-
-    indegree = {node: 0 for node in nodes}
-    for _, dst in edge_set:
-        indegree[dst] += 1
-    queue = deque(node for node in nodes if indegree[node] == 0)
-    topo: list = []
-    while queue:
-        node = queue.popleft()
-        topo.append(node)
-        for succ in adjacency[node]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                queue.append(succ)
-    if len(topo) != len(nodes):
-        raise CycleError("input relation contains a cycle")
-
-    # strict reachability, built in reverse topological order
-    reach: dict[object, set] = {}
-    for node in reversed(topo):
-        out: set = set()
-        for succ in adjacency[node]:
-            out.add(succ)
-            out.update(reach[succ])
-        reach[node] = out
-
-    kept = set()
+    successors: dict = {node: [] for node in sorted({n for edge in edge_set for n in edge})}
     for src, dst in edge_set:
-        redundant = any(
-            other != dst and dst in reach[other] for other in adjacency[src]
-        )
-        if not redundant:
-            kept.add((src, dst))
+        successors[src].append(dst)
+    up = _upsets(successors)
+    index = {node: i for i, node in enumerate(successors)}
+    kept = set()
+    for src, dsts in successors.items():
+        # nodes src reaches in two or more steps: edges to them are implied
+        covered = 0
+        for succ in dsts:
+            covered |= up[succ] & ~(1 << index[succ])
+        kept.update((src, dst) for dst in dsts if not covered >> index[dst] & 1)
     return frozenset(kept)

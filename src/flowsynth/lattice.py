@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .cut import CutSet
 from .errors import UnknownElement
-from .graph import FlowGraph, scc_condense
+from .graph import FlowGraph, _upset_pairs, _upsets, scc_condense
 from .traces import Edge
 
 BOTTOM_NAME = "⊥"
@@ -106,21 +106,10 @@ def build_order(graph: FlowGraph, cut) -> QualifierOrder:
     )
     assignment = {node: names[index] for node, index in condensation.membership.items()}
 
-    successors: dict[int, set[int]] = {i: set() for i in range(len(names))}
+    successors: dict[str, list[str]] = {name: [] for name in names}
     for src, dst in condensation.quotient_edges:
-        successors[src].add(dst)
-    relation = set()
-    for start in range(len(names)):
-        seen = {start}
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            for nxt in successors[current]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        relation.update((names[start], names[other]) for other in seen)
-    return QualifierOrder(elements, frozenset(relation), assignment)
+        successors[names[src]].append(names[dst])
+    return QualifierOrder(elements, _upset_pairs(names, _upsets(successors)), assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from .errors import ParseError, ValidationError
 
@@ -338,7 +337,13 @@ def validate_corpus(corpus: Corpus) -> tuple[Diagnostic, ...]:
     and nodes that appear only in required_edges.
     """
     diagnostics: list[Diagnostic] = []
-    positives = corpus.positives
+    # positives by their first L nodes, for every length L of a negative
+    lengths = {len(trace.nodes) for trace in corpus.negatives}
+    prefixes: dict[tuple[str, ...], list[Trace]] = {}
+    for positive in corpus.positives:
+        for length in lengths:
+            if length <= len(positive.nodes):
+                prefixes.setdefault(positive.nodes[:length], []).append(positive)
     for trace in corpus.traces:
         if trace.is_negative and trace.nodes[0] == trace.nodes[-1]:
             diagnostics.append(
@@ -362,17 +367,16 @@ def validate_corpus(corpus: Corpus) -> tuple[Diagnostic, ...]:
                     )
                 )
         if trace.is_negative:
-            for positive in positives:
-                if positive.nodes[: len(trace.nodes)] == trace.nodes:
-                    diagnostics.append(
-                        Diagnostic(
-                            ERROR,
-                            "positive-negative-conflict",
-                            f"negative trace {trace.id} duplicates a prefix of positive trace "
-                            f"{positive.id}: the flow cannot be both kept and broken",
-                            (trace.id, positive.id),
-                        )
+            for positive in prefixes.get(trace.nodes, ()):
+                diagnostics.append(
+                    Diagnostic(
+                        ERROR,
+                        "positive-negative-conflict",
+                        f"negative trace {trace.id} duplicates a prefix of positive trace "
+                        f"{positive.id}: the flow cannot be both kept and broken",
+                        (trace.id, positive.id),
                     )
+                )
     for src, dst in sorted(corpus.required_edges):
         if src == dst:
             diagnostics.append(
@@ -399,10 +403,3 @@ def validate_corpus(corpus: Corpus) -> tuple[Diagnostic, ...]:
 
 def corpus_errors(diagnostics: tuple[Diagnostic, ...]) -> tuple[Diagnostic, ...]:
     return tuple(d for d in diagnostics if d.severity == ERROR)
-
-
-def iter_all_edges(corpus: Corpus) -> Iterator[Edge]:
-    """Every edge of every trace plus the required edges, with repeats."""
-    for trace in corpus.traces:
-        yield from trace_edges(trace)
-    yield from sorted(corpus.required_edges)

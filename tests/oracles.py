@@ -2,7 +2,9 @@
 
 Everything here enumerates: subsets by increasing size for hitting sets and
 separation cuts, recursive walks for simple paths, pairwise closure for
-reachability.  None of it shares code with the implementations under test.
+reachability, every pair and every candidate bound for the semilattice
+laws, every (negative, positive) pair for corpus conflicts.  None of it
+shares code with the implementations under test.
 """
 
 from __future__ import annotations
@@ -87,3 +89,50 @@ def brute_simple_paths(edges, source, sink, max_nodes):
 def reachability_closure(nodes, edges):
     """The full reachability relation (including reflexive pairs)."""
     return {(a, b) for a in nodes for b in reachable_nodes(edges, a) | {a}}
+
+
+def order_law_error(names, pairs, mode):
+    """The message the analysis loader must reject an order with, or None.
+
+    Antisymmetry is reported as the lexicographically smallest pair of
+    distinct mutually related elements; effect mode then needs a bottom and
+    a unique least upper bound for every pair, the first failing pair taken
+    in sorted order.
+    """
+    relation = reachability_closure(names, pairs)
+    equivalent = sorted((a, b) for a, b in relation if a != b and (b, a) in relation)
+    if equivalent:
+        a, b = equivalent[0]
+        return f"order is not antisymmetric: {a} and {b} are equivalent"
+    if mode == "effect":
+        return semilattice_error(sorted(names), relation)
+    return None
+
+
+def semilattice_error(names, relation):
+    """Bottom and least-upper-bound existence by enumerating every pair and
+    every candidate bound: O(n^3) probes of the full relation."""
+    bottoms = [n for n in names if all((n, other) in relation for other in names)]
+    if len(bottoms) != 1:
+        return f"effect semilattice needs exactly one bottom element, found {len(bottoms)}"
+    for a in names:
+        for b in names:
+            uppers = [z for z in names if (a, z) in relation and (b, z) in relation]
+            least = [z for z in uppers if all((z, w) in relation for w in uppers)]
+            if len(least) != 1:
+                return f"elements {a} and {b} lack a unique least upper bound"
+    return None
+
+
+def prefix_conflicts(corpus):
+    """(negative id, positive id) for every negative trace that equals a
+    prefix of a positive one: negatives in corpus order, each compared with
+    every positive in corpus order."""
+    found = []
+    for trace in corpus.traces:
+        if trace.polarity != "negative":
+            continue
+        for positive in corpus.traces:
+            if positive.polarity == "positive" and positive.nodes[: len(trace.nodes)] == trace.nodes:
+                found.append((trace.id, positive.id))
+    return found

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flowsynth
 from flowsynth import (
     Conflict,
     Corpus,
@@ -24,6 +31,7 @@ from flowsynth import (
 )
 
 from corpusgen import random_corpus
+from oracles import order_law_error, reachability_closure
 
 TAINT_CORPUS = Corpus(
     traces=(
@@ -266,3 +274,116 @@ def test_load_accepts_transitively_reduced_leq(taint_spec):
     spec = load_analysis(json.dumps(doc))
     assert spec.leq("A", "C")
     assert check_trace(spec, Trace("t", "positive", ("a", "c"))).accepted
+
+
+def _order_doc(mode: str, names, pairs) -> dict:
+    """An analysis whose elements each own one node, ordered by `pairs`."""
+    return {
+        "mode": mode,
+        "elements": [{"name": n, "members": [n.lower()], "synthetic": False} for n in names],
+        "leq": [list(pair) for pair in pairs],
+        "assignment": {n.lower(): n for n in names},
+        "cut": [],
+        "default_element": names[0],
+        "metadata": {},
+    }
+
+
+@st.composite
+def small_orders(draw):
+    """Up to 8 elements and up to 16 leq pairs (self-loops allowed).  Half
+    the draws are oriented along a random ranking, so acyclic; half of
+    those put the lowest-ranked element below everything, so effect mode
+    gets past the bottom check and exercises least upper bounds."""
+    names = draw(st.lists(st.sampled_from("ABCDEFGH"), min_size=1, max_size=8, unique=True))
+    element = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(element, element), max_size=16))
+    if draw(st.booleans()):
+        rank = {name: i for i, name in enumerate(names)}
+        pairs = [(a, b) if rank[a] <= rank[b] else (b, a) for a, b in pairs]
+        if draw(st.booleans()):
+            pairs += [(names[0], name) for name in names[1:]]
+    return names, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_orders())
+def test_load_agrees_with_brute_force_order_laws(order):
+    names, pairs = order
+    for mode in ("qualifier", "effect"):
+        expected = order_law_error(names, pairs, mode)
+        text = json.dumps(_order_doc(mode, names, pairs))
+        if expected is None:
+            assert load_analysis(text).relation == reachability_closure(names, pairs)
+        else:
+            with pytest.raises(InvalidAnalysisError) as info:
+                load_analysis(text)
+            assert str(info.value) == expected
+
+
+def test_antisymmetry_error_names_smallest_equivalent_pair(tmp_path):
+    # the pair reported must not depend on string hashing
+    cycle = _order_doc("qualifier", "ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
+    path = tmp_path / "analysis.json"
+    path.write_text(json.dumps(cycle), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from flowsynth import InvalidAnalysisError, load_analysis\n"
+        "try:\n"
+        "    load_analysis(open(sys.argv[1], encoding='utf-8').read())\n"
+        "except InvalidAnalysisError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(flowsynth.__file__).resolve().parents[1])
+    for seed in range(1, 6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert run.stdout == "order is not antisymmetric: A and B are equivalent\n"
+
+
+def _set_element(doc, index, key, value):
+    doc["elements"][index][key] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(elements={"name": "Q_tainted"}), "'elements' must be an array"),
+        (lambda d: d.update(leq="Q_untainted"), "'leq' must be an array"),
+        (lambda d: d.update(cut={"tainted": "untainted"}), "'cut' must be an array"),
+        (lambda d: _set_element(d, 0, "name", ["Q_tainted"]), "element name must be a string"),
+        (lambda d: _set_element(d, 0, "members", "tainted"), "must be an array of strings"),
+        (lambda d: _set_element(d, 0, "members", [["tainted"]]), "must be an array of strings"),
+        (lambda d: d["leq"].append([["Q_untainted"], "Q_tainted"]), "leq entries must be pairs"),
+        (lambda d: d["leq"].append(["Q_untainted", 7]), "leq entries must be pairs"),
+        (lambda d: d["cut"].append([["a"], "b"]), "cut entries must be pairs"),
+        (
+            lambda d: d["assignment"].update(tainted="Q_untainted"),
+            "assignment of tainted targets Q_untainted, but tainted is a member of Q_tainted",
+        ),
+        (lambda d: d["assignment"].update(tainted=["Q_tainted"]), "targets unknown element"),
+        (lambda d: d.update(default_element=["Q_unknown"]), "default element"),
+    ],
+    ids=[
+        "elements-not-array",
+        "leq-not-array",
+        "cut-not-array",
+        "element-name-not-string",
+        "members-string",
+        "members-not-strings",
+        "leq-entry-not-string",
+        "leq-entry-number",
+        "cut-entry-not-string",
+        "assignment-contradicts-members",
+        "assignment-target-not-string",
+        "default-not-string",
+    ],
+)
+def test_load_rejects_malformed_schema(taint_spec, mutate, message):
+    doc = _taint_doc(taint_spec)
+    mutate(doc)
+    with pytest.raises(InvalidAnalysisError, match=message):
+        load_analysis(json.dumps(doc))

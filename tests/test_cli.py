@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from flowsynth import cli
 from flowsynth.cli import main
+from flowsynth.cut import SolverConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -122,6 +125,20 @@ def test_synth_validation_error_exits_2(tmp_path, capsys):
     code, _ = synth(tmp_path, corpus)
     assert code == 2
     assert "negative endpoints equal: a" in capsys.readouterr().err
+
+
+def test_synth_refinement_limit_exits_1(tmp_path, capsys, monkeypatch):
+    # REFINE_CORPUS needs two hitting-set solves; allow only one
+    monkeypatch.setattr(cli, "SolverConfig", partial(SolverConfig, max_iterations=1))
+    code, _ = synth(tmp_path, REFINE_CORPUS)
+    assert code == 1
+    assert "error: refinement did not terminate within 1 iterations" in capsys.readouterr().err
+
+
+def test_synth_negative_max_exact_candidates_exits_2(tmp_path, capsys):
+    code, _ = synth(tmp_path, TAINT_CORPUS, "--max-exact-candidates", "-1")
+    assert code == 2
+    assert "error: --max-exact-candidates must be >= 0" in capsys.readouterr().err
 
 
 def test_synth_refinement_fixture(tmp_path):
@@ -271,6 +288,18 @@ def test_check_invalid_analysis_exits_3(tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_check_malformed_analysis_exits_3(tmp_path, capsys):
+    code, out = synth(tmp_path, TAINT_CORPUS)
+    assert code == 0
+    analysis = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
+    analysis["leq"].append([["Q_tainted"], "Q_untainted"])  # unhashable, not a name
+    bad = write_json(tmp_path / "bad_analysis.json", analysis)
+    argv = ["check", "--analysis", str(bad), "--corpus", str(tmp_path / "corpus.json")]
+    code = main([*argv, "--out", str(tmp_path / "check")])
+    assert code == 3
+    assert "invalid analysis: leq entries must be pairs" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from flowsynth import (
     validate_corpus,
 )
 
+from oracles import prefix_conflicts
+
 
 def test_parse_minimal_negative_trace():
     corpus = parse_corpus('{"traces": [{"id": "t", "polarity": "negative", "nodes": ["a", "b"]}]}')
@@ -245,6 +247,32 @@ def test_validate_flags_negative_prefix_of_positive():
         )
     )
     assert any(d.code == "positive-negative-conflict" for d in validate_corpus(corpus))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("positive", "negative")),
+            st.lists(st.sampled_from("abc"), min_size=2, max_size=5),
+        ),
+        max_size=12,
+    )
+)
+def test_validate_conflicts_match_nested_loop(raw):
+    corpus = Corpus(
+        traces=tuple(Trace(f"t{i}", polarity, nodes) for i, (polarity, nodes) in enumerate(raw))
+    )
+    conflicts = [
+        d for d in validate_corpus(corpus) if d.code == "positive-negative-conflict"
+    ]
+    assert [d.trace_ids for d in conflicts] == prefix_conflicts(corpus)
+    for d in conflicts:
+        negative, positive = d.trace_ids
+        assert d.message == (
+            f"negative trace {negative} duplicates a prefix of positive trace "
+            f"{positive}: the flow cannot be both kept and broken"
+        )
 
 
 def test_validate_warns_on_self_loops_and_required_only_nodes():
