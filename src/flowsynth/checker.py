@@ -214,8 +214,10 @@ def load_analysis(text: str) -> AnalysisSpec:
             raise InvalidAnalysisError(f"duplicate element name {name}")
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
             raise InvalidAnalysisError(f"members of element {name} must be an array of strings")
+        if not isinstance(raw["synthetic"], bool):
+            raise InvalidAnalysisError(f"synthetic flag of element {name} must be true or false")
         names.add(name)
-        elements.append(Element(name, frozenset(members), bool(raw["synthetic"])))
+        elements.append(Element(name, frozenset(members), raw["synthetic"]))
 
     owner: dict[str, str] = {}
     for element in elements:

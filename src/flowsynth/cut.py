@@ -9,10 +9,20 @@ constraints, look for a still-connected negative pair, add its witness
 path as a new constraint, and re-solve.  Ties between minimum cuts are
 always broken toward the lexicographically smallest sorted edge list, so
 identical inputs produce identical cuts.
+
+Both hitting-set solvers work on one representation: the allowed edges
+numbered in sorted order, each constraint a Python-int bitmask over those
+numbers.  The greedy solver keeps a per-edge count of uncovered
+constraints in a lazy-deletion heap and updates only the counts a pick
+changes.  The exact solver is an iterative branch and bound whose first
+bound is the greedy cover's size; it branches on edges in sorted order, so
+the first cover it meets of a given size is the lexicographically smallest
+one and tied optima need no enumeration.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -107,46 +117,11 @@ def min_hitting_set_exact(
 ) -> frozenset[Edge]:
     """Minimum-cardinality set hitting every input set, disjoint from
     `forbidden`; among minima, the lexicographically smallest sorted edge
-    list.  Branch and bound: branch on the smallest uncovered set, prune
-    with the incumbent and a disjoint-set packing lower bound."""
-    reduced = _reduce_sets(sets, forbidden)
-    best: list[tuple[Edge, ...] | None] = [None]
-
-    def packing_bound(uncovered: list[frozenset[Edge]]) -> int:
-        count = 0
-        used: set[Edge] = set()
-        for candidate in sorted(uncovered, key=lambda s: (len(s), sorted(s))):
-            if not candidate & used:
-                count += 1
-                used.update(candidate)
-        return count
-
-    def search(chosen: set[Edge], banned: frozenset[Edge], remaining: list[frozenset[Edge]]):
-        uncovered = [s for s in remaining if not s & chosen]
-        if not uncovered:
-            candidate = tuple(sorted(chosen))
-            incumbent = best[0]
-            if incumbent is None or (len(candidate), candidate) < (len(incumbent), incumbent):
-                best[0] = candidate
-            return
-        effective = []
-        for constraint in uncovered:
-            allowed = constraint - banned
-            if not allowed:
-                return  # dead branch: this constraint can no longer be hit
-            effective.append(allowed)
-        incumbent = best[0]
-        if incumbent is not None and len(chosen) + packing_bound(effective) > len(incumbent):
-            return
-        branch_set = min(effective, key=lambda s: (len(s), sorted(s)))
-        tried: set[Edge] = set()
-        for edge in sorted(branch_set):
-            search(chosen | {edge}, banned | frozenset(tried), uncovered)
-            tried.add(edge)
-
-    search(set(), frozenset(), reduced)
-    assert best[0] is not None  # every reduced set is non-empty
-    return frozenset(best[0])
+    list.  Iterative branch and bound over the bitmasks, bounded from the
+    start by the greedy cover's size: see `_exact_cover`."""
+    edges, masks = _bitmasks(sets, forbidden)
+    limit = _greedy_cover(masks, len(edges)).bit_count()
+    return _edge_set(edges, _exact_cover(masks, limit))
 
 
 def min_hitting_set_greedy(
@@ -155,18 +130,8 @@ def min_hitting_set_greedy(
     """Greedy cover: repeatedly pick the allowed edge hitting the most
     uncovered sets (ties lexicographic).  Feasible, not necessarily
     minimum."""
-    reduced = _reduce_sets(sets, forbidden)
-    chosen: set[Edge] = set()
-    uncovered = [s for s in reduced if not s & chosen]
-    while uncovered:
-        counts: dict[Edge, int] = {}
-        for constraint in uncovered:
-            for edge in constraint:
-                counts[edge] = counts.get(edge, 0) + 1
-        pick = min(counts, key=lambda e: (-counts[e], e))
-        chosen.add(pick)
-        uncovered = [s for s in uncovered if pick not in s]
-    return frozenset(chosen)
+    edges, masks = _bitmasks(sets, forbidden)
+    return _edge_set(edges, _greedy_cover(masks, len(edges)))
 
 
 def _reduce_sets(
@@ -179,6 +144,122 @@ def _reduce_sets(
             raise InfeasibleSet(index)
         reduced.append(allowed)
     return reduced
+
+
+def _bitmasks(
+    sets: Sequence[frozenset[Edge]], forbidden: frozenset[Edge]
+) -> tuple[list[Edge], list[int]]:
+    """The allowed edges in sorted order, and each set as a bitmask in which
+    bit i stands for the i-th edge, so that index order is edge order."""
+    reduced = _reduce_sets(sets, forbidden)
+    edges = sorted({edge for allowed in reduced for edge in allowed})
+    bit = {edge: 1 << index for index, edge in enumerate(edges)}
+    return edges, [sum(bit[edge] for edge in allowed) for allowed in reduced]
+
+
+def _bits(mask: int):
+    """The indices of a bitmask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _edge_set(edges: list[Edge], mask: int) -> frozenset[Edge]:
+    return frozenset(edges[index] for index in _bits(mask))
+
+
+def _greedy_cover(masks: list[int], width: int) -> int:
+    """Greedy over `width` edges: each pick is the edge in the most uncovered
+    sets, ties to the smallest index.  Counts only fall, so a lazy-deletion
+    heap keyed (-count, index) yields the picks: an entry whose count is
+    stale goes back in with the current one."""
+    containing: list[list[int]] = [[] for _ in range(width)]
+    for number, mask in enumerate(masks):
+        for index in _bits(mask):
+            containing[index].append(number)
+    count = [len(numbers) for numbers in containing]
+    heap = [(-n, index) for index, n in enumerate(count) if n]
+    heapq.heapify(heap)
+    covered = [False] * len(masks)
+    uncovered = len(masks)
+    chosen = 0
+    while uncovered:
+        negated, index = heapq.heappop(heap)
+        if -negated != count[index]:
+            if count[index]:
+                heapq.heappush(heap, (-count[index], index))
+            continue
+        chosen |= 1 << index
+        for number in containing[index]:
+            if not covered[number]:
+                covered[number] = True
+                uncovered -= 1
+                for other in _bits(masks[number]):
+                    count[other] -= 1
+    return chosen
+
+
+def _exact_cover(masks: list[int], limit: int) -> int:
+    """The lexicographically smallest minimum cover, given that one of at
+    most `limit` edges exists.
+
+    Depth-first with an explicit stack.  Each node fixes a set of chosen
+    edges and a set of banned ones, and branches on the smallest edge that
+    still hits an uncovered set: first take it, then ban it.  Every edge
+    below that one is already decided, so the search meets covers in
+    lexicographic order of their sorted edge lists, and the first cover it
+    meets of any size is the smallest one of that size.  So a branch is cut
+    as soon as it cannot beat the best cover so far, ties included.  The
+    bound is a packing of pairwise disjoint uncovered sets, each needing an
+    edge of its own.  A set left with one allowed edge forces that edge;
+    every cover below the node contains it, so forcing changes no answer.
+    """
+    best, best_size = 0, limit + 1
+    # sets in (size, mask) order give the packing bound its best start
+    stack = [(0, 0, sorted(set(masks), key=lambda mask: (mask.bit_count(), mask)))]
+    while stack:
+        chosen, banned, sets = stack.pop()
+        uncovered = []
+        forced = 0
+        for mask in sets:
+            if mask & chosen:
+                continue
+            allowed = mask & ~banned
+            if not allowed:
+                break  # dead branch: this set can no longer be hit
+            if not allowed & (allowed - 1):
+                forced |= allowed
+            uncovered.append(allowed)
+        else:
+            if forced:
+                chosen |= forced
+                uncovered = [mask for mask in uncovered if not mask & forced]
+            size = chosen.bit_count()
+            if not uncovered:
+                if size < best_size:
+                    best, best_size = chosen, size
+                continue
+            if size + _packing_bound(uncovered) >= best_size:
+                continue
+            union = 0
+            for mask in uncovered:
+                union |= mask
+            edge = union & -union
+            stack.append((chosen, banned | edge, uncovered))
+            stack.append((chosen | edge, banned, uncovered))
+    assert best_size <= limit  # a cover of `limit` edges exists
+    return best
+
+
+def _packing_bound(sets: list[int]) -> int:
+    """How many of the sets, smallest first, are pairwise disjoint."""
+    count = used = 0
+    for mask in sorted(sets, key=int.bit_count):
+        if not mask & used:
+            count += 1
+            used |= mask
+    return count
 
 
 # ---------------------------------------------------------------------------

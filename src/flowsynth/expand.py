@@ -83,39 +83,33 @@ def enumerate_candidate_paths(graph: StaticGraph, spec: EndpointSpec) -> Expansi
     if spec.sink not in graph.nodes:
         raise UnknownNode(spec.sink)
 
-    adjacency = {
-        node: tuple(sorted(dst for src, dst in graph.edges if src == node))
-        for node in graph.nodes
-    }
+    successors: dict[str, list[str]] = {}
+    for src, dst in graph.edges:
+        successors.setdefault(src, []).append(dst)
+    adjacency = {node: sorted(dsts) for node, dsts in successors.items()}
 
+    # Depth-first with an explicit stack of successor iterators, one per
+    # node on the current path; a path never continues past the sink.
     paths: list[tuple[str, ...]] = []
     truncated = False
-    on_path = {spec.source}
     path = [spec.source]
-
-    def descend(node: str) -> bool:
-        """Returns False once the path budget (plus the truncation probe)
-        is exhausted."""
-        if node == spec.sink:
+    on_path = {spec.source}
+    pending = [iter(adjacency.get(spec.source, ()))]
+    while pending:
+        succ = next(pending[-1], None)
+        if succ is None:
+            pending.pop()
+            on_path.discard(path.pop())
+        elif succ == spec.sink:
             if len(paths) >= spec.max_paths:
-                return False
-            paths.append(tuple(path))
-            return True
-        if len(path) >= spec.max_path_len:
-            return True
-        for succ in adjacency.get(node, ()):
-            if succ in on_path:
-                continue
+                truncated = True  # one path more than the budget exists
+                break
+            paths.append((*path, succ))
+        elif succ not in on_path and len(path) + 1 < spec.max_path_len:
             path.append(succ)
             on_path.add(succ)
-            keep_going = descend(succ)
-            path.pop()
-            on_path.discard(succ)
-            if not keep_going:
-                return False
-        return True
+            pending.append(iter(adjacency.get(succ, ())))
 
-    truncated = not descend(spec.source)
     traces = tuple(
         Trace(
             f"cand-{spec.source}-{spec.sink}-{k}",

@@ -29,6 +29,7 @@ from .traces import (
     EFFECT,
     Corpus,
     Diagnostic,
+    Edge,
     corpus_digest,
     corpus_errors,
     validate_corpus,
@@ -121,10 +122,10 @@ def make_analysis_spec(
         elements.append(Element(default, frozenset(), synthetic=True))
         relation.add((default, default))
 
-    cut_origins = []
-    for edge in sorted(cut.edges):
-        ids = sorted(c.id for c in cut.constraints if edge in c.cuttable)
-        cut_origins.append([list(edge), ids])
+    origins: dict[Edge, list[str]] = {edge: [] for edge in sorted(cut.edges)}
+    for constraint in cut.constraints:
+        for edge in constraint.cuttable & cut.edges:
+            origins[edge].append(constraint.id)
     metadata = {
         "corpus_sha256": corpus_digest(corpus),
         "optimal": cut.optimal,
@@ -136,7 +137,7 @@ def make_analysis_spec(
         "constraints": [
             {"id": c.id, "nodes": list(c.nodes)} for c in cut.constraints
         ],
-        "cut_origins": cut_origins,
+        "cut_origins": [[list(edge), sorted(ids)] for edge, ids in origins.items()],
     }
     return AnalysisSpec(
         mode=corpus.mode,

@@ -3,8 +3,10 @@
 Everything here enumerates: subsets by increasing size for hitting sets and
 separation cuts, recursive walks for simple paths, pairwise closure for
 reachability, every pair and every candidate bound for the semilattice
-laws, every (negative, positive) pair for corpus conflicts.  None of it
-shares code with the implementations under test.
+laws, every (negative, positive) pair for corpus conflicts.  The hitting-set
+solvers as first written (a greedy that recounts every round, a recursive
+branch and bound that enumerates tied optima) are kept as references.  None
+of it shares code with the implementations under test.
 """
 
 from __future__ import annotations
@@ -25,6 +27,76 @@ def brute_min_hitting_set(sets, forbidden=frozenset()):
             if all(s & chosen for s in reduced):
                 return frozenset(chosen)
     return None  # pragma: no cover - the full candidate set always hits
+
+
+def _allowed_sets(sets, forbidden):
+    reduced = [frozenset(s) - frozenset(forbidden) for s in sets]
+    return None if any(not s for s in reduced) else reduced
+
+
+def reference_greedy_hitting_set(sets, forbidden=frozenset()):
+    """The greedy cover as first written: recount every uncovered set each
+    round, pick the edge hitting the most (ties lexicographic).  None when
+    some set cannot be hit."""
+    uncovered = _allowed_sets(sets, forbidden)
+    if uncovered is None:
+        return None
+    chosen = set()
+    while uncovered:
+        counts = {}
+        for constraint in uncovered:
+            for edge in constraint:
+                counts[edge] = counts.get(edge, 0) + 1
+        pick = min(counts, key=lambda e: (-counts[e], e))
+        chosen.add(pick)
+        uncovered = [s for s in uncovered if pick not in s]
+    return frozenset(chosen)
+
+
+def reference_exact_hitting_set(sets, forbidden=frozenset()):
+    """The branch and bound as first written: recursive, no incumbent at the
+    start, branch on the smallest uncovered set, enumerate every tied
+    optimum and keep the lexicographically smallest.  None when some set
+    cannot be hit."""
+    reduced = _allowed_sets(sets, forbidden)
+    if reduced is None:
+        return None
+    best = [None]
+
+    def packing_bound(uncovered):
+        count = 0
+        used = set()
+        for candidate in sorted(uncovered, key=lambda s: (len(s), sorted(s))):
+            if not candidate & used:
+                count += 1
+                used.update(candidate)
+        return count
+
+    def search(chosen, banned, remaining):
+        uncovered = [s for s in remaining if not s & chosen]
+        if not uncovered:
+            candidate = tuple(sorted(chosen))
+            incumbent = best[0]
+            if incumbent is None or (len(candidate), candidate) < (len(incumbent), incumbent):
+                best[0] = candidate
+            return
+        effective = []
+        for constraint in uncovered:
+            allowed = constraint - banned
+            if not allowed:
+                return
+            effective.append(allowed)
+        incumbent = best[0]
+        if incumbent is not None and len(chosen) + packing_bound(effective) > len(incumbent):
+            return
+        branch_set = min(effective, key=lambda s: (len(s), sorted(s)))
+        tried = set()
+        for edge in sorted(branch_set):
+            search(chosen | {edge}, banned | frozenset(tried), uncovered)
+            tried.add(edge)
+
+    search(set(), frozenset(), reduced)
+    return frozenset(best[0])
 
 
 def reachable_nodes(edges, start, removed=frozenset()):

@@ -357,6 +357,8 @@ def _set_element(doc, index, key, value):
         (lambda d: _set_element(d, 0, "name", ["Q_tainted"]), "element name must be a string"),
         (lambda d: _set_element(d, 0, "members", "tainted"), "must be an array of strings"),
         (lambda d: _set_element(d, 0, "members", [["tainted"]]), "must be an array of strings"),
+        (lambda d: _set_element(d, 0, "synthetic", "false"), "synthetic flag of element"),
+        (lambda d: _set_element(d, 0, "synthetic", 0), "synthetic flag of element"),
         (lambda d: d["leq"].append([["Q_untainted"], "Q_tainted"]), "leq entries must be pairs"),
         (lambda d: d["leq"].append(["Q_untainted", 7]), "leq entries must be pairs"),
         (lambda d: d["cut"].append([["a"], "b"]), "cut entries must be pairs"),
@@ -374,6 +376,8 @@ def _set_element(doc, index, key, value):
         "element-name-not-string",
         "members-string",
         "members-not-strings",
+        "synthetic-string",
+        "synthetic-number",
         "leq-entry-not-string",
         "leq-entry-number",
         "cut-entry-not-string",

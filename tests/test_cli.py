@@ -373,6 +373,18 @@ def test_expanded_corpus_feeds_synth(tmp_path):
     assert analysis["cut"] == [["a", "b"], ["a", "c"]]
 
 
+def test_expand_long_chain_without_recursion(tmp_path):
+    names = [f"n{i:04d}" for i in range(3000)]
+    graph = {"nodes": names, "edges": [[a, b] for a, b in zip(names, names[1:])]}
+    graph_file = write_json(tmp_path / "chain.json", graph)
+    out_file = tmp_path / "expanded.json"
+    argv = ["expand", "--static-graph", str(graph_file), "--source", names[0]]
+    argv += ["--sink", names[-1], "--max-path-len", "5000", "--out", str(out_file)]
+    assert main(argv) == 0
+    corpus = json.loads(out_file.read_text(encoding="utf-8"))
+    assert [t["nodes"] for t in corpus["traces"]] == [names]
+
+
 # ---------------------------------------------------------------------------
 # explain
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsynth import (
     Conflict,
@@ -22,7 +24,12 @@ from flowsynth import (
 )
 
 from corpusgen import random_corpus
-from oracles import brute_min_hitting_set, brute_min_separation_cut
+from oracles import (
+    brute_min_hitting_set,
+    brute_min_separation_cut,
+    reference_exact_hitting_set,
+    reference_greedy_hitting_set,
+)
 
 E1, E2, E3 = ("a", "b"), ("b", "c"), ("c", "d")
 
@@ -89,6 +96,100 @@ def test_exact_matches_oracle_on_random_families():
         greedy = min_hitting_set_greedy(sets, forbidden)
         assert all(s & greedy for s in sets)
         assert len(greedy) >= len(actual)
+
+
+def edge_number(i):
+    # number order is not edge order, so a solver that skips the sort shows
+    return (f"v{(i * 7) % 20:02d}", f"w{i:02d}")
+
+
+def families(max_edges, max_sets, max_size):
+    """(sets, forbidden) over at most `max_edges` distinct edges."""
+    return st.integers(1, max_edges).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.frozensets(st.integers(0, n - 1), min_size=1, max_size=max_size),
+                min_size=1,
+                max_size=max_sets,
+            ),
+            st.frozensets(st.integers(0, n - 1), max_size=2),
+        )
+    ).map(
+        lambda family: (
+            [frozenset(map(edge_number, s)) for s in family[0]],
+            frozenset(map(edge_number, family[1])),
+        )
+    )
+
+
+def first_unhittable(sets, forbidden):
+    return next(i for i, s in enumerate(sets) if s <= forbidden)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(max_edges=8, max_sets=24, max_size=3))
+def test_greedy_matches_reference_on_tie_heavy_families(family):
+    sets, forbidden = family
+    expected = reference_greedy_hitting_set(sets, forbidden)
+    if expected is None:
+        with pytest.raises(InfeasibleSet) as excinfo:
+            min_hitting_set_greedy(sets, forbidden)
+        assert excinfo.value.index == first_unhittable(sets, forbidden)
+        return
+    assert min_hitting_set_greedy(sets, forbidden) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(max_edges=8, max_sets=12, max_size=4))
+def test_exact_matches_brute_force(family):
+    sets, forbidden = family
+    expected = brute_min_hitting_set(sets, forbidden)
+    if expected is None:
+        with pytest.raises(InfeasibleSet) as excinfo:
+            min_hitting_set_exact(sets, forbidden)
+        assert excinfo.value.index == first_unhittable(sets, forbidden)
+        return
+    assert min_hitting_set_exact(sets, forbidden) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(max_edges=20, max_sets=24, max_size=5))
+def test_exact_matches_reference(family):
+    sets, forbidden = family
+    expected = reference_exact_hitting_set(sets, forbidden)
+    if expected is None:
+        with pytest.raises(InfeasibleSet):
+            min_hitting_set_exact(sets, forbidden)
+        return
+    assert min_hitting_set_exact(sets, forbidden) == expected
+
+
+def test_exact_ring_window_cover_beats_the_packing_bound():
+    # cuttable u_i -> v_i joined in a ring by protected v_i -> u_{i+1};
+    # negative i walks 5 consecutive cuttable edges.  At most 2 windows are
+    # disjoint, but 12 edges in windows of 5 need 3 cuts.
+    n, window = 12, 5
+    u = [f"r{i:02d}u" for i in range(n)]
+    v = [f"r{i:02d}v" for i in range(n)]
+    traces = [Trace(f"pos{i:02d}", "positive", (v[i], u[(i + 1) % n])) for i in range(n)]
+    for i in range(n):
+        walk = []
+        for k in range(window):
+            walk += [u[(i + k) % n], v[(i + k) % n]]
+        traces.append(Trace(f"neg{i:02d}", "negative", tuple(walk)))
+    graph, cut = solve_corpus(Corpus(traces=tuple(traces)))
+    assert isinstance(cut, CutSet) and cut.optimal
+    assert len(cut.edges) == 3
+    assert cut.edges == brute_min_separation_cut(
+        set(graph.edges), graph.cuttable_edges(), graph.negative_pairs
+    )
+    sets = [c.cuttable for c in cut.constraints]
+    assert min_hitting_set_exact(sets) == brute_min_hitting_set(sets) == cut.edges
+
+
+def test_exact_takes_every_disjoint_singleton_without_recursion():
+    sets = [frozenset({(f"s{i:04d}", f"t{i:04d}")}) for i in range(1500)]
+    assert min_hitting_set_exact(sets) == frozenset().union(*sets)
 
 
 # ---------------------------------------------------------------------------

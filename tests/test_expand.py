@@ -97,3 +97,21 @@ def test_matches_oracle_on_random_digraphs():
         expected = brute_simple_paths(edges, source, sink, max_len)
         assert [t.nodes for t in result.traces] == expected
         assert not result.truncated
+
+
+def test_truncation_keeps_the_first_paths_in_oracle_order():
+    rng = random.Random(43)
+    for _ in range(120):
+        size = rng.randint(2, 6)
+        names = [chr(97 + i) for i in range(size)]
+        edges = {(rng.choice(names), rng.choice(names)) for _ in range(size * 3)}
+        edges = {(s, d) for s, d in edges if s != d}
+        source, sink = rng.sample(names, 2)
+        max_len, max_paths = rng.randint(2, 6), rng.randint(1, 4)
+        result = enumerate_candidate_paths(
+            StaticGraph(frozenset(names), frozenset(edges)),
+            EndpointSpec(source, sink, max_path_len=max_len, max_paths=max_paths),
+        )
+        expected = brute_simple_paths(edges, source, sink, max_len)
+        assert [t.nodes for t in result.traces] == expected[:max_paths]
+        assert result.truncated == (len(expected) > max_paths)
