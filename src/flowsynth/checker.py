@@ -14,10 +14,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import CycleError, InvalidAnalysisError, NotRejected, ParseError
+from .errors import CycleError, InvalidAnalysisError, NotRejected
 from .graph import _upset_pairs, _upsets, scc_condense
 from .lattice import Element
-from .traces import Corpus, Edge, Trace, trace_edges
+from .traces import Corpus, Edge, Trace, load_json, trace_edges
 
 QUALIFIER_DEFAULT = "Q_unknown"
 
@@ -186,10 +186,7 @@ def load_analysis(text: str) -> AnalysisSpec:
     Raises ParseError for JSON syntax errors and InvalidAnalysisError for
     schema or order-law failures (the CLI maps the latter to exit 3).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise InvalidAnalysisError("analysis document must be a JSON object")
     required = {"mode", "elements", "leq", "assignment", "cut", "default_element", "metadata"}

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 infeasible/conflict, or refinement hit its
 iteration ceiling; 2 input parse/validation (including a negative
---max-exact-candidates); 3 invalid or inconsistent analysis; 4 check found
+--max-exact-candidates, JSON nested too deeply and a file that is not
+UTF-8); 3 invalid or inconsistent analysis; 4 check found
 misses or false alarms.
 """
 
@@ -96,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ValidationError, UnknownNode, OSError) as exc:
+    except (ParseError, ValidationError, UnknownNode, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvalidAnalysisError as exc:
@@ -146,9 +147,9 @@ def run_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "analysis.json").write_text(dump_analysis(result.spec), encoding="utf-8")
     (out / "lattice.dot").write_text(lattice_dot(result.lattice), encoding="utf-8")
-    (out / "report.json").write_text(
-        _report_json(result.report, corpus_digest(corpus), result.spec), encoding="utf-8"
-    )
+    # the digest make_analysis_spec already took of this corpus
+    report = _report_json(result.report, result.spec.metadata["corpus_sha256"], result.spec)
+    (out / "report.json").write_text(report, encoding="utf-8")
     _print_summary(result, out)
 
     if result.violations:

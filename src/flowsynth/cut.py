@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InfeasibleSet, RefinementLimitError
-from .graph import FlowGraph, shortest_path
+from .graph import FlowGraph, _bits, shortest_path
 from .traces import Edge
 
 log = logging.getLogger(__name__)
@@ -155,14 +155,6 @@ def _bitmasks(
     edges = sorted({edge for allowed in reduced for edge in allowed})
     bit = {edge: 1 << index for index, edge in enumerate(edges)}
     return edges, [sum(bit[edge] for edge in allowed) for allowed in reduced]
-
-
-def _bits(mask: int):
-    """The indices of a bitmask's set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _edge_set(edges: list[Edge], mask: int) -> frozenset[Edge]:

@@ -8,11 +8,10 @@ so downstream reports can tell hypothesized flows from observed ones.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .errors import ParseError, UnknownNode, ValidationError
-from .traces import NEGATIVE, Edge, Trace, is_valid_node_id
+from .errors import UnknownNode, ValidationError
+from .traces import NEGATIVE, Edge, Trace, is_valid_node_id, load_json
 
 STATIC_EXPANSION_ORIGIN = "static-expansion"
 
@@ -57,10 +56,7 @@ class ExpansionResult:
 
 
 def parse_static_graph(text: str) -> StaticGraph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    doc = load_json(text)
     if not isinstance(doc, dict) or not {"nodes", "edges"} <= set(doc):
         raise ValidationError("static graph document needs 'nodes' and 'edges'")
     nodes = doc["nodes"]

@@ -1,5 +1,5 @@
-"""Union flow graph over a corpus, plus the reachability and order
-primitives the solver and lattice builder are written against."""
+"""Union flow graph over a corpus, plus the reachability and bitset
+primitives that the solver, the order layer and the analysis loader share."""
 
 from __future__ import annotations
 
@@ -129,48 +129,34 @@ def shortest_path(
     graph: FlowGraph, start: str, goal: str, excluded: frozenset[Edge] = frozenset()
 ) -> tuple[str, ...] | None:
     """Lexicographically smallest breadth-first shortest path start..goal
-    avoiding `excluded`, or None when goal is unreachable."""
+    avoiding `excluded`, or None when goal is unreachable.
+
+    One breadth-first search runs backward from goal until start is
+    labelled, when every node nearer to goal has its exact distance.  The
+    walk from start then takes the smallest successor one step nearer."""
     if start not in graph.nodes:
         raise UnknownNode(start)
     if goal not in graph.nodes:
         raise UnknownNode(goal)
-    dist_from = _bfs_distances(graph.adjacency, start, excluded, forward=True)
-    if goal not in dist_from:
-        return None
-    dist_to = _bfs_distances(graph.reverse_adjacency, goal, excluded, forward=False)
+    dist = {goal: 0}
+    queue = deque([goal])
+    while start not in dist:
+        if not queue:
+            return None
+        node = queue.popleft()
+        for pred in graph.reverse_adjacency[node]:
+            if pred not in dist and (pred, node) not in excluded:
+                dist[pred] = dist[node] + 1
+                queue.append(pred)
     path = [start]
     node = start
     while node != goal:
-        for succ in graph.adjacency[node]:
-            if (node, succ) in excluded:
-                continue
-            if dist_from.get(succ) == dist_from[node] + 1 and succ in dist_to and (
-                dist_to[succ] == dist_to[node] - 1
-            ):
-                path.append(succ)
-                node = succ
-                break
-        else:  # pragma: no cover - dist invariants guarantee a successor
-            return None
+        step = dist[node] - 1
+        node = next(
+            s for s in graph.adjacency[node] if dist.get(s) == step and (node, s) not in excluded
+        )
+        path.append(node)
     return tuple(path)
-
-
-def _bfs_distances(
-    adjacency: dict[str, tuple[str, ...]],
-    start: str,
-    excluded: frozenset[Edge],
-    forward: bool,
-) -> dict[str, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for other in adjacency[node]:
-            edge = (node, other) if forward else (other, node)
-            if other not in dist and edge not in excluded:
-                dist[other] = dist[node] + 1
-                queue.append(other)
-    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +265,18 @@ def _upsets(successors: dict) -> dict:
     return up
 
 
+def _bits(mask: int):
+    """The indices of a bitmask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _upset_pairs(nodes: list, up: dict) -> frozenset[tuple]:
     """The order as pairs: (a, b) for every b in a's up-set, bit i of an
     up-set standing for nodes[i]."""
-    pairs = set()
-    for a, mask in up.items():
-        while mask:
-            low = mask & -mask
-            pairs.add((a, nodes[low.bit_length() - 1]))
-            mask ^= low
-    return frozenset(pairs)
+    return frozenset((a, nodes[index]) for a, mask in up.items() for index in _bits(mask))
 
 
 def hasse_reduce(edges: Iterable[tuple]) -> frozenset[tuple]:

@@ -9,18 +9,18 @@ Effect mode completes the order to a join semilattice by representing each
 element as the down-set of component elements at or below it: joins are
 down-set unions, a bottom (the pure, empty effect) is always added, and
 missing unions become synthetic elements named after their maximal
-generators ("A∨B").
+generators ("A∨B").  While completing, a down-set is a Python-int bitset
+over the generators, so a union is a bitwise OR and a subset test a mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 from .cut import CutSet
 from .errors import UnknownElement
-from .graph import FlowGraph, _upset_pairs, _upsets, scc_condense
+from .graph import FlowGraph, _bits, _upset_pairs, _upsets, scc_condense
 from .traces import Edge
 
 BOTTOM_NAME = "⊥"
@@ -161,46 +161,49 @@ def check_consistency(order: QualifierOrder, cut, negative_pairs) -> tuple[Viola
 def complete_join_semilattice(order: QualifierOrder) -> EffectSemilattice:
     """Close the order under binary joins via generator down-sets.
 
-    Every original element maps to the set of generators below it; the
-    closure adds the empty set (bottom) and all pairwise unions.  Original
+    Every original element maps to the bitset of generators at or below it,
+    bit i standing for the i-th generator by name.  A worklist ORs each new
+    down-set with each generator's, and the empty set is bottom.  Original
     elements embed order-faithfully: x leq y iff downset(x) is a subset of
     downset(y).
     """
-    generators = [element for element in order.elements if not element.synthetic]
-    downset_of = {
-        g.name: frozenset(h.name for h in generators if order.leq(h.name, g.name))
-        for g in generators
-    }
+    generators = [e for e in sorted(order.elements, key=lambda e: e.name) if not e.synthetic]
+    names = [g.name for g in generators]
+    index = {name: i for i, name in enumerate(names)}
+    down = [0] * len(names)
+    for a, b in order.relation:
+        if a in index and b in index:
+            down[index[b]] |= 1 << index[a]
 
-    closed: set[frozenset[str]] = {frozenset()} | set(downset_of.values())
-    changed = True
-    while changed:
-        changed = False
-        for a, b in combinations(sorted(closed, key=sorted), 2):
-            union = a | b
+    closed = {0, *down}
+    work = list(closed)
+    while work:
+        mask = work.pop()
+        for generated in down:
+            union = mask | generated
             if union not in closed:
                 closed.add(union)
-                changed = True
+                work.append(union)
 
-    taken = {g.name for g in generators}
-    name_for: dict[frozenset[str], str] = {downset: name for name, downset in downset_of.items()}
-    members_of = {g.name: g.members for g in generators}
-    for downset in sorted(closed, key=lambda s: (len(s), sorted(s))):
-        if downset in name_for:
+    taken = set(names)
+    name_for = dict(zip(down, names))
+    for mask in sorted(closed, key=lambda mask: (mask.bit_count(), list(_bits(mask)))):
+        if mask in name_for:
             continue
-        if not downset:
+        if not mask:
             name = BOTTOM_NAME
         else:
-            maximal = sorted(
-                g for g in downset
-                if not any(h != g and g in downset_of[h] for h in downset)
-            )
-            name = "∨".join(maximal)
+            # a member strictly below another member is not maximal
+            below = 0
+            for i in _bits(mask):
+                below |= down[i] & ~(1 << i)
+            name = "∨".join(names[i] for i in _bits(mask & ~below))
         while name in taken:
             name += "'"
         taken.add(name)
-        name_for[downset] = name
+        name_for[mask] = name
 
+    members_of = {g.name: g.members for g in generators}
     elements = tuple(
         sorted(
             (
@@ -211,14 +214,14 @@ def complete_join_semilattice(order: QualifierOrder) -> EffectSemilattice:
         )
     )
     relation = frozenset(
-        (name_for[a], name_for[b]) for a in closed for b in closed if a <= b
+        (name_for[a], name_for[b]) for a in closed for b in closed if not a & ~b
     )
-    downsets = {name: downset for downset, name in name_for.items()}
+    downsets = {name: frozenset(names[i] for i in _bits(mask)) for mask, name in name_for.items()}
     return EffectSemilattice(
         elements=elements,
         relation=relation,
         assignment=dict(order.assignment),
-        bottom=name_for[frozenset()],
+        bottom=name_for[0],
         downsets=downsets,
     )
 

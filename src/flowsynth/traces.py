@@ -127,6 +127,17 @@ _TRACE_KEYS = {"id", "polarity", "nodes", "origin"}
 _OPTION_KEYS = {"min_positive_support"}
 
 
+def load_json(text: str):
+    """The JSON document in `text`.  Raises ParseError, with line/column,
+    for malformed JSON, and for nesting too deep to decode."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
 def parse_corpus(text: str) -> Corpus:
     """Parse the corpus JSON document.
 
@@ -134,10 +145,7 @@ def parse_corpus(text: str) -> Corpus:
     ValidationError for schema violations: duplicate ids, traces shorter
     than two nodes, unknown polarity or mode, unknown fields.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise ValidationError("corpus document must be a JSON object")
     unknown = sorted(set(doc) - _CORPUS_KEYS)

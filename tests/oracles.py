@@ -3,15 +3,22 @@
 Everything here enumerates: subsets by increasing size for hitting sets and
 separation cuts, recursive walks for simple paths, pairwise closure for
 reachability, every pair and every candidate bound for the semilattice
-laws, every (negative, positive) pair for corpus conflicts.  The hitting-set
-solvers as first written (a greedy that recounts every round, a recursive
-branch and bound that enumerates tied optima) are kept as references.  None
-of it shares code with the implementations under test.
+laws, every (negative, positive) pair for corpus conflicts.  Earlier
+versions of some layers are kept as references: the hitting-set solvers as
+first written (a greedy that recounts every round, a recursive branch and
+bound that enumerates tied optima), the two-way breadth-first witness
+search, and the pairwise-fixpoint join completion over frozensets.  None of
+it shares code with the implementations under test; the references only
+build the package's own data types.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
+
+from flowsynth.errors import UnknownNode
+from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element
 
 
 def brute_min_hitting_set(sets, forbidden=frozenset()):
@@ -208,3 +215,106 @@ def prefix_conflicts(corpus):
             if positive.polarity == "positive" and positive.nodes[: len(trace.nodes)] == trace.nodes:
                 found.append((trace.id, positive.id))
     return found
+
+
+def reference_shortest_path(graph, start, goal, excluded=frozenset()):
+    """The witness search as first written: a forward and a backward
+    breadth-first search, then a walk that takes the smallest successor one
+    step further from start and one step nearer to goal."""
+    if start not in graph.nodes:
+        raise UnknownNode(start)
+    if goal not in graph.nodes:
+        raise UnknownNode(goal)
+    dist_from = _bfs_distances(graph.adjacency, start, excluded, forward=True)
+    if goal not in dist_from:
+        return None
+    dist_to = _bfs_distances(graph.reverse_adjacency, goal, excluded, forward=False)
+    path = [start]
+    node = start
+    while node != goal:
+        for succ in graph.adjacency[node]:
+            if (node, succ) in excluded:
+                continue
+            if dist_from.get(succ) == dist_from[node] + 1 and succ in dist_to and (
+                dist_to[succ] == dist_to[node] - 1
+            ):
+                path.append(succ)
+                node = succ
+                break
+        else:  # pragma: no cover - dist invariants guarantee a successor
+            return None
+    return tuple(path)
+
+
+def _bfs_distances(adjacency, start, excluded, forward):
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for other in adjacency[node]:
+            edge = (node, other) if forward else (other, node)
+            if other not in dist and edge not in excluded:
+                dist[other] = dist[node] + 1
+                queue.append(other)
+    return dist
+
+
+def reference_complete_join_semilattice(order):
+    """The join completion as first written: generator down-sets as
+    frozensets of names, closed by rescanning every pair until no union is
+    new, maximal generators found by an all-pairs scan."""
+    generators = [element for element in order.elements if not element.synthetic]
+    downset_of = {
+        g.name: frozenset(h.name for h in generators if order.leq(h.name, g.name))
+        for g in generators
+    }
+
+    closed = {frozenset()} | set(downset_of.values())
+    changed = True
+    while changed:
+        changed = False
+        for a, b in combinations(sorted(closed, key=sorted), 2):
+            union = a | b
+            if union not in closed:
+                closed.add(union)
+                changed = True
+
+    taken = {g.name for g in generators}
+    name_for = {downset: name for name, downset in downset_of.items()}
+    members_of = {g.name: g.members for g in generators}
+    for downset in sorted(closed, key=lambda s: (len(s), sorted(s))):
+        if downset in name_for:
+            continue
+        if not downset:
+            name = BOTTOM_NAME
+        else:
+            maximal = sorted(
+                g for g in downset
+                if not any(h != g and g in downset_of[h] for h in downset)
+            )
+            name = "∨".join(maximal)
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        name_for[downset] = name
+
+    elements = tuple(
+        sorted(
+            (
+                Element(name, members_of.get(name, frozenset()), name not in members_of)
+                for name in name_for.values()
+            ),
+            key=lambda element: element.name,
+        )
+    )
+    relation = frozenset(
+        (name_for[a], name_for[b]) for a in closed for b in closed if a <= b
+    )
+    downsets = {name: downset for downset, name in name_for.items()}
+    return EffectSemilattice(
+        elements=elements,
+        relation=relation,
+        assignment=dict(order.assignment),
+        bottom=name_for[frozenset()],
+        downsets=downsets,
+    )

@@ -120,6 +120,37 @@ def test_synth_parse_error_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "check", "expand"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    corpus = write_json(tmp_path / "corpus.json", TAINT_CORPUS)
+    out = str(tmp_path / "out")
+    argv = {
+        "synth": ["synth", "--corpus", str(deep), "--out", out],
+        "check": ["check", "--analysis", str(deep), "--corpus", str(corpus), "--out", out],
+        "expand": ["expand", "--static-graph", str(deep), "--source", "a", "--sink", "b", "--out", out],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: nested too deeply")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["--corpus", "--stack-traces"])
+def test_synth_non_utf8_input_exits_2(tmp_path, capsys, source):
+    if source == "--corpus":
+        path = tmp_path / "corpus.json"
+    else:
+        path = tmp_path / "stacks"
+        path.mkdir()
+    (path if source == "--corpus" else path / "t.neg.txt").write_bytes(b"\xff{}")
+    assert main(["synth", source, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+
+
 def test_synth_validation_error_exits_2(tmp_path, capsys):
     corpus = {"traces": [{"id": "n", "polarity": "negative", "nodes": ["a", "b", "a"]}]}
     code, _ = synth(tmp_path, corpus)

@@ -12,6 +12,8 @@ from flowsynth import (
     ConstructionError,
     Corpus,
     CycleError,
+    FlowEdge,
+    FlowGraph,
     Trace,
     UnknownNode,
     build_graph,
@@ -21,7 +23,7 @@ from flowsynth import (
 )
 from flowsynth.graph import shortest_path
 
-from oracles import reachability_closure
+from oracles import brute_simple_paths, reachability_closure, reference_shortest_path
 
 
 def corpus_of(*traces, required=(), min_support=1):
@@ -140,6 +142,31 @@ def test_shortest_path_is_lexicographic_bfs():
     assert shortest_path(graph, "a", "d") == ("a", "d")
     assert shortest_path(graph, "a", "d", frozenset({("a", "d")})) == ("a", "b", "d")
     assert shortest_path(graph, "d", "a") is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")), max_size=20),
+    st.data(),
+)
+def test_shortest_path_matches_reference_and_brute_force(pairs, data):
+    # built directly, so that self-loops and a lone node can occur
+    nodes = sorted({n for pair in pairs for n in pair} | {"a"})
+    edges = sorted(set(pairs))
+    graph = FlowGraph(
+        frozenset(nodes),
+        {edge: FlowEdge(edge[0], edge[1], frozenset(), 0, False) for edge in edges},
+        (),
+        (),
+    )
+    excluded = frozenset(data.draw(st.sets(st.sampled_from(edges))) if edges else ())
+    kept = [edge for edge in edges if edge not in excluded]
+    for start in nodes:
+        for goal in nodes:
+            found = shortest_path(graph, start, goal, excluded)
+            assert found == reference_shortest_path(graph, start, goal, excluded)
+            paths = brute_simple_paths(kept, start, goal, len(nodes))
+            assert found == min(paths, key=lambda path: (len(path), path), default=None)
 
 
 # ---------------------------------------------------------------------------

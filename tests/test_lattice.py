@@ -6,10 +6,14 @@ import random
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsynth import (
     Conflict,
     Corpus,
+    Element,
+    QualifierOrder,
     SolverConfig,
     Trace,
     UnknownElement,
@@ -26,6 +30,7 @@ from flowsynth import (
 )
 
 from corpusgen import random_corpus
+from oracles import reachability_closure, reference_complete_join_semilattice
 
 
 def order_from(corpus, cut_edges):
@@ -200,6 +205,59 @@ def test_join_examples():
     assert join(lattice, "Q_x", "⊥").name == "Q_x"
     with pytest.raises(UnknownElement):
         join(lattice, "Q_x", "nope")
+
+
+# generator names that collide with the names completion gives bottom and
+# joins, and joins of different generators that get the same name
+_generator_names = st.lists(
+    st.builds(
+        lambda parts, primes: "∨".join(parts) + "'" * primes,
+        st.lists(st.sampled_from(["Q_a", "Q_b", "Q_c", "⊥"]), min_size=1, max_size=2),
+        st.integers(0, 1),
+    ),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generator_names, st.data())
+def test_completion_matches_reference(names, data):
+    # every drawn pair is oriented up a random ranking, so the order is acyclic
+    rank = {name: i for i, name in enumerate(data.draw(st.permutations(names)))}
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=10))
+    edges = {(a, b) if rank[a] < rank[b] else (b, a) for a, b in pairs if a != b}
+    elements = [Element(name, frozenset({f"m{i}"})) for i, name in enumerate(sorted(names))]
+    if data.draw(st.booleans()):
+        elements.append(Element("Q_z∨Q_y", frozenset(), synthetic=True))
+    order = QualifierOrder(
+        tuple(sorted(elements, key=lambda element: element.name)),
+        frozenset(reachability_closure(names, edges)),
+        {f"m{i}": name for i, name in enumerate(sorted(names))},
+    )
+    lattice = complete_join_semilattice(order)
+    reference = reference_complete_join_semilattice(order)
+    assert lattice.elements == reference.elements
+    assert lattice.relation == reference.relation
+    assert lattice.downsets == reference.downsets
+    assert lattice.bottom == reference.bottom
+    assert lattice.assignment == reference.assignment
+
+
+def test_completion_names_colliding_joins_in_reference_order():
+    # {Q_a, Q_b∨Q_b} and {Q_a∨Q_b, Q_b} both join to "Q_a∨Q_b∨Q_b"; the
+    # prime goes to the later one in (size, sorted names) order
+    names = ["Q_a", "Q_a∨Q_b", "Q_b", "Q_b∨Q_b"]
+    order = QualifierOrder(
+        tuple(Element(name, frozenset({name})) for name in names),
+        frozenset((name, name) for name in names),
+        {},
+    )
+    lattice = complete_join_semilattice(order)
+    assert lattice.downsets["Q_a∨Q_b∨Q_b"] == {"Q_a", "Q_b∨Q_b"}
+    assert lattice.downsets["Q_a∨Q_b∨Q_b'"] == {"Q_a∨Q_b", "Q_b"}
+    assert lattice.downsets == reference_complete_join_semilattice(order).downsets
 
 
 def assert_order_laws(order):
