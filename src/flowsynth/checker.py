@@ -17,7 +17,7 @@ from typing import Any
 from .errors import CycleError, InvalidAnalysisError, NotRejected
 from .graph import _upset_pairs, _upsets, scc_condense
 from .lattice import Element
-from .traces import Corpus, Edge, Trace, load_json, trace_edges
+from .traces import Corpus, Edge, Trace, load_json
 
 QUALIFIER_DEFAULT = "Q_unknown"
 
@@ -78,12 +78,18 @@ class CheckReport:
 def check_trace(spec: AnalysisSpec, trace: Trace) -> Verdict:
     """Accept iff every consecutive edge relates source element to target
     element; reject at the first violating edge in path order.  Unknown
-    nodes map to the spec's default element."""
-    for index, (src, dst) in enumerate(trace_edges(trace)):
-        a = spec.element_of(src)
-        b = spec.element_of(dst)
-        if not spec.leq(a, b):
+    nodes map to the spec's default element.
+
+    One walk over the path, one assignment lookup per node: each node's
+    element is carried over as the next edge's source."""
+    assignment, default, relation = spec.assignment, spec.default_element, spec.relation
+    src = trace.nodes[0]
+    a = assignment.get(src, default)
+    for index, dst in enumerate(trace.nodes[1:]):
+        b = assignment.get(dst, default)
+        if (a, b) not in relation:
             return Verdict(trace.id, False, index, (src, dst), a, b)
+        src, a = dst, b
     return Verdict(trace.id, True)
 
 

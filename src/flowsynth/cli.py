@@ -3,20 +3,28 @@
 Exit codes: 0 success; 1 infeasible/conflict, or refinement hit its
 iteration ceiling; 2 input parse/validation (including a negative
 --max-exact-candidates, JSON nested too deeply and a file that is not
-UTF-8); 3 invalid or inconsistent analysis; 4 check found
-misses or false alarms.
+UTF-8, which the message names); 3 invalid or inconsistent analysis; 4
+check found misses or false alarms.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring as _str
 from pathlib import Path
 
-from .checker import AnalysisSpec, CheckReport, check_corpus, dump_analysis, explain_rejection, load_analysis
+from .checker import (
+    AnalysisSpec,
+    CheckReport,
+    Verdict,
+    check_corpus,
+    dump_analysis,
+    explain_rejection,
+    load_analysis,
+)
 from .cut import AUTO, EXACT, GREEDY, PATH, SEPARATION, Conflict, SolverConfig
 from .dot import lattice_dot
 from .errors import (
@@ -35,7 +43,9 @@ from .traces import (
     WARNING,
     Corpus,
     corpus_digest,
+    dump_json,
     parse_corpus,
+    read_text,
     serialize_corpus,
     stack_traces_from_dir,
 )
@@ -97,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ValidationError, UnknownNode, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ValidationError, UnknownNode, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvalidAnalysisError as exc:
@@ -112,7 +122,7 @@ def _load_corpus_inputs(args) -> Corpus:
     if args.corpus is None and args.stack_traces is None:
         raise ValidationError("synth needs --corpus and/or --stack-traces")
     if args.corpus is not None:
-        corpus = parse_corpus(args.corpus.read_text(encoding="utf-8"))
+        corpus = parse_corpus(read_text(args.corpus))
     else:
         corpus = Corpus(mode=args.mode or QUALIFIER)
     if args.stack_traces is not None:
@@ -161,8 +171,8 @@ def run_synth(args) -> int:
 
 
 def run_check(args) -> int:
-    spec = load_analysis(args.analysis.read_text(encoding="utf-8"))
-    corpus = parse_corpus(args.corpus.read_text(encoding="utf-8"))
+    spec = load_analysis(read_text(args.analysis))
+    corpus = parse_corpus(read_text(args.corpus))
     digest = corpus_digest(corpus)
     if spec.metadata.get("corpus_sha256") not in (None, digest):
         log.warning("corpus digest does not match the one recorded in the analysis")
@@ -178,7 +188,7 @@ def run_check(args) -> int:
 
 
 def run_expand(args) -> int:
-    graph = parse_static_graph(args.static_graph.read_text(encoding="utf-8"))
+    graph = parse_static_graph(read_text(args.static_graph))
     spec = EndpointSpec(args.source, args.sink, args.max_path_len, args.max_paths)
     result = enumerate_candidate_paths(graph, spec)
     corpus = Corpus(
@@ -201,8 +211,8 @@ def run_expand(args) -> int:
 
 
 def run_explain(args) -> int:
-    spec = load_analysis(args.analysis.read_text(encoding="utf-8"))
-    corpus = parse_corpus(args.corpus.read_text(encoding="utf-8"))
+    spec = load_analysis(read_text(args.analysis))
+    corpus = parse_corpus(read_text(args.corpus))
     matches = [trace for trace in corpus.traces if trace.id == args.trace_id]
     if not matches:
         raise ValidationError(f"trace id {args.trace_id!r} not found in corpus")
@@ -266,18 +276,32 @@ def _print_summary(result: SynthesisResult, out: Path) -> None:
     print(f"wrote: {out / 'analysis.json'} {out / 'lattice.dot'} {out / 'report.json'}")
 
 
+# one element of report.json's "verdicts" array, keys in sorted order
+_ACCEPTED_ROW = '    {\n      "accepted": true,\n      "trace_id": %s\n    }'
+_REJECTED_ROW = (
+    '    {\n      "accepted": false,\n      "trace_id": %s,\n      "violation": {\n'
+    '        "edge": [\n          %s,\n          %s\n        ],\n        "index": %d,\n'
+    '        "source_element": %s,\n        "target_element": %s\n      }\n    }'
+)
+
+
+def _verdict_row(verdict: Verdict) -> str:
+    if verdict.accepted:
+        return _ACCEPTED_ROW % _str(verdict.trace_id)
+    src, dst = verdict.violating_edge
+    return _REJECTED_ROW % (
+        _str(verdict.trace_id),
+        _str(src),
+        _str(dst),
+        verdict.violation_index,
+        _str(verdict.source_element),
+        _str(verdict.target_element),
+    )
+
+
 def _report_json(report: CheckReport, digest: str, spec: AnalysisSpec) -> str:
-    verdicts = []
-    for verdict in report.verdicts:
-        entry: dict = {"trace_id": verdict.trace_id, "accepted": verdict.accepted}
-        if not verdict.accepted:
-            entry["violation"] = {
-                "index": verdict.violation_index,
-                "edge": list(verdict.violating_edge),
-                "source_element": verdict.source_element,
-                "target_element": verdict.target_element,
-            }
-        verdicts.append(entry)
+    """report.json: the summary, both digests and one row per verdict, the
+    bytes of `json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)`."""
     doc = {
         "summary": {
             "traces": len(report.verdicts),
@@ -286,11 +310,10 @@ def _report_json(report: CheckReport, digest: str, spec: AnalysisSpec) -> str:
             "positives_accepted": report.positives_accepted,
             "positives_rejected": report.positives_rejected,
         },
-        "verdicts": verdicts,
         "corpus_sha256": digest,
         "analysis_corpus_sha256": spec.metadata.get("corpus_sha256"),
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(doc, "verdicts", [_verdict_row(verdict) for verdict in report.verdicts])
 
 
 if __name__ == "__main__":  # pragma: no cover

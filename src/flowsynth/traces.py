@@ -18,6 +18,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _str
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -34,8 +35,11 @@ MODES = (QUALIFIER, EFFECT)
 
 
 def is_valid_node_id(name: object) -> bool:
-    """A node id is a non-empty token with no whitespace or newlines."""
-    return isinstance(name, str) and bool(name) and not any(ch.isspace() for ch in name)
+    """A node id is a non-empty token with no whitespace or newlines.
+
+    `str.split()` splits at exactly the characters `str.isspace()` accepts,
+    so a string is such a token iff it splits into itself."""
+    return isinstance(name, str) and name.split() == [name]
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,16 @@ class Trace:
             raise ValidationError(
                 f"trace {self.id}: a path needs at least 2 nodes, got {len(self.nodes)}"
             )
-        for node in self.nodes:
-            if not is_valid_node_id(node):
-                raise ValidationError(f"trace {self.id}: invalid node id {node!r}")
+        # all node ids at once: the joined path splits back into the nodes
+        # iff each is a valid id (a node that is not a string fails the join)
+        try:
+            valid = " ".join(self.nodes).split() == list(self.nodes)
+        except TypeError:
+            valid = False
+        if not valid:
+            for node in self.nodes:
+                if not is_valid_node_id(node):
+                    raise ValidationError(f"trace {self.id}: invalid node id {node!r}")
 
     @property
     def is_negative(self) -> bool:
@@ -124,7 +135,17 @@ def trace_edges(trace: Trace) -> tuple[Edge, ...]:
 
 _CORPUS_KEYS = {"mode", "traces", "required_edges", "options", "metadata"}
 _TRACE_KEYS = {"id", "polarity", "nodes", "origin"}
+_TRACE_REQUIRED = {"id", "polarity", "nodes"}
 _OPTION_KEYS = {"min_positive_support"}
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at `path`.  Raises ParseError, naming the
+    file, for bytes that are not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{exc} (file {path})") from None
 
 
 def load_json(text: str):
@@ -136,6 +157,26 @@ def load_json(text: str):
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def dump_json(doc: dict, last: str, rows: list[str]) -> str:
+    """`json.dumps({**doc, last: items}, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"`, where `rows` are the array's items already
+    rendered at its depth: four spaces of indent, no separator.
+
+    `last` must sort after every key of `doc`, so that the array closes the
+    document.  json.dumps writes the rest with the array left empty, so
+    free-form values of any nesting still go through it; only the large,
+    fixed-shape array skips its pure-Python encoder, which `indent` selects.
+    Row templates escape strings with `encode_basestring`, the function
+    json.dumps uses under `ensure_ascii=False`.
+    """
+    assert all(key < last for key in doc)
+    skeleton = json.dumps({**doc, last: []}, sort_keys=True, indent=2, ensure_ascii=False)
+    if not rows:
+        return skeleton + "\n"
+    # the skeleton ends with the empty array and the closing brace: '[]\n}'
+    return skeleton[:-4] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 def parse_corpus(text: str) -> Corpus:
@@ -161,11 +202,11 @@ def parse_corpus(text: str) -> Corpus:
     for i, entry in enumerate(raw_traces):
         if not isinstance(entry, dict):
             raise ValidationError(f"trace entry {i} must be an object")
-        bad = sorted(set(entry) - _TRACE_KEYS)
-        if bad:
+        if not entry.keys() <= _TRACE_KEYS:
+            bad = sorted(set(entry) - _TRACE_KEYS)
             raise ValidationError(f"trace entry {i}: unknown field(s): {', '.join(bad)}")
-        missing = sorted({"id", "polarity", "nodes"} - set(entry))
-        if missing:
+        if not entry.keys() >= _TRACE_REQUIRED:
+            missing = sorted(_TRACE_REQUIRED - set(entry))
             raise ValidationError(f"trace entry {i}: missing field(s): {', '.join(missing)}")
         nodes = entry["nodes"]
         if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
@@ -205,28 +246,42 @@ def parse_corpus(text: str) -> Corpus:
     )
 
 
+# one element of the corpus document's "traces" array, keys in sorted order;
+# the origin line, when present, goes between "nodes" and "polarity"
+_TRACE_ROW = '    {\n      "id": %s,\n      "nodes": [\n        %s\n      ],%s\n      "polarity": %s\n    }'
+_ORIGIN_LINE = '\n      "origin": %s,'
+_NODE_SEP = ",\n        "
+
+
+def _trace_row(trace: Trace) -> str:
+    origin = "" if trace.origin is None else _ORIGIN_LINE % _str(trace.origin)
+    nodes = _NODE_SEP.join(map(_str, trace.nodes))
+    return _TRACE_ROW % (_str(trace.id), nodes, origin, _str(trace.polarity))
+
+
 def serialize_corpus(corpus: Corpus) -> str:
-    """Canonical corpus serialization: key-sorted JSON, sorted edge list,
-    defaults written out, trailing newline.  parse_corpus inverts it."""
-    traces = []
-    for trace in corpus.traces:
-        entry: dict = {"id": trace.id, "polarity": trace.polarity, "nodes": list(trace.nodes)}
-        if trace.origin is not None:
-            entry["origin"] = trace.origin
-        traces.append(entry)
+    """Canonical corpus serialization: key-sorted JSON with an indent of 2,
+    sorted edge list, defaults written out, trailing newline.  parse_corpus
+    inverts it.
+
+    The traces array is rendered row by row from a fixed template and the
+    rest by json.dumps (see dump_json); the bytes are those of one
+    `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`.
+    """
     doc: dict = {
         "mode": corpus.mode,
-        "traces": traces,
         "required_edges": [list(pair) for pair in sorted(corpus.required_edges)],
         "options": {"min_positive_support": corpus.min_positive_support},
     }
     if corpus.metadata:
         doc["metadata"] = corpus.metadata
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(doc, "traces", [_trace_row(trace) for trace in corpus.traces])
 
 
 def corpus_digest(corpus: Corpus) -> str:
-    """SHA-256 of the canonical corpus serialization."""
+    """SHA-256 of the canonical corpus serialization.  Its bytes do not
+    depend on how serialize_corpus renders them, so recorded digests stay
+    valid."""
     return hashlib.sha256(serialize_corpus(corpus).encode("utf-8")).hexdigest()
 
 
@@ -314,7 +369,7 @@ def stack_traces_from_dir(directory: str | Path) -> tuple[Trace, ...]:
         for suffix, polarity in suffixes:
             if path.name.endswith(suffix):
                 trace_id = path.name[: -len(suffix)]
-                text = path.read_text(encoding="utf-8")
+                text = read_text(path)
                 traces.append(parse_stack_trace(text, polarity, trace_id))
                 break
     return tuple(traces)

@@ -7,18 +7,24 @@ laws, every (negative, positive) pair for corpus conflicts.  Earlier
 versions of some layers are kept as references: the hitting-set solvers as
 first written (a greedy that recounts every round, a recursive branch and
 bound that enumerates tied optima), the two-way breadth-first witness
-search, and the pairwise-fixpoint join completion over frozensets.  None of
+search, the pairwise-fixpoint join completion over frozensets, and the
+read path's writers and checks as first written (the corpus and report
+documents through `json.dumps` with `indent`, the node-id predicate as a
+per-character scan, the trace check over the `trace_edges` tuple).  None of
 it shares code with the implementations under test; the references only
 build the package's own data types.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from itertools import combinations
 
+from flowsynth.checker import Verdict
 from flowsynth.errors import UnknownNode
 from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element
+from flowsynth.traces import trace_edges
 
 
 def brute_min_hitting_set(sets, forbidden=frozenset()):
@@ -318,3 +324,68 @@ def reference_complete_join_semilattice(order):
         bottom=name_for[frozenset()],
         downsets=downsets,
     )
+
+
+def reference_is_valid_node_id(name: object) -> bool:
+    """A node id is a non-empty token with no whitespace or newlines."""
+    return isinstance(name, str) and bool(name) and not any(ch.isspace() for ch in name)
+
+
+def reference_serialize_corpus(corpus) -> str:
+    """Canonical corpus serialization: key-sorted JSON, sorted edge list,
+    defaults written out, trailing newline.  parse_corpus inverts it."""
+    traces = []
+    for trace in corpus.traces:
+        entry: dict = {"id": trace.id, "polarity": trace.polarity, "nodes": list(trace.nodes)}
+        if trace.origin is not None:
+            entry["origin"] = trace.origin
+        traces.append(entry)
+    doc: dict = {
+        "mode": corpus.mode,
+        "traces": traces,
+        "required_edges": [list(pair) for pair in sorted(corpus.required_edges)],
+        "options": {"min_positive_support": corpus.min_positive_support},
+    }
+    if corpus.metadata:
+        doc["metadata"] = corpus.metadata
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def reference_check_trace(spec, trace):
+    """Accept iff every consecutive edge relates source element to target
+    element; reject at the first violating edge in path order.  Unknown
+    nodes map to the spec's default element."""
+    for index, (src, dst) in enumerate(trace_edges(trace)):
+        a = spec.element_of(src)
+        b = spec.element_of(dst)
+        if not spec.leq(a, b):
+            return Verdict(trace.id, False, index, (src, dst), a, b)
+    return Verdict(trace.id, True)
+
+
+def reference_report_json(report, digest, spec) -> str:
+    """report.json as `cli` first wrote it."""
+    verdicts = []
+    for verdict in report.verdicts:
+        entry: dict = {"trace_id": verdict.trace_id, "accepted": verdict.accepted}
+        if not verdict.accepted:
+            entry["violation"] = {
+                "index": verdict.violation_index,
+                "edge": list(verdict.violating_edge),
+                "source_element": verdict.source_element,
+                "target_element": verdict.target_element,
+            }
+        verdicts.append(entry)
+    doc = {
+        "summary": {
+            "traces": len(report.verdicts),
+            "negatives_rejected": report.negatives_rejected,
+            "negatives_accepted": report.negatives_accepted,
+            "positives_accepted": report.positives_accepted,
+            "positives_rejected": report.positives_rejected,
+        },
+        "verdicts": verdicts,
+        "corpus_sha256": digest,
+        "analysis_corpus_sha256": spec.metadata.get("corpus_sha256"),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

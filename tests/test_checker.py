@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import flowsynth
 from flowsynth import (
+    AnalysisSpec,
     Conflict,
     Corpus,
     InvalidAnalysisError,
@@ -31,7 +32,7 @@ from flowsynth import (
 )
 
 from corpusgen import random_corpus
-from oracles import order_law_error, reachability_closure
+from oracles import order_law_error, reachability_closure, reference_check_trace
 
 TAINT_CORPUS = Corpus(
     traces=(
@@ -391,3 +392,26 @@ def test_load_rejects_malformed_schema(taint_spec, mutate, message):
     mutate(doc)
     with pytest.raises(InvalidAnalysisError, match=message):
         load_analysis(json.dumps(doc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_check_trace_matches_reference(data):
+    """Random relations over four elements (not necessarily orders), nodes
+    partly unassigned so that they fall to the default element."""
+    names = st.sampled_from(["A", "B", "C", "D"])
+    nodes = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+    spec = AnalysisSpec(
+        mode=data.draw(st.sampled_from(["qualifier", "effect"])),
+        elements=(),
+        relation=frozenset(data.draw(st.lists(st.tuples(names, names), max_size=16))),
+        assignment=data.draw(st.dictionaries(nodes, names, max_size=4)),
+        cut=frozenset(),
+        default_element=data.draw(names),
+    )
+    trace = Trace(
+        "t",
+        data.draw(st.sampled_from(["positive", "negative"])),
+        tuple(data.draw(st.lists(nodes, min_size=2, max_size=8))),
+    )
+    assert check_trace(spec, trace) == reference_check_trace(spec, trace)

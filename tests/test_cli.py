@@ -7,10 +7,14 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowsynth import cli
+from flowsynth import AnalysisSpec, CheckReport, Verdict, cli
 from flowsynth.cli import main
 from flowsynth.cut import SolverConfig
+
+from oracles import reference_report_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -148,6 +152,33 @@ def test_synth_non_utf8_input_exits_2(tmp_path, capsys, source):
     assert main(["synth", source, str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synth --stack-traces", "synth --corpus", "check --analysis", "check --corpus", "expand"])
+def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
+    stacks = tmp_path / "stacks"
+    stacks.mkdir()
+    for fixture in sorted((FIXTURES / "ui_traces").iterdir()):
+        (stacks / fixture.name).write_bytes(fixture.read_bytes())
+    good = write_json(tmp_path / "corpus.json", TAINT_CORPUS)
+    assert main(["synth", "--corpus", str(good), "--out", str(tmp_path / "out")]) == 0
+    analysis = str(tmp_path / "out" / "analysis.json")
+    bad = stacks / "b_bad.neg.txt" if command == "synth --stack-traces" else tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    out = str(tmp_path / "again")
+    argv = {
+        "synth --stack-traces": ["synth", "--stack-traces", str(stacks), "--out", out],
+        "synth --corpus": ["synth", "--corpus", str(bad), "--out", out],
+        "check --analysis": ["check", "--analysis", str(bad), "--corpus", str(good), "--out", out],
+        "check --corpus": ["check", "--analysis", analysis, "--corpus", str(bad), "--out", out],
+        "expand": ["expand", "--static-graph", str(bad), "--source", "a", "--sink", "b", "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert str(bad) in err
     assert "Traceback" not in err
 
 
@@ -493,3 +524,59 @@ def test_explain_missing_trace_id_exits_2(tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+def test_artifacts_match_golden_files(tmp_path):
+    """The on-disk formats, byte for byte: a corpus with non-ASCII ids,
+    an origin, nested metadata, rejected negatives and accepted positives."""
+    golden = FIXTURES / "golden"
+    corpus = str(golden / "corpus.json")
+    out = tmp_path / "synth"
+    assert main(["synth", "--corpus", corpus, "--out", str(out)]) == 0
+    checked = tmp_path / "check"
+    argv = ["check", "--analysis", str(out / "analysis.json"), "--corpus", corpus, "--out", str(checked)]
+    assert main(argv) == 0
+    produced = {
+        "analysis.json": out / "analysis.json",
+        "lattice.dot": out / "lattice.dot",
+        "synth.report.json": out / "report.json",
+        "check.report.json": checked / "report.json",
+    }
+    for name, path in produced.items():
+        assert path.read_bytes() == (golden / name).read_bytes(), name
+
+
+_text = st.text(max_size=6)
+
+
+@st.composite
+def reports(draw):
+    """Accepted and rejected verdicts with any ids, and the analysis digest
+    absent, null, a string or any other JSON value."""
+    verdicts = []
+    for trace_id in draw(st.lists(_text, unique=True, max_size=6)):
+        if draw(st.booleans()):
+            verdicts.append(Verdict(trace_id, True))
+        else:
+            edge = (draw(_text), draw(_text))
+            index = draw(st.integers(min_value=0, max_value=10**6))
+            verdicts.append(Verdict(trace_id, False, index, edge, draw(_text), draw(_text)))
+    counts = draw(st.lists(st.integers(min_value=0, max_value=10**6), min_size=4, max_size=4))
+    recorded = draw(
+        st.sampled_from([{}, {"corpus_sha256": None}])
+        | st.fixed_dictionaries({"corpus_sha256": _text})
+        | st.fixed_dictionaries({"corpus_sha256": st.recursive(
+            st.none() | st.booleans() | st.integers() | _text,
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+            max_leaves=6,
+        )})
+    )
+    spec = AnalysisSpec("qualifier", (), frozenset(), {}, frozenset(), "Q", recorded)
+    return CheckReport(tuple(verdicts), *counts), draw(_text), spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports())
+def test_report_json_matches_reference(case):
+    report, digest, spec = case
+    assert cli._report_json(report, digest, spec) == reference_report_json(report, digest, spec)

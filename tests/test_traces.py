@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
 import string
 
 import pytest
@@ -22,7 +25,9 @@ from flowsynth import (
     validate_corpus,
 )
 
-from oracles import prefix_conflicts
+from flowsynth.traces import is_valid_node_id
+
+from oracles import prefix_conflicts, reference_is_valid_node_id, reference_serialize_corpus
 
 
 def test_parse_minimal_negative_trace():
@@ -300,3 +305,180 @@ def test_validate_is_pure():
         )
     )
     assert validate_corpus(corpus) == validate_corpus(corpus)
+
+
+# ---------------------------------------------------------------------------
+# the row-template writer against json.dumps, and the node-id predicate
+
+# characters str.isspace() accepts that are easy to miss, and some that look
+# blank or need escaping but are not whitespace
+_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000"
+_NOT_SPACES = "\u200b\ufeff\x00\"\\"
+# no lone surrogates: they have no UTF-8 form to digest or write
+_char = st.characters(exclude_categories=("Cs",)) | st.sampled_from(_SPACES + _NOT_SPACES)
+_text = st.text(_char, min_size=1, max_size=6)
+_any_node = st.text(
+    st.characters(exclude_categories=("Cs",)).filter(lambda ch: not ch.isspace())
+    | st.sampled_from(_NOT_SPACES),
+    min_size=1,
+    max_size=6,
+)
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(_char, max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(_char, max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def rich_corpora(draw: st.DrawFn) -> Corpus:
+    """Any ids and node ids, optional origins, required edges and
+    metadata, zero traces included."""
+    ids = draw(st.lists(_text, unique=True, max_size=6))
+    traces = tuple(
+        Trace(
+            trace_id,
+            draw(st.sampled_from(["positive", "negative"])),
+            tuple(draw(st.lists(_any_node, min_size=2, max_size=4))),
+            origin=draw(st.none() | st.text(_char, max_size=6)),
+        )
+        for trace_id in ids
+    )
+    return Corpus(
+        mode=draw(st.sampled_from(["qualifier", "effect"])),
+        traces=traces,
+        required_edges=frozenset(draw(st.sets(st.tuples(_any_node, _any_node), max_size=3))),
+        min_positive_support=draw(st.integers(min_value=1, max_value=10**20)),
+        metadata=draw(st.dictionaries(st.text(_char, max_size=4), _json_values, max_size=3)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rich_corpora())
+def test_serialize_matches_reference(corpus: Corpus):
+    text = serialize_corpus(corpus)
+    assert text == reference_serialize_corpus(corpus)
+    assert corpus_digest(corpus) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_serialize_matches_reference_on_the_deepest_metadata_parse_accepts():
+    # how deep the decoder goes depends on the stack it starts from, so the
+    # depth is searched for here rather than fixed
+    def document(depth: int) -> str:
+        trace = '{"id": "t", "polarity": "negative", "nodes": ["a", "b"]}'
+        return '{"traces": [' + trace + '], "metadata": ' + '{"a": ' * depth + "1" + "}" * depth + "}"
+
+    def accepted(depth: int) -> bool:
+        try:
+            parse_corpus(document(depth))
+        except ParseError:
+            return False
+        return True
+
+    low, high = 1, 10_000
+    while low < high:
+        middle = (low + high + 1) // 2
+        if accepted(middle):
+            low = middle
+        else:
+            high = middle - 1
+    assert low > 500
+    corpus = parse_corpus(document(low))
+    text = serialize_corpus(corpus)
+    assert text == reference_serialize_corpus(corpus)
+    assert corpus_digest(corpus) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(_char, max_size=6))
+def test_node_id_predicate_matches_reference(name: str):
+    assert is_valid_node_id(name) == reference_is_valid_node_id(name)
+
+
+@pytest.mark.parametrize("name", [None, 1, b"ab", ["ab"], "", " ", "a\u3000b", "a\x1fb", "\x85", "ab"])
+def test_node_id_predicate_edge_cases(name):
+    assert is_valid_node_id(name) == reference_is_valid_node_id(name)
+
+
+@pytest.mark.parametrize("bad", ["", "a b", "\u2028", "x\x1c"])
+def test_trace_names_the_first_invalid_node(bad):
+    with pytest.raises(ValidationError, match=re.escape(f"invalid node id {bad!r}")):
+        Trace("t", "negative", ("a", bad, "c", "d e"))
+    with pytest.raises(ValidationError, match="invalid node id 7"):
+        Trace("t", "negative", ("a", 7, bad))
+
+
+# ---------------------------------------------------------------------------
+# corpus-document fuzz
+
+def _objects(doc) -> list[dict]:
+    """The objects of a (possibly already mutated) corpus document whose
+    keys parse_corpus reads: the document, its options, its trace entries."""
+    found = [doc]
+    if isinstance(doc.get("options"), dict):
+        found.append(doc["options"])
+    if isinstance(doc.get("traces"), list):
+        found += [entry for entry in doc["traces"] if isinstance(entry, dict)]
+    return found
+
+
+_BAD_NODES = st.sampled_from(["", " ", "a b", "a\tb", "\u2028", "x\x1f", "\u3000y"]) | _text
+
+
+@st.composite
+def corpus_documents(draw: st.DrawFn) -> dict:
+    """A valid corpus document, then up to four random mutations: a key
+    dropped or added, a value of a wrong type, a bad node id, a bad
+    polarity, non-list nodes."""
+    traces = []
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
+        entry = {
+            "id": f"t{i}",
+            "polarity": draw(st.sampled_from(["positive", "negative"])),
+            "nodes": draw(st.lists(_node, min_size=2, max_size=4)),
+        }
+        if draw(st.booleans()):
+            entry["origin"] = draw(st.text(_char, max_size=4))
+        traces.append(entry)
+    doc = {
+        "mode": draw(st.sampled_from(["qualifier", "effect"])),
+        "traces": traces,
+        "required_edges": [list(pair) for pair in draw(st.lists(st.tuples(_node, _node), max_size=2))],
+        "options": {"min_positive_support": draw(st.integers(min_value=1, max_value=3))},
+        "metadata": draw(st.dictionaries(st.text(_char, max_size=4), _json_values, max_size=2)),
+    }
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        target = draw(st.sampled_from(_objects(doc)))
+        entries = [obj for obj in _objects(doc) if "nodes" in obj or "polarity" in obj]
+        kind = draw(st.sampled_from(["drop", "add", "retype", "node", "polarity", "nodes"]))
+        if kind == "drop" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif kind == "add":
+            target[draw(st.text(_char, max_size=8))] = draw(_json_values)
+        elif kind == "retype" and target:
+            target[draw(st.sampled_from(sorted(target)))] = draw(_json_values)
+        elif kind == "node" and entries:
+            entry = draw(st.sampled_from(entries))
+            if isinstance(entry.get("nodes"), list) and entry["nodes"]:
+                index = draw(st.integers(min_value=0, max_value=len(entry["nodes"]) - 1))
+                entry["nodes"][index] = draw(_BAD_NODES)
+        elif kind == "polarity" and entries:
+            draw(st.sampled_from(entries))["polarity"] = draw(st.text(_char, max_size=8))
+        elif kind == "nodes" and entries:
+            draw(st.sampled_from(entries))["nodes"] = draw(_json_values)
+    return doc
+
+
+@settings(max_examples=250, deadline=None)
+@given(corpus_documents())
+def test_mutated_corpus_documents_fail_cleanly_or_round_trip(doc: dict):
+    try:
+        corpus = parse_corpus(json.dumps(doc))
+    except (ParseError, ValidationError):
+        return
+    assert parse_corpus(serialize_corpus(corpus)) == corpus
