@@ -10,14 +10,14 @@ least upper bound iff up(a) & up(b) is itself some element's up-set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _str
 from typing import Any
 
 from .errors import CycleError, InvalidAnalysisError, NotRejected
 from .graph import _upset_pairs, _upsets, scc_condense
 from .lattice import Element
-from .traces import Corpus, Edge, Trace, load_json
+from .traces import Corpus, Edge, Trace, dump_json, load_json
 
 QUALIFIER_DEFAULT = "Q_unknown"
 
@@ -165,25 +165,45 @@ def explain_rejection(spec: AnalysisSpec, trace: Trace) -> Explanation:
 # Serialization
 
 def dump_analysis(spec: AnalysisSpec) -> str:
-    """Canonical analysis serialization: key-sorted JSON, reflexive order
-    pairs omitted, every sequence deterministically ordered."""
+    """Canonical analysis serialization: key-sorted JSON with an indent of
+    2, reflexive order pairs omitted, every sequence deterministically
+    ordered, trailing newline.
+
+    The fixed-shape values (elements, leq, cut and assignment) are rendered
+    row by row from templates and the rest, metadata included, by
+    json.dumps (see `dump_json`); the bytes are those of one
+    `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`.
+    """
     doc = {
         "mode": spec.mode,
-        "elements": [
-            {
-                "name": element.name,
-                "members": sorted(element.members),
-                "synthetic": element.synthetic,
-            }
-            for element in sorted(spec.elements, key=lambda e: e.name)
-        ],
-        "leq": [list(pair) for pair in sorted(spec.relation) if pair[0] != pair[1]],
-        "assignment": dict(sorted(spec.assignment.items())),
-        "cut": [list(edge) for edge in sorted(spec.cut)],
+        "elements": [],
+        "leq": [],
+        "assignment": {},
+        "cut": [],
         "default_element": spec.default_element,
         "metadata": spec.metadata,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    rows = {
+        "elements": [_element_row(e) for e in sorted(spec.elements, key=lambda e: e.name)],
+        "leq": [_PAIR_ROW % (_str(a), _str(b)) for a, b in sorted(spec.relation) if a != b],
+        "assignment": [_ENTRY_ROW % (_str(n), _str(e)) for n, e in sorted(spec.assignment.items())],
+        "cut": [_PAIR_ROW % (_str(src), _str(dst)) for src, dst in sorted(spec.cut)],
+    }
+    return dump_json(doc, rows)
+
+
+# rows of analysis.json's fixed-shape values, keys in sorted order
+_ELEMENT_ROW = '    {\n      "members": %s,\n      "name": %s,\n      "synthetic": %s\n    }'
+_MEMBER_SEP = ",\n        "
+_PAIR_ROW = '    [\n      %s,\n      %s\n    ]'
+_ENTRY_ROW = "    %s: %s"
+
+
+def _element_row(element: Element) -> str:
+    members = sorted(element.members)
+    listed = "[\n        " + _MEMBER_SEP.join(map(_str, members)) + "\n      ]" if members else "[]"
+    synthetic = "true" if element.synthetic else "false"
+    return _ELEMENT_ROW % (listed, _str(element.name), synthetic)
 
 
 def load_analysis(text: str) -> AnalysisSpec:

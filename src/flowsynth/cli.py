@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 infeasible/conflict, or refinement hit its
 iteration ceiling; 2 input parse/validation (including a negative
---max-exact-candidates, JSON nested too deeply and a file that is not
-UTF-8, which the message names); 3 invalid or inconsistent analysis; 4
+--max-exact-candidates, JSON nested too deeply, a string holding a lone
+surrogate and a file that is not UTF-8; a parse error names the file),
+and any other flowsynth error; 3 invalid or inconsistent analysis; 4
 check found misses or false alarms.
 """
 
@@ -28,6 +29,7 @@ from .checker import (
 from .cut import AUTO, EXACT, GREEDY, PATH, SEPARATION, Conflict, SolverConfig
 from .dot import lattice_dot
 from .errors import (
+    FlowSynthError,
     InvalidAnalysisError,
     NotRejected,
     ParseError,
@@ -116,13 +118,26 @@ def main(argv: list[str] | None = None) -> int:
     except RefinementLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFLICT
+    except FlowSynthError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+
+
+def _parse_file(parse, path: Path):
+    """`parse` applied to the text of the file at `path`; a ParseError
+    names the file, as read_text's own does."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{exc} (file {path})") from None
 
 
 def _load_corpus_inputs(args) -> Corpus:
     if args.corpus is None and args.stack_traces is None:
         raise ValidationError("synth needs --corpus and/or --stack-traces")
     if args.corpus is not None:
-        corpus = parse_corpus(read_text(args.corpus))
+        corpus = _parse_file(parse_corpus, args.corpus)
     else:
         corpus = Corpus(mode=args.mode or QUALIFIER)
     if args.stack_traces is not None:
@@ -171,8 +186,8 @@ def run_synth(args) -> int:
 
 
 def run_check(args) -> int:
-    spec = load_analysis(read_text(args.analysis))
-    corpus = parse_corpus(read_text(args.corpus))
+    spec = _parse_file(load_analysis, args.analysis)
+    corpus = _parse_file(parse_corpus, args.corpus)
     digest = corpus_digest(corpus)
     if spec.metadata.get("corpus_sha256") not in (None, digest):
         log.warning("corpus digest does not match the one recorded in the analysis")
@@ -188,7 +203,7 @@ def run_check(args) -> int:
 
 
 def run_expand(args) -> int:
-    graph = parse_static_graph(read_text(args.static_graph))
+    graph = _parse_file(parse_static_graph, args.static_graph)
     spec = EndpointSpec(args.source, args.sink, args.max_path_len, args.max_paths)
     result = enumerate_candidate_paths(graph, spec)
     corpus = Corpus(
@@ -211,8 +226,8 @@ def run_expand(args) -> int:
 
 
 def run_explain(args) -> int:
-    spec = load_analysis(read_text(args.analysis))
-    corpus = parse_corpus(read_text(args.corpus))
+    spec = _parse_file(load_analysis, args.analysis)
+    corpus = _parse_file(parse_corpus, args.corpus)
     matches = [trace for trace in corpus.traces if trace.id == args.trace_id]
     if not matches:
         raise ValidationError(f"trace id {args.trace_id!r} not found in corpus")
@@ -312,8 +327,9 @@ def _report_json(report: CheckReport, digest: str, spec: AnalysisSpec) -> str:
         },
         "corpus_sha256": digest,
         "analysis_corpus_sha256": spec.metadata.get("corpus_sha256"),
+        "verdicts": [],
     }
-    return dump_json(doc, "verdicts", [_verdict_row(verdict) for verdict in report.verdicts])
+    return dump_json(doc, {"verdicts": [_verdict_row(verdict) for verdict in report.verdicts]})
 
 
 if __name__ == "__main__":  # pragma: no cover

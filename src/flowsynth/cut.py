@@ -10,14 +10,23 @@ path as a new constraint, and re-solve.  Ties between minimum cuts are
 always broken toward the lexicographically smallest sorted edge list, so
 identical inputs produce identical cuts.
 
-Both hitting-set solvers work on one representation: the allowed edges
-numbered in sorted order, each constraint a Python-int bitmask over those
-numbers.  The greedy solver keeps a per-edge count of uncovered
-constraints in a lazy-deletion heap and updates only the counts a pick
-changes.  The exact solver is an iterative branch and bound whose first
-bound is the greedy cover's size; it branches on edges in sorted order, so
-the first cover it meets of a given size is the lexicographically smallest
-one and tied optima need no enumeration.
+Both hitting-set solvers work on one representation, a `_Family`: the
+allowed edges numbered in sorted order, each constraint kept as its edge
+numbers and as a Python-int bitmask over them, and an edge-to-constraints
+index.  The refinement loop numbers every cuttable edge of the graph once
+and appends each refined constraint to the same family, so no round
+renumbers or rebuilds; since index order is edge order in any numbering,
+the answers are those of a family built afresh.  The greedy solver resets
+only its per-edge counts of uncovered constraints and its lazy-deletion
+heap, and updates only the counts a pick changes.  The exact solver is an
+iterative branch and bound whose first bound is the greedy cover's size;
+it branches on edges in sorted order, so the first cover it meets of a
+given size is the lexicographically smallest one and tied optima need no
+enumeration.
+
+Separation is checked with one backward breadth-first search per distinct
+sink, serving every negative pair that ends there; each witness is the
+walk `shortest_path` takes for its pair alone.
 """
 
 from __future__ import annotations
@@ -27,8 +36,9 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InfeasibleSet, RefinementLimitError
-from .graph import FlowGraph, _bits, shortest_path
+from .errors import InfeasibleSet, RefinementLimitError, UnknownNode
+from .graph import FlowGraph, _bits, _distances_to, _nearest_walk
+from .graph import shortest_path  # noqa: F401  (bench/tracing.py wraps cut.shortest_path)
 from .traces import Edge
 
 log = logging.getLogger(__name__)
@@ -119,9 +129,9 @@ def min_hitting_set_exact(
     `forbidden`; among minima, the lexicographically smallest sorted edge
     list.  Iterative branch and bound over the bitmasks, bounded from the
     start by the greedy cover's size: see `_exact_cover`."""
-    edges, masks = _bitmasks(sets, forbidden)
-    limit = _greedy_cover(masks, len(edges)).bit_count()
-    return _edge_set(edges, _exact_cover(masks, limit))
+    family = _family_of(sets, forbidden)
+    limit = _greedy_cover(family).bit_count()
+    return family.edge_set(_exact_cover(family.masks, limit))
 
 
 def min_hitting_set_greedy(
@@ -130,51 +140,77 @@ def min_hitting_set_greedy(
     """Greedy cover: repeatedly pick the allowed edge hitting the most
     uncovered sets (ties lexicographic).  Feasible, not necessarily
     minimum."""
-    edges, masks = _bitmasks(sets, forbidden)
-    return _edge_set(edges, _greedy_cover(masks, len(edges)))
+    family = _family_of(sets, forbidden)
+    return family.edge_set(_greedy_cover(family))
 
 
-def _reduce_sets(
-    sets: Sequence[frozenset[Edge]], forbidden: frozenset[Edge]
-) -> list[frozenset[Edge]]:
-    reduced = []
-    for index, constraint in enumerate(sets):
-        allowed = frozenset(constraint) - forbidden
-        if not allowed:
+class _Family(list):
+    """A hitting-set family that grows in place: the sets themselves, less
+    the forbidden edges, plus what both solvers read.
+
+    The allowed edges are numbered once, in sorted order, so index order is
+    edge order.  Each set is kept as its edge indices and as a bitmask in
+    which bit i stands for the i-th edge, and `containing[i]` lists the sets
+    that hold edge i.  `append` extends all three, so a family that gains a
+    set per refinement round is never renumbered or rebuilt.  `candidates`
+    is every edge the sets name, forbidden or not.
+    """
+
+    def __init__(self, edges, forbidden: frozenset[Edge]):
+        super().__init__()
+        self.forbidden = forbidden
+        self.edges = sorted(set(edges) - forbidden)
+        self.number = {edge: index for index, edge in enumerate(self.edges)}
+        self.indices: list[list[int]] = []
+        self.masks: list[int] = []
+        self.containing: list[list[int]] = [[] for _ in self.edges]
+        self.candidates: set[Edge] = set()
+
+    def append(self, constraint) -> None:
+        constraint = frozenset(constraint)
+        allowed = constraint - self.forbidden
+        set_number = len(self)
+        indices = [self.number[edge] for edge in allowed]
+        mask = 0
+        for index in indices:
+            mask |= 1 << index
+            self.containing[index].append(set_number)
+        super().append(allowed)
+        self.indices.append(indices)
+        self.masks.append(mask)
+        self.candidates |= constraint
+
+    def edge_set(self, mask: int) -> frozenset[Edge]:
+        return frozenset(self.edges[index] for index in _bits(mask))
+
+
+def _family_of(sets: Sequence[frozenset[Edge]], forbidden: frozenset[Edge]) -> _Family:
+    """`sets` itself when the refinement loop passes its family (which
+    carries its own forbidden edges), else a new family of them.  Raises
+    InfeasibleSet for the first set that has no allowed edge."""
+    if isinstance(sets, _Family):
+        family = sets
+    else:
+        family = _Family({edge for constraint in sets for edge in constraint}, forbidden)
+        for constraint in sets:
+            family.append(constraint)
+    for index, mask in enumerate(family.masks):
+        if not mask:
             raise InfeasibleSet(index)
-        reduced.append(allowed)
-    return reduced
+    return family
 
 
-def _bitmasks(
-    sets: Sequence[frozenset[Edge]], forbidden: frozenset[Edge]
-) -> tuple[list[Edge], list[int]]:
-    """The allowed edges in sorted order, and each set as a bitmask in which
-    bit i stands for the i-th edge, so that index order is edge order."""
-    reduced = _reduce_sets(sets, forbidden)
-    edges = sorted({edge for allowed in reduced for edge in allowed})
-    bit = {edge: 1 << index for index, edge in enumerate(edges)}
-    return edges, [sum(bit[edge] for edge in allowed) for allowed in reduced]
-
-
-def _edge_set(edges: list[Edge], mask: int) -> frozenset[Edge]:
-    return frozenset(edges[index] for index in _bits(mask))
-
-
-def _greedy_cover(masks: list[int], width: int) -> int:
-    """Greedy over `width` edges: each pick is the edge in the most uncovered
-    sets, ties to the smallest index.  Counts only fall, so a lazy-deletion
-    heap keyed (-count, index) yields the picks: an entry whose count is
-    stale goes back in with the current one."""
-    containing: list[list[int]] = [[] for _ in range(width)]
-    for number, mask in enumerate(masks):
-        for index in _bits(mask):
-            containing[index].append(number)
+def _greedy_cover(family: _Family) -> int:
+    """Greedy over the family's edges: each pick is the edge in the most
+    uncovered sets, ties to the smallest index.  Counts only fall, so a
+    lazy-deletion heap keyed (-count, index) yields the picks: an entry
+    whose count is stale goes back in with the current one."""
+    containing, indices = family.containing, family.indices
     count = [len(numbers) for numbers in containing]
     heap = [(-n, index) for index, n in enumerate(count) if n]
     heapq.heapify(heap)
-    covered = [False] * len(masks)
-    uncovered = len(masks)
+    covered = [False] * len(indices)
+    uncovered = len(indices)
     chosen = 0
     while uncovered:
         negated, index = heapq.heappop(heap)
@@ -187,7 +223,7 @@ def _greedy_cover(masks: list[int], width: int) -> int:
             if not covered[number]:
                 covered[number] = True
                 uncovered -= 1
-                for other in _bits(masks[number]):
+                for other in indices[number]:
                     count[other] -= 1
     return chosen
 
@@ -261,12 +297,25 @@ def verify_separation(
     graph: FlowGraph, cut: frozenset[Edge], negative_pairs: Sequence[Edge]
 ) -> tuple[tuple[Edge, tuple[str, ...]], ...]:
     """For every negative pair still connected after the cut, one witness
-    path (breadth-first shortest, lexicographic).  Empty means separated."""
+    path (breadth-first shortest, lexicographic), in `negative_pairs`
+    order.  Empty means separated.
+
+    One backward search runs from each distinct sink until all of that
+    sink's sources are labelled; its distances are exact, so each witness
+    is the one `shortest_path` gives for its pair."""
+    sources: dict[str, set[str]] = {}
+    for source, sink in negative_pairs:
+        if source not in graph.nodes:
+            raise UnknownNode(source)
+        if sink not in graph.nodes:
+            raise UnknownNode(sink)
+        sources.setdefault(sink, set()).add(source)
+    distances = {sink: _distances_to(graph, sink, starts, cut) for sink, starts in sources.items()}
     leftover = []
     for source, sink in negative_pairs:
-        witness = shortest_path(graph, source, sink, excluded=cut)
-        if witness is not None:
-            leftover.append(((source, sink), witness))
+        dist = distances[sink]
+        if source in dist:
+            leftover.append(((source, sink), _nearest_walk(graph, source, dist, cut)))
     return tuple(leftover)
 
 
@@ -276,12 +325,18 @@ def solve_synthesis_cut(problem: CutProblem, config: SolverConfig = SolverConfig
     Path semantics hits the observed negative paths once.  Separation
     semantics (default) runs the lazy refinement loop until every negative
     pair is separated; `iterations` counts hitting-set solves.  `optimal`
-    is True iff the exact solver produced the final solve.
+    is True iff the exact solver produced the final solve.  Both solvers
+    are handed one family that gains each refined constraint in place.
     """
+    graph = problem.graph
     constraints = list(problem.constraint_paths)
     for constraint in constraints:
         if not constraint.cuttable:
-            return _conflict(problem.graph, (constraint.nodes[0], constraint.nodes[-1]), constraint.nodes)
+            return _conflict(graph, (constraint.nodes[0], constraint.nodes[-1]), constraint.nodes)
+    edges = graph.cuttable_edges().union(*(c.cuttable for c in constraints))
+    family = _Family(edges, problem.forbidden)
+    for constraint in constraints:
+        family.append(constraint.cuttable)
 
     iterations = 0
     refined = 0
@@ -292,39 +347,38 @@ def solve_synthesis_cut(problem: CutProblem, config: SolverConfig = SolverConfig
             raise RefinementLimitError(
                 f"refinement did not terminate within {config.max_iterations} iterations"
             )
-        sets = [c.cuttable for c in constraints]
-        candidates = {edge for s in sets for edge in s}
         if config.solver == EXACT:
             use_exact = True
         elif config.solver == GREEDY:
             use_exact = False
         elif config.solver == AUTO:
-            use_exact = len(candidates) <= config.max_exact_candidates
+            use_exact = len(family.candidates) <= config.max_exact_candidates
             if not use_exact and not warned_greedy:
                 warned_greedy = True
                 log.warning(
                     "%d candidate edges exceed max_exact_candidates=%d; "
                     "falling back to the greedy solver (cut may not be minimum)",
-                    len(candidates),
+                    len(family.candidates),
                     config.max_exact_candidates,
                 )
         else:
             raise ValueError(f"unknown solver {config.solver!r}")
         solve = min_hitting_set_exact if use_exact else min_hitting_set_greedy
-        cut = solve(sets, problem.forbidden) if sets else frozenset()
+        cut = solve(family, problem.forbidden) if family else frozenset()
 
         if problem.semantics == PATH:
             return CutSet(cut, iterations, use_exact, tuple(constraints))
 
-        leftover = verify_separation(problem.graph, cut, problem.graph.negative_pairs)
+        leftover = verify_separation(graph, cut, graph.negative_pairs)
         if not leftover:
             return CutSet(cut, iterations, use_exact, tuple(constraints))
         for pair, witness in leftover:
-            cuttable = path_cuttable_edges(problem.graph, witness)
+            cuttable = path_cuttable_edges(graph, witness)
             if not cuttable:
-                return _conflict(problem.graph, pair, witness)
+                return _conflict(graph, pair, witness)
             refined += 1
             constraints.append(PathConstraint(f"refined-{refined}", witness, cuttable))
+            family.append(cuttable)
 
 
 def _conflict(graph: FlowGraph, pair: Edge, witness: tuple[str, ...]) -> Conflict:

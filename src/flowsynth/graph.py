@@ -129,32 +129,51 @@ def shortest_path(
     graph: FlowGraph, start: str, goal: str, excluded: frozenset[Edge] = frozenset()
 ) -> tuple[str, ...] | None:
     """Lexicographically smallest breadth-first shortest path start..goal
-    avoiding `excluded`, or None when goal is unreachable.
-
-    One breadth-first search runs backward from goal until start is
-    labelled, when every node nearer to goal has its exact distance.  The
-    walk from start then takes the smallest successor one step nearer."""
+    avoiding `excluded`, or None when goal is unreachable: the one-start
+    case of `_distances_to` and `_nearest_walk`."""
     if start not in graph.nodes:
         raise UnknownNode(start)
     if goal not in graph.nodes:
         raise UnknownNode(goal)
+    dist = _distances_to(graph, goal, (start,), excluded)
+    return _nearest_walk(graph, start, dist, excluded) if start in dist else None
+
+
+def _distances_to(
+    graph: FlowGraph, goal: str, starts: Iterable[str], excluded: frozenset[Edge]
+) -> dict[str, int]:
+    """Distances to goal over edges not in `excluded`, from one
+    breadth-first search run backward from goal until every node of
+    `starts` is labelled or nothing is left to label.  A node is labelled
+    when found, with its exact distance; when the last start is labelled,
+    every node nearer to goal than it has been labelled too."""
     dist = {goal: 0}
+    waiting = set(starts)
+    waiting.discard(goal)
     queue = deque([goal])
-    while start not in dist:
-        if not queue:
-            return None
+    reverse = graph.reverse_adjacency
+    while waiting and queue:
         node = queue.popleft()
-        for pred in graph.reverse_adjacency[node]:
+        step = dist[node] + 1
+        for pred in reverse[node]:
             if pred not in dist and (pred, node) not in excluded:
-                dist[pred] = dist[node] + 1
+                dist[pred] = step
                 queue.append(pred)
+                waiting.discard(pred)
+    return dist
+
+
+def _nearest_walk(
+    graph: FlowGraph, start: str, dist: dict[str, int], excluded: frozenset[Edge]
+) -> tuple[str, ...]:
+    """The walk from a labelled start that always takes the smallest
+    successor one step nearer to the goal of `dist`."""
     path = [start]
     node = start
-    while node != goal:
+    adjacency = graph.adjacency
+    while dist[node]:
         step = dist[node] - 1
-        node = next(
-            s for s in graph.adjacency[node] if dist.get(s) == step and (node, s) not in excluded
-        )
+        node = next(s for s in adjacency[node] if dist.get(s) == step and (node, s) not in excluded)
         path.append(node)
     return tuple(path)
 

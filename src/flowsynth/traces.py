@@ -149,34 +149,78 @@ def read_text(path: str | Path) -> str:
 
 
 def load_json(text: str):
-    """The JSON document in `text`.  Raises ParseError, with line/column,
-    for malformed JSON, and for nesting too deep to decode."""
+    """The JSON document in `text`.  Raises ParseError for malformed JSON
+    (with line/column), for nesting too deep to decode, and for a string
+    holding a lone surrogate, which no UTF-8 output can encode.  Only a
+    `\\u` escape can decode to a surrogate, so text without one is not
+    walked; a backslash is looked for first, since a one-character search
+    is many times faster than a two-character one."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+    if "\\" in text and "\\u" in text:
+        _reject_surrogates(doc)
+    return doc
 
 
-def dump_json(doc: dict, last: str, rows: list[str]) -> str:
-    """`json.dumps({**doc, last: items}, sort_keys=True, indent=2,
-    ensure_ascii=False) + "\\n"`, where `rows` are the array's items already
-    rendered at its depth: four spaces of indent, no separator.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
-    `last` must sort after every key of `doc`, so that the array closes the
-    document.  json.dumps writes the rest with the array left empty, so
+
+def _reject_surrogates(doc) -> None:
+    """Raise ParseError if any string in the decoded document, key or
+    value, holds a surrogate; iterative, so any depth json.loads accepts
+    is walked."""
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            found = _SURROGATE.search(value)
+            if found:
+                raise ParseError(f"invalid JSON: lone surrogate \\u{ord(found.group()):04x} in a string")
+        elif isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+
+
+def dump_json(doc: dict, rows: dict[str, list[str]]) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) +
+    "\\n"`, where each key of `rows` is a top-level key whose array or
+    object `doc` holds empty, and `rows[key]` are its items already
+    rendered at their depth: four spaces of indent, no separator.
+
+    json.dumps writes the skeleton with those values left empty, so
     free-form values of any nesting still go through it; only the large,
-    fixed-shape array skips its pure-Python encoder, which `indent` selects.
-    Row templates escape strings with `encode_basestring`, the function
+    fixed-shape values skip its pure-Python encoder, which `indent`
+    selects.  A top-level key is the only line that starts with exactly two
+    spaces and a quote, so each one is found by a plain search.  Row
+    templates escape strings with `encode_basestring`, the function
     json.dumps uses under `ensure_ascii=False`.
     """
-    assert all(key < last for key in doc)
-    skeleton = json.dumps({**doc, last: []}, sort_keys=True, indent=2, ensure_ascii=False)
-    if not rows:
-        return skeleton + "\n"
-    # the skeleton ends with the empty array and the closing brace: '[]\n}'
-    return skeleton[:-4] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
+    skeleton = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+    pieces = []
+    start = 0
+    for key in sorted(rows):
+        empty = "{}" if isinstance(doc[key], dict) else "[]"
+        marker = f"\n  {_str(key)}: {empty}"
+        closing = skeleton.index(marker, start) + len(marker) - 1
+        pieces.append(skeleton[start:closing])
+        if rows[key]:
+            # the rows and their separators go into the one final join, so
+            # the output is built without an intermediate copy of the rows
+            spaced = [",\n"] * (2 * len(rows[key]) - 1)
+            spaced[::2] = rows[key]
+            pieces.append("\n")
+            pieces += spaced
+            pieces.append("\n  ")
+        start = closing
+    pieces.append(skeleton[start:])
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def parse_corpus(text: str) -> Corpus:
@@ -272,10 +316,11 @@ def serialize_corpus(corpus: Corpus) -> str:
         "mode": corpus.mode,
         "required_edges": [list(pair) for pair in sorted(corpus.required_edges)],
         "options": {"min_positive_support": corpus.min_positive_support},
+        "traces": [],
     }
     if corpus.metadata:
         doc["metadata"] = corpus.metadata
-    return dump_json(doc, "traces", [_trace_row(trace) for trace in corpus.traces])
+    return dump_json(doc, {"traces": [_trace_row(trace) for trace in corpus.traces]})
 
 
 def corpus_digest(corpus: Corpus) -> str:
@@ -369,6 +414,8 @@ def stack_traces_from_dir(directory: str | Path) -> tuple[Trace, ...]:
         for suffix, polarity in suffixes:
             if path.name.endswith(suffix):
                 trace_id = path.name[: -len(suffix)]
+                if _SURROGATE.search(trace_id):
+                    raise ParseError(f"file name is not UTF-8 (file {str(path)!r})")
                 text = read_text(path)
                 traces.append(parse_stack_trace(text, polarity, trace_id))
                 break

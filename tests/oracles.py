@@ -7,12 +7,14 @@ laws, every (negative, positive) pair for corpus conflicts.  Earlier
 versions of some layers are kept as references: the hitting-set solvers as
 first written (a greedy that recounts every round, a recursive branch and
 bound that enumerates tied optima), the two-way breadth-first witness
-search, the pairwise-fixpoint join completion over frozensets, and the
-read path's writers and checks as first written (the corpus and report
-documents through `json.dumps` with `indent`, the node-id predicate as a
-per-character scan, the trace check over the `trace_edges` tuple).  None of
-it shares code with the implementations under test; the references only
-build the package's own data types.
+search, the refinement loop that rebuilds its hitting-set family every
+round and checks separation with one search per negative pair, the
+pairwise-fixpoint join completion over frozensets, and the writers and
+checks as first written (the corpus, report and analysis documents through
+`json.dumps` with `indent`, the node-id predicate as a per-character scan,
+the trace check over the `trace_edges` tuple).  None of it shares code with
+the implementations under test; the references only build the package's
+own data types.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from collections import deque
 from itertools import combinations
 
 from flowsynth.checker import Verdict
-from flowsynth.errors import UnknownNode
+from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint
+from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode
 from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element
 from flowsynth.traces import trace_edges
 
@@ -265,6 +268,82 @@ def _bfs_distances(adjacency, start, excluded, forward):
     return dist
 
 
+def reference_verify_separation(graph, cut, negative_pairs):
+    """Separation checking as first written: one witness search per
+    negative pair, here the two-way reference search."""
+    leftover = []
+    for source, sink in negative_pairs:
+        witness = reference_shortest_path(graph, source, sink, excluded=cut)
+        if witness is not None:
+            leftover.append(((source, sink), witness))
+    return tuple(leftover)
+
+
+def reference_solve_synthesis_cut(problem, config):
+    """The refinement loop as first written, less its greedy-fallback
+    warning: every round rebuilds the family of cuttable-edge sets and its
+    candidate edges, solves it from scratch with the reference solvers, and
+    checks separation pair by pair."""
+    constraints = list(problem.constraint_paths)
+    for constraint in constraints:
+        if not constraint.cuttable:
+            return _reference_conflict(problem.graph, (constraint.nodes[0], constraint.nodes[-1]), constraint.nodes)
+
+    iterations = 0
+    refined = 0
+    while True:
+        iterations += 1
+        if iterations > config.max_iterations:
+            raise RefinementLimitError(
+                f"refinement did not terminate within {config.max_iterations} iterations"
+            )
+        sets = [c.cuttable for c in constraints]
+        candidates = {edge for s in sets for edge in s}
+        if config.solver == EXACT:
+            use_exact = True
+        elif config.solver == GREEDY:
+            use_exact = False
+        elif config.solver == AUTO:
+            use_exact = len(candidates) <= config.max_exact_candidates
+        else:
+            raise ValueError(f"unknown solver {config.solver!r}")
+        solve = reference_exact_hitting_set if use_exact else reference_greedy_hitting_set
+        cut = _reference_hitting_set(solve, sets, problem.forbidden) if sets else frozenset()
+
+        if problem.semantics == PATH:
+            return CutSet(cut, iterations, use_exact, tuple(constraints))
+
+        leftover = reference_verify_separation(problem.graph, cut, problem.graph.negative_pairs)
+        if not leftover:
+            return CutSet(cut, iterations, use_exact, tuple(constraints))
+        for pair, witness in leftover:
+            cuttable = frozenset(
+                edge
+                for edge in zip(witness, witness[1:])
+                if edge in problem.graph.edges and problem.graph.edges[edge].cuttable
+            )
+            if not cuttable:
+                return _reference_conflict(problem.graph, pair, witness)
+            refined += 1
+            constraints.append(PathConstraint(f"refined-{refined}", witness, cuttable))
+
+
+def _reference_hitting_set(solve, sets, forbidden):
+    cut = solve(sets, forbidden)
+    if cut is None:
+        raise InfeasibleSet(next(i for i, s in enumerate(sets) if not frozenset(s) - forbidden))
+    return cut
+
+
+def _reference_conflict(graph, pair, witness):
+    negative_ids = tuple(
+        trace_id
+        for trace_id, nodes in graph.negative_paths
+        if (nodes[0], nodes[-1]) == pair
+    )
+    return Conflict(pair, witness, negative_ids)
+
+
 def reference_complete_join_semilattice(order):
     """The join completion as first written: generator down-sets as
     frozensets of names, closed by rescanning every pair until no union is
@@ -387,5 +466,26 @@ def reference_report_json(report, digest, spec) -> str:
         "verdicts": verdicts,
         "corpus_sha256": digest,
         "analysis_corpus_sha256": spec.metadata.get("corpus_sha256"),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def reference_dump_analysis(spec) -> str:
+    """analysis.json as first written: one `json.dumps` with `indent`."""
+    doc = {
+        "mode": spec.mode,
+        "elements": [
+            {
+                "name": element.name,
+                "members": sorted(element.members),
+                "synthetic": element.synthetic,
+            }
+            for element in sorted(spec.elements, key=lambda e: e.name)
+        ],
+        "leq": [list(pair) for pair in sorted(spec.relation) if pair[0] != pair[1]],
+        "assignment": dict(sorted(spec.assignment.items())),
+        "cut": [list(edge) for edge in sorted(spec.cut)],
+        "default_element": spec.default_element,
+        "metadata": spec.metadata,
     }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import flowsynth
 from flowsynth import (
     AnalysisSpec,
+    Element,
     Conflict,
     Corpus,
     InvalidAnalysisError,
@@ -32,7 +33,7 @@ from flowsynth import (
 )
 
 from corpusgen import random_corpus
-from oracles import order_law_error, reachability_closure, reference_check_trace
+from oracles import order_law_error, reachability_closure, reference_check_trace, reference_dump_analysis
 
 TAINT_CORPUS = Corpus(
     traces=(
@@ -415,3 +416,45 @@ def test_check_trace_matches_reference(data):
         tuple(data.draw(st.lists(nodes, min_size=2, max_size=8))),
     )
     assert check_trace(spec, trace) == reference_check_trace(spec, trace)
+
+
+# names that need escaping, line separators, non-ASCII text and the bottom
+_tricky = st.characters(exclude_categories=("Cs",)) | st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "⊥", "猫", "\U0001f600"]
+)
+_name = st.text(_tricky, max_size=5)
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _name,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_name, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def analysis_specs(draw):
+    """Any element, node and edge names, empty values included."""
+    names = draw(st.lists(_name, unique=True, min_size=1, max_size=5))
+    elements = tuple(
+        Element(name, frozenset(draw(st.sets(_name, max_size=3))), draw(st.booleans())) for name in names
+    )
+    element = st.sampled_from(names)
+    return AnalysisSpec(
+        mode=draw(st.sampled_from(["qualifier", "effect"])),
+        elements=elements,
+        relation=frozenset(draw(st.sets(st.tuples(element, element), max_size=6))),
+        assignment=draw(st.dictionaries(_name, element, max_size=4)),
+        cut=frozenset(draw(st.sets(st.tuples(_name, _name), max_size=3))),
+        default_element=draw(element),
+        metadata=draw(st.dictionaries(_name, _values, max_size=3)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(analysis_specs())
+def test_dump_analysis_matches_reference(spec):
+    assert dump_analysis(spec) == reference_dump_analysis(spec)
+
+
+def test_dump_analysis_of_empty_values_matches_reference():
+    spec = AnalysisSpec("qualifier", (Element("⊥", frozenset(), True),), frozenset(), {}, frozenset(), "⊥", {})
+    assert dump_analysis(spec) == reference_dump_analysis(spec)

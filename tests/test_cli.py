@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from functools import partial
 from pathlib import Path
 
@@ -10,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsynth import AnalysisSpec, CheckReport, Verdict, cli
+from flowsynth import (
+    AnalysisSpec,
+    CheckReport,
+    ConstructionError,
+    CycleError,
+    InfeasibleSet,
+    UnknownElement,
+    Verdict,
+    cli,
+)
 from flowsynth.cli import main
 from flowsynth.cut import SolverConfig
 
@@ -180,6 +190,62 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
     assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
     assert str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synth --corpus", "check --analysis", "check --corpus", "expand"])
+def test_lone_surrogate_exits_2_and_names_the_file(tmp_path, capsys, command):
+    good = write_json(tmp_path / "corpus.json", TAINT_CORPUS)
+    assert main(["synth", "--corpus", str(good), "--out", str(tmp_path / "out")]) == 0
+    analysis = tmp_path / "out" / "analysis.json"
+    bad = tmp_path / "bad.json"
+    if command == "check --analysis":
+        doc = json.loads(analysis.read_text(encoding="utf-8"))
+        doc["metadata"]["note"] = "\ud800"
+    elif command == "expand":
+        doc = {"nodes": ["a", "b", "\udfff"], "edges": [["a", "\udfff"], ["\udfff", "b"]]}
+    else:
+        doc = {"traces": [{"id": "t", "polarity": "negative", "nodes": ["a", "\ud800"]}]}
+    write_json(bad, doc)  # json.dumps writes the surrogate as the escape \ud800
+    out = str(tmp_path / "again")
+    argv = {
+        "synth --corpus": ["synth", "--corpus", str(bad), "--out", out],
+        "check --analysis": ["check", "--analysis", str(bad), "--corpus", str(good), "--out", out],
+        "check --corpus": ["check", "--analysis", str(analysis), "--corpus", str(bad), "--out", out],
+        "expand": ["expand", "--static-graph", str(bad), "--source", "a", "--sink", "b", "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: lone surrogate")
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
+def test_stack_trace_file_name_that_is_not_utf8_exits_2(tmp_path, capsys):
+    stacks = tmp_path / "stacks"
+    stacks.mkdir()
+    for fixture in sorted((FIXTURES / "ui_traces").iterdir()):
+        (stacks / fixture.name).write_bytes(fixture.read_bytes())
+    bad = stacks / os.fsdecode(b"\xff.neg.txt")  # the id would hold a lone surrogate
+    bad.write_bytes((FIXTURES / "ui_traces" / "ui_violation.neg.txt").read_bytes())
+    assert main(["synth", "--stack-traces", str(stacks), "--mode", "effect", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: file name is not UTF-8")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [CycleError("input relation contains a cycle"), ConstructionError("bad graph"), InfeasibleSet(3), UnknownElement("x")],
+)
+def test_any_other_flowsynth_error_exits_2(tmp_path, capsys, monkeypatch, error):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "run_synth", failing)
+    code, _ = synth(tmp_path, TAINT_CORPUS)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_synth_validation_error_exits_2(tmp_path, capsys):

@@ -5,14 +5,19 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from flowsynth import (
     Conflict,
     Corpus,
+    CutProblem,
     CutSet,
+    FlowEdge,
+    FlowGraph,
+    FlowSynthError,
     InfeasibleSet,
+    UnknownNode,
     SolverConfig,
     Trace,
     build_graph,
@@ -22,6 +27,7 @@ from flowsynth import (
     solve_synthesis_cut,
     verify_separation,
 )
+from flowsynth.graph import shortest_path
 
 from corpusgen import random_corpus
 from oracles import (
@@ -29,6 +35,8 @@ from oracles import (
     brute_min_separation_cut,
     reference_exact_hitting_set,
     reference_greedy_hitting_set,
+    reference_solve_synthesis_cut,
+    reference_verify_separation,
 )
 
 E1, E2, E3 = ("a", "b"), ("b", "c"), ("c", "d")
@@ -379,3 +387,115 @@ def test_auto_policy_uses_exact_within_budget():
         problem, SolverConfig(solver="auto", max_exact_candidates=1)
     )
     assert not forced_greedy.optimal
+
+
+# ---------------------------------------------------------------------------
+# the incremental loop and the per-sink search against the references
+
+@st.composite
+def flow_graphs(draw):
+    """Small graphs with self-loops and protected edges.  The negative
+    paths are walks along the edges (a walk may return to its start, so a
+    pair can have source == sink); extra negative pairs may be unreachable
+    and often share a sink with others."""
+    nodes = "abcdef"[: draw(st.integers(2, 6))]
+    node = st.sampled_from(nodes)
+    keys = sorted(draw(st.sets(st.tuples(node, node), min_size=1, max_size=14)))
+    protected = draw(st.sets(st.sampled_from(keys), max_size=3))
+    edges = {key: FlowEdge(key[0], key[1], frozenset(), 0, key in protected) for key in keys}
+    paths = []
+    for number in range(draw(st.integers(1, 5))):
+        walk = [draw(node)]
+        for _ in range(draw(st.integers(1, 4))):
+            successors = [dst for src, dst in keys if src == walk[-1]]
+            if not successors:
+                break
+            walk.append(draw(st.sampled_from(successors)))
+        paths.append((f"n{number}", tuple(walk)))
+    pairs = [(walk[0], walk[-1]) for _, walk in paths]
+    pairs += draw(st.lists(st.tuples(node, node), max_size=3))
+    return FlowGraph(frozenset(nodes), edges, tuple(dict.fromkeys(pairs)), tuple(paths))
+
+
+def outcome(solve, *args):
+    """The result, or the type and message of the flowsynth error raised."""
+    try:
+        return solve(*args)
+    except FlowSynthError as exc:
+        return type(exc), str(exc)
+
+
+# auto's threshold around the candidate counts these graphs have, and
+# ceilings that cut the loop short
+configs = st.builds(
+    SolverConfig,
+    st.sampled_from(["auto", "exact", "greedy"]),
+    st.integers(0, 8),
+    st.sampled_from([1, 2, 10_000]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_graphs(), st.sampled_from(["separation", "path"]), configs, st.data())
+def test_refinement_loop_matches_reference(graph, semantics, config, data):
+    problem = cut_problem_from_graph(graph, semantics)
+    # a problem may forbid cuttable edges too, which can leave a set unhittable
+    extra = data.draw(st.sets(st.sampled_from(sorted(graph.edges)), max_size=2) | st.just(set()))
+    problem = CutProblem(graph, problem.constraint_paths, problem.forbidden | extra, semantics)
+    expected = outcome(reference_solve_synthesis_cut, problem, config)
+    assert outcome(solve_synthesis_cut, problem, config) == expected
+
+
+def _solved(graph):
+    return solve_synthesis_cut(cut_problem_from_graph(graph), SolverConfig("exact"))
+
+
+def _connected_sinks(graph):
+    return [sink for (_, sink), _ in verify_separation(graph, frozenset(), graph.negative_pairs)]
+
+
+REACHED = {
+    "refined": lambda graph: isinstance(cut := _solved(graph), CutSet) and cut.iterations >= 2,
+    "refined-conflict": lambda graph: isinstance(c := _solved(graph), Conflict) and len(c.witness) > 2,
+    "source-is-sink-conflict": lambda graph: isinstance(c := _solved(graph), Conflict) and c.pair[0] == c.pair[1],
+    "shared-sink": lambda graph: len(set(sinks := _connected_sinks(graph))) < len(sinks),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REACHED))
+def test_graph_strategy_reaches(shape):
+    """The generator makes every case the two tests around it are for."""
+    find(flow_graphs(), REACHED[shape], settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_graphs(), st.data())
+def test_verify_separation_matches_per_pair_search(graph, data):
+    keys = sorted(graph.edges)
+    cut = frozenset(data.draw(st.sets(st.sampled_from(keys), max_size=len(keys))))
+    pairs = list(graph.negative_pairs)
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=3))  # repeated pairs
+    leftover = verify_separation(graph, cut, pairs)
+    assert leftover == reference_verify_separation(graph, cut, pairs)
+    per_pair = [(pair, shortest_path(graph, *pair, cut)) for pair in pairs]
+    assert leftover == tuple((pair, witness) for pair, witness in per_pair if witness is not None)
+
+
+def test_verify_separation_names_the_first_unknown_node():
+    graph = build_graph(Corpus(traces=(Trace("n", "negative", ("a", "b")),)))
+    for pairs, missing in [([("a", "b"), ("x", "b")], "x"), ([("a", "y"), ("z", "b")], "y")]:
+        with pytest.raises(UnknownNode) as excinfo:
+            verify_separation(graph, frozenset(), pairs)
+        assert str(excinfo.value) == missing
+
+
+def test_auto_policy_counts_forbidden_candidates_too():
+    # a problem may forbid an edge its constraints name; auto's count still
+    # includes it, so two named edges exceed a threshold of one
+    graph = build_graph(Corpus(traces=(Trace("n", "negative", ("a", "b", "c")),)))
+    problem = cut_problem_from_graph(graph)
+    problem = CutProblem(graph, problem.constraint_paths, frozenset({("a", "b")}))
+    config = SolverConfig("auto", max_exact_candidates=1)
+    cut = solve_synthesis_cut(problem, config)
+    assert cut == reference_solve_synthesis_cut(problem, config)
+    assert cut.edges == {("b", "c")} and not cut.optimal

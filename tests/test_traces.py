@@ -25,7 +25,7 @@ from flowsynth import (
     validate_corpus,
 )
 
-from flowsynth.traces import is_valid_node_id
+from flowsynth.traces import is_valid_node_id, load_json
 
 from oracles import prefix_conflicts, reference_is_valid_node_id, reference_serialize_corpus
 
@@ -69,6 +69,24 @@ def test_parse_rejects_bad_mode_and_unknown_fields():
 def test_parse_error_reports_position():
     with pytest.raises(ParseError, match="line 1"):
         parse_corpus("{not json")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '["\\ud800"]',
+        '{"a": {"\\udc00": 1}}',
+        '[1, [true, {"k": ["x\\udbffy"]}]]',
+        '["\\ude00\\ud83d"]',  # low before high: two lone halves
+    ],
+)
+def test_load_json_rejects_lone_surrogates(text):
+    with pytest.raises(ParseError, match="lone surrogate"):
+        load_json(text)
+
+
+def test_load_json_keeps_escaped_pairs_and_plain_text():
+    assert load_json('["\\ud83d\\ude00", "\\u00e9", "\\\\ud800"]') == ["\U0001f600", "é", "\\ud800"]
 
 
 def test_options_parsing():
