@@ -17,7 +17,7 @@ from typing import Any
 from .errors import CycleError, InvalidAnalysisError, NotRejected
 from .graph import _upset_pairs, _upsets, scc_condense
 from .lattice import Element
-from .traces import Corpus, Edge, Trace, dump_json, load_json
+from .traces import Corpus, Edge, Trace, dump_json, is_string_list, is_string_pair, load_json
 
 QUALIFIER_DEFAULT = "Q_unknown"
 
@@ -138,13 +138,11 @@ def explain_rejection(spec: AnalysisSpec, trace: Trace) -> Explanation:
         if spec.element_of(edge[0]) == a and spec.element_of(edge[1]) == b
     )
 
-    recorded_paths = {
-        entry["id"]: tuple(entry["nodes"])
-        for entry in spec.metadata.get("constraints", [])
-        if isinstance(entry, dict) and "id" in entry and "nodes" in entry
-    }
+    constraints = _recorded(spec.metadata, "constraints", _is_constraint, "{id, nodes} objects")
+    cut_origins = _recorded(spec.metadata, "cut_origins", _is_cut_origin, "[edge, constraint ids] pairs")
+    recorded_paths = {entry["id"]: tuple(entry["nodes"]) for entry in constraints}
     origin_ids: list[str] = []
-    for pair, ids in spec.metadata.get("cut_origins", []):
+    for pair, ids in cut_origins:
         if tuple(pair) in separating:
             origin_ids.extend(i for i in ids if i not in origin_ids)
     origins = tuple((oid, recorded_paths.get(oid, ())) for oid in origin_ids)
@@ -159,6 +157,24 @@ def explain_rejection(spec: AnalysisSpec, trace: Trace) -> Explanation:
         separating_cut_edges=separating,
         origins=origins,
     )
+
+
+def _recorded(metadata: dict, key: str, entry_ok, shape: str) -> list:
+    """The metadata array `key`, empty when nothing was recorded; raises
+    InvalidAnalysisError, naming the field, when it is not in the shape
+    `make_analysis_spec` writes."""
+    value = metadata.get(key, [])
+    if not isinstance(value, list) or not all(map(entry_ok, value)):
+        raise InvalidAnalysisError(f"metadata '{key}' must be an array of {shape}")
+    return value
+
+
+def _is_constraint(entry: object) -> bool:
+    return isinstance(entry, dict) and type(entry.get("id")) is str and is_string_list(entry.get("nodes"))
+
+
+def _is_cut_origin(entry: object) -> bool:
+    return isinstance(entry, list) and len(entry) == 2 and is_string_pair(entry[0]) and is_string_list(entry[1])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +251,7 @@ def load_analysis(text: str) -> AnalysisSpec:
             raise InvalidAnalysisError(f"element name must be a string, got {name!r}")
         if name in names:
             raise InvalidAnalysisError(f"duplicate element name {name}")
-        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+        if not is_string_list(members):
             raise InvalidAnalysisError(f"members of element {name} must be an array of strings")
         if not isinstance(raw["synthetic"], bool):
             raise InvalidAnalysisError(f"synthetic flag of element {name} must be true or false")
@@ -255,7 +271,7 @@ def load_analysis(text: str) -> AnalysisSpec:
 
     successors: dict[str, list[str]] = {name: [] for name in sorted(names)}
     for pair in doc["leq"]:
-        if not _is_string_pair(pair):
+        if not is_string_pair(pair):
             raise InvalidAnalysisError("leq entries must be pairs of element names")
         a, b = pair
         if a not in names or b not in names:
@@ -287,7 +303,7 @@ def load_analysis(text: str) -> AnalysisSpec:
 
     cut = set()
     for pair in doc["cut"]:
-        if not _is_string_pair(pair):
+        if not is_string_pair(pair):
             raise InvalidAnalysisError("cut entries must be pairs of node ids")
         cut.add((pair[0], pair[1]))
 
@@ -307,10 +323,6 @@ def load_analysis(text: str) -> AnalysisSpec:
         default_element=default,
         metadata=doc["metadata"],
     )
-
-
-def _is_string_pair(entry: object) -> bool:
-    return isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is type(entry[1]) is str
 
 
 def _verify_joins(names: list[str], up: dict[str, int]) -> None:

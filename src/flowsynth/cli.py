@@ -2,10 +2,11 @@
 
 Exit codes: 0 success; 1 infeasible/conflict, or refinement hit its
 iteration ceiling; 2 input parse/validation (including a negative
---max-exact-candidates, JSON nested too deeply, a string holding a lone
-surrogate and a file that is not UTF-8; a parse error names the file),
-and any other flowsynth error; 3 invalid or inconsistent analysis; 4
-check found misses or false alarms.
+--max-exact-candidates, JSON nested too deeply, an integer too long to
+convert, a string holding a lone surrogate and a file that is not UTF-8;
+a parse error names the file), and any other flowsynth error; 3 invalid
+or inconsistent analysis, including malformed constraint records in the
+metadata `explain` reads; 4 check found misses or false alarms.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from .errors import (
     FlowSynthError,
     InvalidAnalysisError,
     NotRejected,
-    ParseError,
     RefinementLimitError,
-    UnknownNode,
     ValidationError,
 )
 from .expand import EndpointSpec, enumerate_candidate_paths, parse_static_graph
@@ -47,7 +46,7 @@ from .traces import (
     corpus_digest,
     dump_json,
     parse_corpus,
-    read_text,
+    parse_file,
     serialize_corpus,
     stack_traces_from_dir,
 )
@@ -109,35 +108,22 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ValidationError, UnknownNode, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InvalidAnalysisError as exc:
         print(f"invalid analysis: {exc}", file=sys.stderr)
         return EXIT_INVALID_ANALYSIS
     except RefinementLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFLICT
-    except FlowSynthError as exc:
+    except (FlowSynthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-def _parse_file(parse, path: Path):
-    """`parse` applied to the text of the file at `path`; a ParseError
-    names the file, as read_text's own does."""
-    text = read_text(path)
-    try:
-        return parse(text)
-    except ParseError as exc:
-        raise ParseError(f"{exc} (file {path})") from None
 
 
 def _load_corpus_inputs(args) -> Corpus:
     if args.corpus is None and args.stack_traces is None:
         raise ValidationError("synth needs --corpus and/or --stack-traces")
     if args.corpus is not None:
-        corpus = _parse_file(parse_corpus, args.corpus)
+        corpus = parse_file(parse_corpus, args.corpus)
     else:
         corpus = Corpus(mode=args.mode or QUALIFIER)
     if args.stack_traces is not None:
@@ -155,10 +141,8 @@ def run_synth(args) -> int:
     try:
         result = synthesize(corpus, semantics=args.semantics, config=config)
     except ValidationError as exc:
-        for diagnostic in getattr(exc, "diagnostics", ()):
+        for diagnostic in exc.diagnostics:
             print(f"{diagnostic.severity}: {diagnostic.message}", file=sys.stderr)
-        if not getattr(exc, "diagnostics", ()):
-            print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if isinstance(result, Conflict):
         _print_conflict(result, corpus)
@@ -186,8 +170,8 @@ def run_synth(args) -> int:
 
 
 def run_check(args) -> int:
-    spec = _parse_file(load_analysis, args.analysis)
-    corpus = _parse_file(parse_corpus, args.corpus)
+    spec = parse_file(load_analysis, args.analysis)
+    corpus = parse_file(parse_corpus, args.corpus)
     digest = corpus_digest(corpus)
     if spec.metadata.get("corpus_sha256") not in (None, digest):
         log.warning("corpus digest does not match the one recorded in the analysis")
@@ -203,7 +187,7 @@ def run_check(args) -> int:
 
 
 def run_expand(args) -> int:
-    graph = _parse_file(parse_static_graph, args.static_graph)
+    graph = parse_file(parse_static_graph, args.static_graph)
     spec = EndpointSpec(args.source, args.sink, args.max_path_len, args.max_paths)
     result = enumerate_candidate_paths(graph, spec)
     corpus = Corpus(
@@ -226,8 +210,8 @@ def run_expand(args) -> int:
 
 
 def run_explain(args) -> int:
-    spec = _parse_file(load_analysis, args.analysis)
-    corpus = _parse_file(parse_corpus, args.corpus)
+    spec = parse_file(load_analysis, args.analysis)
+    corpus = parse_file(parse_corpus, args.corpus)
     matches = [trace for trace in corpus.traces if trace.id == args.trace_id]
     if not matches:
         raise ValidationError(f"trace id {args.trace_id!r} not found in corpus")

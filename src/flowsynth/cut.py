@@ -144,9 +144,9 @@ def min_hitting_set_greedy(
     return family.edge_set(_greedy_cover(family))
 
 
-class _Family(list):
-    """A hitting-set family that grows in place: the sets themselves, less
-    the forbidden edges, plus what both solvers read.
+class _Family:
+    """A hitting-set family that grows in place: what both solvers read of
+    its sets, less the forbidden edges.
 
     The allowed edges are numbered once, in sorted order, so index order is
     edge order.  Each set is kept as its edge indices and as a bitmask in
@@ -157,7 +157,6 @@ class _Family(list):
     """
 
     def __init__(self, edges, forbidden: frozenset[Edge]):
-        super().__init__()
         self.forbidden = forbidden
         self.edges = sorted(set(edges) - forbidden)
         self.number = {edge: index for index, edge in enumerate(self.edges)}
@@ -168,14 +167,12 @@ class _Family(list):
 
     def append(self, constraint) -> None:
         constraint = frozenset(constraint)
-        allowed = constraint - self.forbidden
-        set_number = len(self)
-        indices = [self.number[edge] for edge in allowed]
+        set_number = len(self.masks)
+        indices = [self.number[edge] for edge in constraint - self.forbidden]
         mask = 0
         for index in indices:
             mask |= 1 << index
             self.containing[index].append(set_number)
-        super().append(allowed)
         self.indices.append(indices)
         self.masks.append(mask)
         self.candidates |= constraint
@@ -242,6 +239,8 @@ def _exact_cover(masks: list[int], limit: int) -> int:
     bound is a packing of pairwise disjoint uncovered sets, each needing an
     edge of its own.  A set left with one allowed edge forces that edge;
     every cover below the node contains it, so forcing changes no answer.
+    No set is ever left with none: after forcing, every uncovered set holds
+    at least two allowed edges, and a ban removes only one.
     """
     best, best_size = 0, limit + 1
     # sets in (size, mask) order give the packing bound its best start
@@ -251,31 +250,27 @@ def _exact_cover(masks: list[int], limit: int) -> int:
         uncovered = []
         forced = 0
         for mask in sets:
-            if mask & chosen:
-                continue
-            allowed = mask & ~banned
-            if not allowed:
-                break  # dead branch: this set can no longer be hit
-            if not allowed & (allowed - 1):
-                forced |= allowed
-            uncovered.append(allowed)
-        else:
-            if forced:
-                chosen |= forced
-                uncovered = [mask for mask in uncovered if not mask & forced]
-            size = chosen.bit_count()
-            if not uncovered:
-                if size < best_size:
-                    best, best_size = chosen, size
-                continue
-            if size + _packing_bound(uncovered) >= best_size:
-                continue
-            union = 0
-            for mask in uncovered:
-                union |= mask
-            edge = union & -union
-            stack.append((chosen, banned | edge, uncovered))
-            stack.append((chosen | edge, banned, uncovered))
+            if not mask & chosen:
+                allowed = mask & ~banned
+                if not allowed & (allowed - 1):
+                    forced |= allowed
+                uncovered.append(allowed)
+        if forced:
+            chosen |= forced
+            uncovered = [mask for mask in uncovered if not mask & forced]
+        size = chosen.bit_count()
+        if not uncovered:
+            if size < best_size:
+                best, best_size = chosen, size
+            continue
+        if size + _packing_bound(uncovered) >= best_size:
+            continue
+        union = 0
+        for mask in uncovered:
+            union |= mask
+        edge = union & -union
+        stack.append((chosen, banned | edge, uncovered))
+        stack.append((chosen | edge, banned, uncovered))
     assert best_size <= limit  # a cover of `limit` edges exists
     return best
 
@@ -364,7 +359,7 @@ def solve_synthesis_cut(problem: CutProblem, config: SolverConfig = SolverConfig
         else:
             raise ValueError(f"unknown solver {config.solver!r}")
         solve = min_hitting_set_exact if use_exact else min_hitting_set_greedy
-        cut = solve(family, problem.forbidden) if family else frozenset()
+        cut = solve(family, problem.forbidden) if family.masks else frozenset()
 
         if problem.semantics == PATH:
             return CutSet(cut, iterations, use_exact, tuple(constraints))

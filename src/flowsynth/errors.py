@@ -27,10 +27,6 @@ class ValidationError(FlowSynthError):
         self.diagnostics = diagnostics
 
 
-class ConstructionError(FlowSynthError):
-    """Graph construction attempted on a corpus with error diagnostics."""
-
-
 class UnknownNode(FlowSynthError):
     """A node id was referenced that the graph does not contain."""
 

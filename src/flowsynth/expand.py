@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnknownNode, ValidationError
-from .traces import NEGATIVE, Edge, Trace, is_valid_node_id, load_json
+from .traces import NEGATIVE, Edge, Trace, is_string_list, is_string_pair, is_valid_node_id, load_json
 
 STATIC_EXPANSION_ORIGIN = "static-expansion"
 
@@ -61,11 +61,9 @@ def parse_static_graph(text: str) -> StaticGraph:
         raise ValidationError("static graph document needs 'nodes' and 'edges'")
     nodes = doc["nodes"]
     edges = doc["edges"]
-    if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+    if not is_string_list(nodes):
         raise ValidationError("'nodes' must be an array of strings")
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(n, str) for n in e) for e in edges
-    ):
+    if not isinstance(edges, list) or not all(map(is_string_pair, edges)):
         raise ValidationError("'edges' must be an array of [src, dst] pairs")
     return StaticGraph(frozenset(nodes), frozenset((e[0], e[1]) for e in edges))
 

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import ConstructionError, CycleError, UnknownNode
-from .traces import Corpus, Edge, corpus_errors, trace_edges, validate_corpus
+from .errors import CycleError, UnknownNode
+from .traces import Corpus, Edge, trace_edges
+from .traces import validate_corpus  # noqa: F401  (bench/tracing.py wraps graph.validate_corpus)
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,9 @@ class FlowGraph:
 
 
 def build_graph(corpus: Corpus) -> FlowGraph:
-    """Union the corpus into a FlowGraph; refuses corpora with error
-    diagnostics (the caller is expected to have surfaced them)."""
-    errors = corpus_errors(validate_corpus(corpus))
-    if errors:
-        raise ConstructionError(
-            "corpus has error diagnostics: " + "; ".join(d.message for d in errors)
-        )
+    """Union the corpus into a FlowGraph.  A pure union: the corpus is not
+    validated here; `pipeline.synthesize`, the entry point, validates it
+    first."""
     witnesses: dict[Edge, set[str]] = {}
     positive_ids: dict[Edge, set[str]] = {}
     nodes: set[str] = set()

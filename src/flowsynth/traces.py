@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _str
 from pathlib import Path
@@ -139,28 +140,40 @@ _TRACE_REQUIRED = {"id", "polarity", "nodes"}
 _OPTION_KEYS = {"min_positive_support"}
 
 
-def read_text(path: str | Path) -> str:
-    """The UTF-8 text of the file at `path`.  Raises ParseError, naming the
-    file, for bytes that are not UTF-8."""
+def parse_file(parse, path: str | Path, *args):
+    """`parse(text, *args)` on the UTF-8 text of the file at `path`.  Bytes
+    that are not UTF-8, and any ParseError of `parse`, raise a ParseError
+    that names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
+    except (UnicodeDecodeError, ParseError) as exc:
         raise ParseError(f"{exc} (file {path})") from None
+
+
+def is_string_pair(value: object) -> bool:
+    return isinstance(value, list) and len(value) == 2 and type(value[0]) is type(value[1]) is str
+
+
+def is_string_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 def load_json(text: str):
     """The JSON document in `text`.  Raises ParseError for malformed JSON
-    (with line/column), for nesting too deep to decode, and for a string
-    holding a lone surrogate, which no UTF-8 output can encode.  Only a
-    `\\u` escape can decode to a surrogate, so text without one is not
-    walked; a backslash is looked for first, since a one-character search
-    is many times faster than a two-character one."""
+    (with line/column), for nesting too deep to decode, for an integer
+    longer than the interpreter converts, and for a string holding a lone
+    surrogate, which no UTF-8 output can encode.  Only a `\\u` escape can
+    decode to a surrogate, so text without one is not walked; a backslash
+    is looked for first, since a one-character search is many times faster
+    than a two-character one."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError:  # the only other one: int()'s limit on digits
+        raise ParseError(f"invalid JSON: integer longer than {sys.get_int_max_str_digits()} digits") from None
     if "\\" in text and "\\u" in text:
         _reject_surrogates(doc)
     return doc
@@ -253,7 +266,7 @@ def parse_corpus(text: str) -> Corpus:
             missing = sorted(_TRACE_REQUIRED - set(entry))
             raise ValidationError(f"trace entry {i}: missing field(s): {', '.join(missing)}")
         nodes = entry["nodes"]
-        if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+        if not is_string_list(nodes):
             raise ValidationError(f"trace entry {i}: 'nodes' must be an array of strings")
         origin = entry.get("origin")
         if origin is not None and not isinstance(origin, str):
@@ -265,7 +278,7 @@ def parse_corpus(text: str) -> Corpus:
         raise ValidationError("'required_edges' must be an array")
     required_edges = []
     for i, pair in enumerate(required):
-        if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(n, str) for n in pair):
+        if not is_string_pair(pair):
             raise ValidationError(f"required edge {i} must be a pair of strings")
         required_edges.append((pair[0], pair[1]))
 
@@ -406,7 +419,8 @@ def parse_stack_trace(text: str, polarity: str, trace_id: str) -> Trace:
 
 def stack_traces_from_dir(directory: str | Path) -> tuple[Trace, ...]:
     """Read every *.neg.txt / *.pos.txt file under `directory` (sorted by
-    name); the trace id is the filename with the polarity suffix removed."""
+    name); the trace id is the filename with the polarity suffix removed.
+    A parse error names the file."""
     directory = Path(directory)
     suffixes = ((".neg.txt", NEGATIVE), (".pos.txt", POSITIVE))
     traces = []
@@ -416,8 +430,7 @@ def stack_traces_from_dir(directory: str | Path) -> tuple[Trace, ...]:
                 trace_id = path.name[: -len(suffix)]
                 if _SURROGATE.search(trace_id):
                     raise ParseError(f"file name is not UTF-8 (file {str(path)!r})")
-                text = read_text(path)
-                traces.append(parse_stack_trace(text, polarity, trace_id))
+                traces.append(parse_file(parse_stack_trace, path, polarity, trace_id))
                 break
     return tuple(traces)
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from flowsynth import (
     AnalysisSpec,
     CheckReport,
-    ConstructionError,
     CycleError,
+    FlowSynthError,
     InfeasibleSet,
     UnknownElement,
     Verdict,
@@ -236,7 +236,7 @@ def test_stack_trace_file_name_that_is_not_utf8_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "error",
-    [CycleError("input relation contains a cycle"), ConstructionError("bad graph"), InfeasibleSet(3), UnknownElement("x")],
+    [CycleError("input relation contains a cycle"), FlowSynthError("bad graph"), InfeasibleSet(3), UnknownElement("x")],
 )
 def test_any_other_flowsynth_error_exits_2(tmp_path, capsys, monkeypatch, error):
     def failing(args):

@@ -1,0 +1,318 @@
+"""Every input rule through the CLI: a malformed corpus, analysis, static
+graph or stack trace ends in its exit code and its message, never in a
+traceback; plus reachable behaviours no other test runs."""
+
+from __future__ import annotations
+
+import json
+import logging
+import sys
+from pathlib import Path
+
+import pytest
+
+from flowsynth import Element, QualifierOrder, check_consistency, order_query
+from flowsynth.cli import main
+from flowsynth.lattice import EQUAL
+
+TAINT_CORPUS = {
+    "mode": "qualifier",
+    "traces": [
+        {"id": "trusted", "polarity": "positive", "nodes": ["untainted", "tainted"]},
+        {"id": "leak", "polarity": "negative", "nodes": ["tainted", "untainted"]},
+    ],
+}
+
+DIAMOND_GRAPH = {
+    "nodes": ["a", "b", "c", "d"],
+    "edges": [["a", "b"], ["b", "d"], ["a", "c"], ["c", "d"]],
+}
+
+
+def _trace(**fields) -> dict:
+    return {"traces": [{"id": "t", "polarity": "negative", "nodes": ["a", "b"], **fields}]}
+
+
+def _with(**fields) -> dict:
+    return {**TAINT_CORPUS, **fields}
+
+
+CORPUS_CASES = {
+    # parse_corpus: the document
+    "not-an-object": ([], "corpus document must be a JSON object"),
+    "traces-missing": ({"mode": "qualifier"}, "corpus document is missing 'traces'"),
+    "traces-not-array": ({"traces": {}}, "'traces' must be an array"),
+    # parse_corpus: trace entries
+    "entry-not-object": ({"traces": [["a", "b"]]}, "trace entry 0 must be an object"),
+    "entry-unknown-field": (_trace(weight=1), "trace entry 0: unknown field(s): weight"),
+    "entry-missing-field": (
+        {"traces": [{"id": "t", "nodes": ["a", "b"]}]},
+        "trace entry 0: missing field(s): polarity",
+    ),
+    "nodes-not-array": (_trace(nodes="a b"), "trace entry 0: 'nodes' must be an array of strings"),
+    "nodes-not-strings": (_trace(nodes=["a", 1]), "trace entry 0: 'nodes' must be an array of strings"),
+    "origin-not-string": (_trace(origin=5), "trace entry 0: 'origin' must be a string"),
+    # parse_corpus: the other fields
+    "required-not-array": (_with(required_edges={"a": "b"}), "'required_edges' must be an array"),
+    "required-short-pair": (_with(required_edges=[["a"]]), "required edge 0 must be a pair of strings"),
+    "required-number-pair": (
+        _with(required_edges=[["a", "b"], ["a", 1]]),
+        "required edge 1 must be a pair of strings",
+    ),
+    "options-not-object": (_with(options=[]), "'options' must be an object"),
+    "options-unknown": (_with(options={"max_cut": 3}), "unknown option(s): max_cut"),
+    "metadata-not-object": (_with(metadata=[]), "'metadata' must be an object"),
+    # Trace and Corpus
+    "empty-trace-id": (_trace(id=""), "trace id must be a non-empty string"),
+    "required-invalid-node": (
+        _with(required_edges=[["a b", "c"]]),
+        "required edge has invalid node id: ('a b', 'c')",
+    ),
+    "support-not-integer": (
+        _with(options={"min_positive_support": 1.5}),
+        "min_positive_support must be an integer",
+    ),
+    "support-boolean": (
+        _with(options={"min_positive_support": True}),
+        "min_positive_support must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, message", CORPUS_CASES.values(), ids=CORPUS_CASES.keys())
+def test_malformed_corpus_exits_2(tmp_path, capsys, doc, message):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["synth", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def _element(doc: dict, name: str) -> dict:
+    return next(element for element in doc["elements"] if element["name"] == name)
+
+
+def _duplicate_name(doc: dict) -> None:
+    doc["elements"].append({"name": "Q_tainted", "members": ["x"], "synthetic": False})
+
+
+def _share_member(doc: dict) -> None:
+    _element(doc, "Q_untainted")["members"].append("tainted")
+
+
+ANALYSIS_CASES = {
+    # load_analysis: the document
+    "not-an-object": (lambda d: [d], "analysis document must be a JSON object"),
+    "unknown-mode": (lambda d: d.update(mode="typestate"), "unknown mode 'typestate'"),
+    # load_analysis: elements
+    "element-missing-keys": (
+        lambda d: d["elements"].append({"name": "Q_x", "members": []}),
+        "element entries need name, members, synthetic",
+    ),
+    "duplicate-element": (_duplicate_name, "duplicate element name Q_tainted"),
+    "no-members": (
+        lambda d: _element(d, "Q_tainted").update(members=[]),
+        "non-synthetic element Q_tainted has no members",
+    ),
+    "shared-member": (
+        _share_member,
+        "element Q_untainted shares members with another element: ['tainted']",
+    ),
+    # load_analysis: the other fields
+    "leq-unknown-element": (
+        lambda d: d["leq"].append(["Q_tainted", "Q_ghost"]),
+        "leq pair references unknown element: ['Q_tainted', 'Q_ghost']",
+    ),
+    "assignment-not-object": (lambda d: d.update(assignment=[]), "'assignment' must be an object"),
+    "metadata-not-object": (lambda d: d.update(metadata=[]), "'metadata' must be an object"),
+}
+
+
+def _synth_taint(tmp_path: Path) -> tuple[Path, Path]:
+    """The taint corpus file and the analysis synthesized from it."""
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(TAINT_CORPUS), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--corpus", str(corpus), "--out", str(out)]) == 0
+    return corpus, out / "analysis.json"
+
+
+@pytest.mark.parametrize("mutate, message", ANALYSIS_CASES.values(), ids=ANALYSIS_CASES.keys())
+def test_malformed_analysis_exits_3(tmp_path, capsys, mutate, message):
+    corpus, analysis = _synth_taint(tmp_path)
+    doc = json.loads(analysis.read_text(encoding="utf-8"))
+    doc = mutate(doc) or doc
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["check", "--analysis", str(bad), "--corpus", str(corpus), "--out", str(tmp_path / "checked")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"invalid analysis: {message}\n"
+
+
+EXPAND_CASES = {
+    "invalid-node-id": (
+        {"nodes": ["a", "b c", "d"], "edges": [["a", "d"]]},
+        [],
+        "invalid node id 'b c'",
+    ),
+    "max-paths-zero": (DIAMOND_GRAPH, ["--max-paths", "0"], "max_paths must be >= 1"),
+    "no-edges": ({"nodes": ["a", "d"]}, [], "static graph document needs 'nodes' and 'edges'"),
+    "nodes-not-strings": ({"nodes": ["a", 4], "edges": []}, [], "'nodes' must be an array of strings"),
+    "bad-edge-pair": (
+        {"nodes": ["a", "d"], "edges": [["a", "d", "a"]]},
+        [],
+        "'edges' must be an array of [src, dst] pairs",
+    ),
+    "unknown-sink": (DIAMOND_GRAPH, ["--sink", "zz"], "zz"),
+}
+
+
+@pytest.mark.parametrize("doc, extra, message", EXPAND_CASES.values(), ids=EXPAND_CASES.keys())
+def test_malformed_expand_input_exits_2(tmp_path, capsys, doc, extra, message):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["expand", "--static-graph", str(graph), "--source", "a", "--sink", "d"]
+    assert main([*argv, *extra, "--out", str(tmp_path / "expanded.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_FRAME = "\tat a.B.c(B.java:1)\n"
+
+STACK_CASES = {
+    "elision-before-frame": ("boom\n\t... 2 more\n", "elision line before any stack frame (line 2)"),
+    "two-elisions": (
+        f"boom\n{_FRAME}\t... 1 more\n\t... 1 more\n",
+        "multiple elision lines in one section (line 4)",
+    ),
+    "invalid-frame-name": ("boom\n\tat a b.c(B.java:1)\n", "invalid frame name 'a b.c' (line 2)"),
+    "frame-after-elision": (f"boom\n{_FRAME}\t... 0 more\n{_FRAME}", "frame line after elision line (line 4)"),
+    "section-without-frames": (
+        f"boom\n{_FRAME}Caused by: x\nCaused by: y\n{_FRAME}",
+        "section 1 has no stack frames",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", STACK_CASES.values(), ids=STACK_CASES.keys())
+def test_malformed_stack_trace_exits_2_and_names_the_file(tmp_path, capsys, text, message):
+    stacks = tmp_path / "stacks"
+    stacks.mkdir()
+    (stacks / "bad.neg.txt").write_text(text, encoding="utf-8")
+    assert main(["synth", "--stack-traces", str(stacks), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message} (file {stacks / 'bad.neg.txt'})\n"
+
+
+# ---------------------------------------------------------------------------
+# Inputs that once ended in a traceback
+
+EXPLAIN_METADATA_CASES = {
+    "cut-origins-number": ("cut_origins", 5, "[edge, constraint ids] pairs"),
+    "cut-origins-triple": ("cut_origins", [[1, 2, 3]], "[edge, constraint ids] pairs"),
+    "cut-origins-edge-number": ("cut_origins", [[5, []]], "[edge, constraint ids] pairs"),
+    "constraints-number": ("constraints", 5, "{id, nodes} objects"),
+    "constraint-nodes-number": ("constraints", [{"id": "leak", "nodes": 5}], "{id, nodes} objects"),
+}
+
+
+@pytest.mark.parametrize("key, value, shape", EXPLAIN_METADATA_CASES.values(), ids=EXPLAIN_METADATA_CASES.keys())
+def test_explain_malformed_metadata_exits_3(tmp_path, capsys, key, value, shape):
+    corpus, analysis = _synth_taint(tmp_path)
+    doc = json.loads(analysis.read_text(encoding="utf-8"))
+    doc["metadata"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["explain", "--analysis", str(bad), "--trace-id", "leak", "--corpus", str(corpus)]) == 3
+    assert capsys.readouterr() == ("", f"invalid analysis: metadata '{key}' must be an array of {shape}\n")
+
+
+def test_explain_without_recorded_constraints_names_no_origin(tmp_path, capsys):
+    corpus, analysis = _synth_taint(tmp_path)
+    doc = json.loads(analysis.read_text(encoding="utf-8"))
+    del doc["metadata"]["constraints"], doc["metadata"]["cut_origins"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["explain", "--analysis", str(bare), "--trace-id", "leak", "--corpus", str(corpus)]) == 0
+    assert capsys.readouterr().out == (
+        "trace leak rejected at edge 0: tainted -> untainted\n"
+        "  Q_tainted not leq Q_untainted\n"
+        "  separated by cut edge: tainted -> untainted\n"
+    )
+
+
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("reader", ["synth --corpus", "check --analysis", "expand --static-graph"])
+def test_integer_over_the_digit_limit_exits_2_and_names_the_file(tmp_path, capsys, reader):
+    corpus, analysis = _synth_taint(tmp_path)
+    bad = tmp_path / "bad.json"
+    if reader == "synth --corpus":
+        text = json.dumps(TAINT_CORPUS)[:-1] + f', "metadata": {{"n": {_LONG}}}}}'
+    elif reader == "check --analysis":
+        text = analysis.read_text(encoding="utf-8").replace('"metadata": {', f'"metadata": {{"n": {_LONG},', 1)
+    else:
+        text = f'{{"nodes": ["a", "d"], "edges": [], "n": {_LONG}}}'
+    bad.write_text(text, encoding="utf-8")
+    out = str(tmp_path / "again")
+    argv = {
+        "synth --corpus": ["synth", "--corpus", str(bad), "--out", out],
+        "check --analysis": ["check", "--analysis", str(bad), "--corpus", str(corpus), "--out", out],
+        "expand --static-graph": ["expand", "--static-graph", str(bad), "--source", "a", "--sink", "d", "--out", out],
+    }[reader]
+    capsys.readouterr()
+    assert main(argv) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"error: invalid JSON: integer longer than {limit} digits (file {bad})\n"
+
+
+# ---------------------------------------------------------------------------
+# Reachable behaviours
+
+
+def test_node_named_unknown_primes_the_default(tmp_path):
+    corpus = tmp_path / "corpus.json"
+    doc = {"traces": [{"id": "leak", "polarity": "negative", "nodes": ["unknown", "sink"]}]}
+    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--corpus", str(corpus), "--out", str(out)]) == 0
+    analysis = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
+    assert analysis["default_element"] == "Q_unknown'"
+    names = [element["name"] for element in analysis["elements"]]
+    assert names == ["Q_sink", "Q_unknown", "Q_unknown'"]
+
+
+def test_order_query_equal():
+    order = QualifierOrder(
+        (Element("Q_a", frozenset({"a"})),), frozenset({("Q_a", "Q_a")}), {"a": "Q_a"}
+    )
+    assert order_query(order, "Q_a", "Q_a") == EQUAL
+
+
+def test_cut_edge_merged_message():
+    order = QualifierOrder(
+        (Element("Q_a", frozenset({"a", "b"})),), frozenset({("Q_a", "Q_a")}), {"a": "Q_a", "b": "Q_a"}
+    )
+    (violation,) = check_consistency(order, frozenset({("a", "b")}), ())
+    assert str(violation) == "cut edge (a, b): endpoints merged into one cluster Q_a"
+
+
+def test_synth_logs_a_self_loop_warning(tmp_path, caplog):
+    corpus = tmp_path / "corpus.json"
+    doc = _with(traces=[*TAINT_CORPUS["traces"], {"id": "loop", "polarity": "positive", "nodes": ["a", "a"]}])
+    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="flowsynth"):
+        assert main(["synth", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 0
+    assert [r.getMessage() for r in caplog.records] == ["self-loop edge (a, a) imposes no constraint"]
+
+
+def test_mode_flag_overrides_the_corpus_mode(tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(TAINT_CORPUS), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--corpus", str(corpus), "--mode", "effect", "--out", str(out)]) == 0
+    analysis = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
+    assert analysis["mode"] == "effect"
+    assert analysis["default_element"] == "⊥"
