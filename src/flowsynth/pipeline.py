@@ -58,15 +58,10 @@ def synthesize(
     semantics: str = SEPARATION,
     config: SolverConfig = SolverConfig(),
 ) -> SynthesisResult | Conflict:
-    """Run the full pipeline.  Returns a Conflict when some negative flow
-    cannot be broken; raises ValidationError (carrying the diagnostics) on
-    other corpus errors."""
+    """Run the full pipeline.  Raises ValidationError (carrying the
+    diagnostics) on corpus errors; returns the cut solver's Conflict when
+    some negative flow cannot be broken."""
     diagnostics = validate_corpus(corpus)
-    conflict_diags = [d for d in diagnostics if d.code == "positive-negative-conflict"]
-    if conflict_diags:
-        negative_id = conflict_diags[0].trace_ids[0]
-        trace = next(t for t in corpus.traces if t.id == negative_id)
-        return Conflict(trace.endpoints, trace.nodes, (negative_id,))
     errors = corpus_errors(diagnostics)
     if errors:
         raise ValidationError(

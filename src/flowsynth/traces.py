@@ -378,7 +378,12 @@ def parse_stack_trace(text: str, polarity: str, trace_id: str) -> Trace:
                 raise ParseError("elision line before any stack frame", line=lineno)
             if section.elision is not None:
                 raise ParseError("multiple elision lines in one section", line=lineno)
-            section.elision = int(elision.group("count"))
+            try:
+                section.elision = int(elision.group("count"))
+            except ValueError:  # int()'s limit on digits
+                raise ParseError(
+                    f"elision count longer than {sys.get_int_max_str_digits()} digits", line=lineno
+                ) from None
             continue
         if line.lstrip().startswith("at "):
             frame = _FRAME_RE.match(line)
@@ -451,22 +456,16 @@ class Diagnostic:
 
 
 def validate_corpus(corpus: Corpus) -> tuple[Diagnostic, ...]:
-    """All corpus-level diagnostics, in a fixed order.
+    """All corpus-level diagnostics, in a fixed order: the rules the cut
+    solver cannot see.
 
-    Errors: a negative trace with equal endpoints (reflexivity makes the
-    flow impossible to prohibit), and a negative trace that duplicates a
-    prefix of a positive trace (its every edge will be protected, a
-    guaranteed conflict).  Warnings: self-loop edges (never cut candidates)
-    and nodes that appear only in required_edges.
+    Error: a negative trace with equal endpoints (reflexivity makes the
+    flow impossible to prohibit).  Warnings: self-loop edges (never cut
+    candidates) and nodes that appear only in required_edges.  Whether a
+    negative can be broken at all is the solver's to decide, from the
+    protection `build_graph` computes.
     """
     diagnostics: list[Diagnostic] = []
-    # positives by their first L nodes, for every length L of a negative
-    lengths = {len(trace.nodes) for trace in corpus.negatives}
-    prefixes: dict[tuple[str, ...], list[Trace]] = {}
-    for positive in corpus.positives:
-        for length in lengths:
-            if length <= len(positive.nodes):
-                prefixes.setdefault(positive.nodes[:length], []).append(positive)
     for trace in corpus.traces:
         if trace.is_negative and trace.nodes[0] == trace.nodes[-1]:
             diagnostics.append(
@@ -487,17 +486,6 @@ def validate_corpus(corpus: Corpus) -> tuple[Diagnostic, ...]:
                         "self-loop",
                         f"self-loop edge ({src}, {dst}) imposes no constraint",
                         (trace.id,),
-                    )
-                )
-        if trace.is_negative:
-            for positive in prefixes.get(trace.nodes, ()):
-                diagnostics.append(
-                    Diagnostic(
-                        ERROR,
-                        "positive-negative-conflict",
-                        f"negative trace {trace.id} duplicates a prefix of positive trace "
-                        f"{positive.id}: the flow cannot be both kept and broken",
-                        (trace.id, positive.id),
                     )
                 )
     for src, dst in sorted(corpus.required_edges):

@@ -2,8 +2,11 @@
 
 Corpora stay inside the acceptance bounds (<= 8 nodes, <= 16 distinct
 edges, <= 6 traces) and are regenerated until they carry no error
-diagnostics, so every emitted corpus is synthesizable or honestly
-infeasible (conflict), never malformed.
+diagnostics and no negative trace that equals a prefix of a positive one,
+so every emitted corpus is synthesizable or honestly infeasible (conflict),
+never malformed.  A negative equal to a prefix of a positive is a certain
+conflict, which the cut solver reports; such corpora are left out so that
+each seed keeps drawing the batch the acceptance criteria were set on.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import random
 
 from flowsynth import Corpus, Trace, corpus_errors, trace_edges, validate_corpus
+
+from oracles import prefix_conflicts
 
 ALPHABET = "abcdefgh"
 
@@ -63,7 +68,7 @@ def _attempt(rng, mode, max_nodes, max_edges, max_traces) -> Corpus | None:
     distinct |= corpus.required_edges
     if len(distinct) > max_edges:
         return None
-    if corpus_errors(validate_corpus(corpus)):
+    if corpus_errors(validate_corpus(corpus)) or prefix_conflicts(corpus):
         return None
     return corpus
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from flowsynth import (
@@ -20,11 +20,13 @@ from flowsynth import (
     UnknownNode,
     SolverConfig,
     Trace,
+    ValidationError,
     build_graph,
     cut_problem_from_graph,
     min_hitting_set_exact,
     min_hitting_set_greedy,
     solve_synthesis_cut,
+    synthesize,
     verify_separation,
 )
 from flowsynth.graph import shortest_path
@@ -33,6 +35,7 @@ from corpusgen import random_corpus
 from oracles import (
     brute_min_hitting_set,
     brute_min_separation_cut,
+    prefix_conflicts,
     reference_exact_hitting_set,
     reference_greedy_hitting_set,
     reference_solve_synthesis_cut,
@@ -296,6 +299,135 @@ def test_conflict_on_directly_protected_negative_path():
     assert isinstance(outcome, Conflict)
     assert outcome.pair == ("x", "b")
     assert outcome.witness == ("x", "a", "b")
+
+
+# ---------------------------------------------------------------------------
+# synthesis: the cut solver alone decides that a negative cannot be broken
+
+EXACT = SolverConfig(solver="exact")
+
+
+def test_negative_duplicating_a_positive_is_a_conflict():
+    corpus = Corpus(
+        traces=(
+            Trace("pos", "positive", ("a", "b")),
+            Trace("neg", "negative", ("a", "b")),
+        )
+    )
+    assert synthesize(corpus) == Conflict(("a", "b"), ("a", "b"), ("neg",))
+
+
+def test_negative_prefix_of_a_positive_is_a_conflict():
+    corpus = Corpus(
+        traces=(
+            Trace("pos", "positive", ("a", "b", "c")),
+            Trace("neg", "negative", ("a", "b")),
+        )
+    )
+    assert synthesize(corpus) == Conflict(("a", "b"), ("a", "b"), ("neg",))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("positive", "negative")),
+            st.lists(st.sampled_from("abc"), min_size=2, max_size=5),
+        ),
+        max_size=12,
+    )
+)
+def test_every_prefix_conflict_is_a_conflict(raw):
+    """At support 1 a negative that equals a prefix of a positive has every
+    edge protected; the conflict names the first negative in corpus order
+    whose edges are all protected or self-loops, with every negative of its
+    pair."""
+    corpus = Corpus(
+        traces=tuple(Trace(f"t{i}", polarity, nodes) for i, (polarity, nodes) in enumerate(raw))
+    )
+    if any(trace.nodes[0] == trace.nodes[-1] for trace in corpus.negatives):
+        with pytest.raises(ValidationError, match="negative endpoints equal"):
+            synthesize(corpus, config=EXACT)
+        return
+    result = synthesize(corpus, config=EXACT)
+    kept = {edge for trace in corpus.positives for edge in zip(trace.nodes, trace.nodes[1:])}
+    blocked = [
+        trace
+        for trace in corpus.negatives
+        if all(edge in kept or edge[0] == edge[1] for edge in zip(trace.nodes, trace.nodes[1:]))
+    ]
+    if prefix_conflicts(corpus):
+        assert isinstance(result, Conflict)
+    if blocked:
+        first = blocked[0]
+        ids = tuple(trace.id for trace in corpus.negatives if trace.endpoints == first.endpoints)
+        assert result == Conflict(first.endpoints, first.nodes, ids)
+
+
+@st.composite
+def noisy_corpora(draw):
+    """At most 5 nodes and 6 traces, min_positive_support 1-3, and at most
+    one required edge.  About half the negatives are slices of positives,
+    so negatives that repeat part of a positive are common; a negative with
+    equal endpoints is left out, since validation rejects it first."""
+    node = st.sampled_from("abcde")
+    positives = draw(st.lists(st.lists(node, min_size=2, max_size=5), max_size=4))
+    traces = [Trace(f"p{i}", "positive", tuple(nodes)) for i, nodes in enumerate(positives)]
+    for number in range(draw(st.integers(1, 6 - len(traces)))):
+        if positives and draw(st.booleans()):
+            nodes = draw(st.sampled_from(positives))
+            start = draw(st.integers(0, len(nodes) - 2))
+            path = nodes[start : draw(st.integers(start + 2, len(nodes)))]
+        else:
+            path = draw(st.lists(node, min_size=2, max_size=5))
+        if path[0] != path[-1]:
+            traces.append(Trace(f"n{number}", "negative", tuple(path)))
+    return Corpus(
+        traces=tuple(traces),
+        required_edges=frozenset(draw(st.sets(st.tuples(node, node), max_size=1))),
+        min_positive_support=draw(st.integers(1, 3)),
+    )
+
+
+def _independent_oracle(corpus):
+    """The brute-force minimum cut, with protection read off the corpus
+    alone: an edge is protected when at least min_positive_support distinct
+    positives hold it, or when it is required; self-loops are never cut."""
+    def edges_of(trace):
+        return set(zip(trace.nodes, trace.nodes[1:]))
+
+    support: dict = {}
+    for trace in corpus.positives:
+        for edge in edges_of(trace):
+            support[edge] = support.get(edge, 0) + 1
+    edges = set(corpus.required_edges).union(*(edges_of(trace) for trace in corpus.traces))
+    cuttable = {
+        edge
+        for edge in edges
+        if edge[0] != edge[1]
+        and support.get(edge, 0) < corpus.min_positive_support
+        and edge not in corpus.required_edges
+    }
+    pairs = {(trace.nodes[0], trace.nodes[-1]) for trace in corpus.negatives}
+    return brute_min_separation_cut(edges, cuttable, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(noisy_corpora())
+@example(
+    Corpus(
+        traces=(Trace("p", "positive", ("a", "b", "c")), Trace("n", "negative", ("a", "b"))),
+        min_positive_support=2,
+    )
+)
+def test_synthesis_matches_the_oracle_under_positive_support(corpus):
+    oracle = _independent_oracle(corpus)
+    result = synthesize(corpus, config=EXACT)
+    if oracle is None:
+        assert isinstance(result, Conflict)
+    else:
+        assert not isinstance(result, Conflict)
+        assert result.cut.edges == oracle
 
 
 def test_diamond_cut_lex_tie_break():

@@ -7,9 +7,12 @@ from __future__ import annotations
 import json
 import logging
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowsynth import Element, QualifierOrder, check_consistency, order_query
 from flowsynth.cli import main
@@ -191,6 +194,10 @@ STACK_CASES = {
         f"boom\n{_FRAME}Caused by: x\nCaused by: y\n{_FRAME}",
         "section 1 has no stack frames",
     ),
+    "elision-count-over-digit-limit": (
+        f"boom\n{_FRAME}\t... {'1' * 5000} more\n",
+        f"elision count longer than {sys.get_int_max_str_digits()} digits (line 3)",
+    ),
 }
 
 
@@ -266,6 +273,58 @@ def test_integer_over_the_digit_limit_exits_2_and_names_the_file(tmp_path, capsy
     assert main(argv) == 2
     limit = sys.get_int_max_str_digits()
     assert capsys.readouterr().err == f"error: invalid JSON: integer longer than {limit} digits (file {bad})\n"
+
+
+_HEADERS = ("java.lang.IllegalStateException: boom", "boom")
+_FRAMES = (
+    _FRAME.rstrip("\n"),
+    "\tat a.B.d(B.java:2)",
+    "\tat ui.View.draw(Native Method)",
+    "\tat ü.Ansicht.zeichne(Ä.java:3)",
+    "\tat 画面.描画(画面.java:4)",
+)
+_STACK_LINES = (
+    *_HEADERS,
+    "Caused by: java.io.IOException: disk",
+    "Caused by:",
+    *_FRAMES,
+    "\tat a b.c(B.java:1)",
+    "\tat broken",
+    "\tat (B.java:1)",
+    "\t... 0 more",
+    "\t... 1 more",
+    "\t... 2 more",
+    "\t... 7 more",
+    f"\t... {_LONG} more",
+    "",
+)
+
+# a file is a header, some valid frames, then any lines at all
+_STACK_TEXT = st.tuples(
+    st.sampled_from(_HEADERS),
+    st.lists(st.sampled_from(_FRAMES), min_size=2, max_size=4),
+    st.lists(st.sampled_from(_STACK_LINES), max_size=3),
+).map(lambda parts: [parts[0], *parts[1], *parts[2]])
+_STACK_FILES = st.lists(
+    st.tuples(st.sampled_from(["t0", "t1", "t2"]), st.sampled_from([".neg.txt", ".pos.txt"]), _STACK_TEXT),
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STACK_FILES, st.sampled_from(["qualifier", "effect"]))
+@example([("t0", ".neg.txt", ["boom", _FRAMES[0], f"\t... {_LONG} more"])], "qualifier")
+def test_stack_trace_files_end_in_an_exit_code(files, mode):
+    """Headers, "Caused by:" lines, valid, malformed and non-ASCII frames,
+    elisions and blank lines, in any order and any number of files: synth
+    ends in one of its exit codes and never raises."""
+    with tempfile.TemporaryDirectory() as scratch:
+        stacks = Path(scratch) / "stacks"
+        stacks.mkdir()
+        for stem, suffix, lines in files:
+            (stacks / f"{stem}{suffix}").write_text("\n".join(lines), encoding="utf-8")
+        out = str(Path(scratch) / "out")
+        assert main(["synth", "--stack-traces", str(stacks), "--mode", mode, "--out", out]) in range(5)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from flowsynth import (
 
 from flowsynth.traces import is_valid_node_id, load_json
 
-from oracles import prefix_conflicts, reference_is_valid_node_id, reference_serialize_corpus
+from oracles import reference_is_valid_node_id, reference_serialize_corpus
 
 
 def test_parse_minimal_negative_trace():
@@ -247,55 +247,6 @@ def test_validate_flags_equal_negative_endpoints():
         d.severity == "error" and d.message == "negative endpoints equal: a"
         for d in diagnostics
     )
-
-
-def test_validate_flags_positive_negative_conflict():
-    corpus = Corpus(
-        traces=(
-            Trace("pos", "positive", ("a", "b")),
-            Trace("neg", "negative", ("a", "b")),
-        )
-    )
-    diagnostics = validate_corpus(corpus)
-    conflict = [d for d in diagnostics if d.code == "positive-negative-conflict"]
-    assert len(conflict) == 1
-    assert set(conflict[0].trace_ids) == {"pos", "neg"}
-
-
-def test_validate_flags_negative_prefix_of_positive():
-    corpus = Corpus(
-        traces=(
-            Trace("pos", "positive", ("a", "b", "c")),
-            Trace("neg", "negative", ("a", "b")),
-        )
-    )
-    assert any(d.code == "positive-negative-conflict" for d in validate_corpus(corpus))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(("positive", "negative")),
-            st.lists(st.sampled_from("abc"), min_size=2, max_size=5),
-        ),
-        max_size=12,
-    )
-)
-def test_validate_conflicts_match_nested_loop(raw):
-    corpus = Corpus(
-        traces=tuple(Trace(f"t{i}", polarity, nodes) for i, (polarity, nodes) in enumerate(raw))
-    )
-    conflicts = [
-        d for d in validate_corpus(corpus) if d.code == "positive-negative-conflict"
-    ]
-    assert [d.trace_ids for d in conflicts] == prefix_conflicts(corpus)
-    for d in conflicts:
-        negative, positive = d.trace_ids
-        assert d.message == (
-            f"negative trace {negative} duplicates a prefix of positive trace "
-            f"{positive}: the flow cannot be both kept and broken"
-        )
 
 
 def test_validate_warns_on_self_loops_and_required_only_nodes():
