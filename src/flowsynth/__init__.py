@@ -45,11 +45,9 @@ from .graph import (
 )
 from .cut import (
     Conflict,
-    CutProblem,
     CutSet,
     PathConstraint,
     SolverConfig,
-    cut_problem_from_graph,
     min_hitting_set_exact,
     min_hitting_set_greedy,
     solve_synthesis_cut,
@@ -94,7 +92,6 @@ __all__ = [
     "Condensation",
     "Conflict",
     "Corpus",
-    "CutProblem",
     "CutSet",
     "CycleError",
     "Diagnostic",
@@ -130,7 +127,6 @@ __all__ = [
     "complete_join_semilattice",
     "corpus_digest",
     "corpus_errors",
-    "cut_problem_from_graph",
     "dump_analysis",
     "enumerate_candidate_paths",
     "explain_rejection",

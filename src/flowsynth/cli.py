@@ -37,6 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .expand import EndpointSpec, enumerate_candidate_paths, parse_static_graph
+from .graph import build_graph
 from .pipeline import SynthesisResult, synthesize
 from .traces import (
     EFFECT,
@@ -243,14 +244,21 @@ def _print_conflict(conflict: Conflict, corpus: Corpus) -> None:
     if conflict.negative_ids:
         print(f"  negative trace(s): {', '.join(conflict.negative_ids)}", file=sys.stderr)
     print(f"  protected witness path: {' -> '.join(conflict.witness)}", file=sys.stderr)
-    protecting = {
-        trace.id
-        for trace in corpus.positives
-        for edge in zip(conflict.witness, conflict.witness[1:])
-        if edge in zip(trace.nodes, trace.nodes[1:])
-    }
-    if protecting:
-        print(f"  protected by positive trace(s): {', '.join(sorted(protecting))}", file=sys.stderr)
+    # each witness edge as build_graph judged it: enough positives, else required
+    graph = build_graph(corpus)
+    positive_ids = {trace.id for trace in corpus.positives}
+    supported, required = set(), []
+    for key in zip(conflict.witness, conflict.witness[1:]):
+        edge = graph.edges[key]
+        if edge.positive_support >= graph.min_positive_support:
+            supported |= edge.witnesses & positive_ids
+        elif edge.protected and key not in required:
+            required.append(key)
+    if supported:
+        print(f"  protected by positive trace(s): {', '.join(sorted(supported))}", file=sys.stderr)
+    if required:
+        edges = ", ".join(f"{src} -> {dst}" for src, dst in required)
+        print(f"  required edge(s): {edges}", file=sys.stderr)
 
 
 def _print_summary(result: SynthesisResult, out: Path) -> None:

@@ -1,24 +1,26 @@
 """Minimum-cut synthesis over negative flows.
 
-Each negative path contributes a hitting-set constraint over its cuttable
-edges (self-loops and protected edges excluded).  Under the default
-separation semantics the returned cut must leave every negative trace's
-sink unreachable from its source, not merely break the observed paths, so
-constraints are generated lazily: solve the hitting set over the current
-constraints, look for a still-connected negative pair, add its witness
-path as a new constraint, and re-solve.  Ties between minimum cuts are
-always broken toward the lexicographically smallest sorted edge list, so
-identical inputs produce identical cuts.
+The flow graph is the problem: each negative path contributes a
+hitting-set constraint over its edges that `FlowEdge.cuttable` allows.
+Under the default separation semantics the returned cut must leave every
+negative trace's sink unreachable from its source, not merely break the
+observed paths, so constraints are generated lazily: solve the hitting
+set over the current constraints, look for a still-connected negative
+pair, add its witness path as a new constraint, and re-solve.  Ties
+between minimum cuts are always broken toward the lexicographically
+smallest sorted edge list, so identical inputs produce identical cuts.
 
 Both hitting-set solvers work on one representation, a `_Family`: the
-allowed edges numbered in sorted order, each constraint kept as its edge
-numbers and as a Python-int bitmask over them, and an edge-to-constraints
-index.  The refinement loop numbers every cuttable edge of the graph once
-and appends each refined constraint to the same family, so no round
+edges numbered in sorted order, each constraint kept as its edge numbers
+and as a Python-int bitmask over them, and an edge-to-constraints index.
+The refinement loop numbers every cuttable edge of the graph once and
+appends each refined constraint to the same family, so no round
 renumbers or rebuilds; since index order is edge order in any numbering,
 the answers are those of a family built afresh.  The greedy solver resets
 only its per-edge counts of uncovered constraints and its lazy-deletion
-heap, and updates only the counts a pick changes.  The exact solver is an
+heap, updates only the counts a pick changes, and ends with a
+reverse-delete pass: each cut edge is the only one on some constraint
+path, so a separating cut leaves no cut edge related.  The exact solver is an
 iterative branch and bound whose first bound is the greedy cover's size;
 it branches on edges in sorted order, so the first cover it meets of a
 given size is the lexicographically smallest one and tied optima need no
@@ -69,18 +71,6 @@ class PathConstraint:
 
 
 @dataclass(frozen=True)
-class CutProblem:
-    graph: FlowGraph
-    constraint_paths: tuple[PathConstraint, ...]
-    forbidden: frozenset[Edge]
-    semantics: str = SEPARATION
-
-    def __post_init__(self):
-        if self.semantics not in SEMANTICS:
-            raise ValueError(f"unknown semantics {self.semantics!r}")
-
-
-@dataclass(frozen=True)
 class CutSet:
     """The synthesized prohibited edges plus the constraint system that
     justified them."""
@@ -102,21 +92,8 @@ class Conflict:
 
 
 def path_cuttable_edges(graph: FlowGraph, nodes: Sequence[str]) -> frozenset[Edge]:
-    """Cuttable edges along a node path that exists in the graph."""
-    return frozenset(
-        edge
-        for edge in zip(nodes, nodes[1:])
-        if edge in graph.edges and graph.edges[edge].cuttable
-    )
-
-
-def cut_problem_from_graph(graph: FlowGraph, semantics: str = SEPARATION) -> CutProblem:
-    constraints = tuple(
-        PathConstraint(trace_id, nodes, path_cuttable_edges(graph, nodes))
-        for trace_id, nodes in graph.negative_paths
-    )
-    forbidden = frozenset(key for key, edge in graph.edges.items() if not edge.cuttable)
-    return CutProblem(graph, constraints, forbidden, semantics)
+    """Cuttable edges along a node path of the graph."""
+    return frozenset(edge for edge in zip(nodes, nodes[1:]) if graph.edges[edge].cuttable)
 
 
 # ---------------------------------------------------------------------------
@@ -138,58 +115,54 @@ def min_hitting_set_greedy(
     sets: Sequence[frozenset[Edge]], forbidden: frozenset[Edge] = frozenset()
 ) -> frozenset[Edge]:
     """Greedy cover: repeatedly pick the allowed edge hitting the most
-    uncovered sets (ties lexicographic).  Feasible, not necessarily
-    minimum."""
+    uncovered sets (ties lexicographic), then drop the picks a later pick
+    made redundant.  Irredundant, not necessarily minimum."""
     family = _family_of(sets, forbidden)
     return family.edge_set(_greedy_cover(family))
 
 
 class _Family:
     """A hitting-set family that grows in place: what both solvers read of
-    its sets, less the forbidden edges.
+    its sets.
 
-    The allowed edges are numbered once, in sorted order, so index order is
-    edge order.  Each set is kept as its edge indices and as a bitmask in
-    which bit i stands for the i-th edge, and `containing[i]` lists the sets
-    that hold edge i.  `append` extends all three, so a family that gains a
-    set per refinement round is never renumbered or rebuilt.  `candidates`
-    is every edge the sets name, forbidden or not.
+    The edges are numbered once, in sorted order, so index order is edge
+    order.  Each set is kept as its edge indices and as a bitmask in which
+    bit i stands for the i-th edge, and `containing[i]` lists the sets that
+    hold edge i.  `append` extends all three, so a family that gains a set
+    per refinement round is never renumbered or rebuilt.
     """
 
-    def __init__(self, edges, forbidden: frozenset[Edge]):
-        self.forbidden = forbidden
-        self.edges = sorted(set(edges) - forbidden)
+    def __init__(self, edges):
+        self.edges = sorted(edges)
         self.number = {edge: index for index, edge in enumerate(self.edges)}
         self.indices: list[list[int]] = []
         self.masks: list[int] = []
         self.containing: list[list[int]] = [[] for _ in self.edges]
-        self.candidates: set[Edge] = set()
 
     def append(self, constraint) -> None:
-        constraint = frozenset(constraint)
         set_number = len(self.masks)
-        indices = [self.number[edge] for edge in constraint - self.forbidden]
+        indices = [self.number[edge] for edge in constraint]
         mask = 0
         for index in indices:
             mask |= 1 << index
             self.containing[index].append(set_number)
         self.indices.append(indices)
         self.masks.append(mask)
-        self.candidates |= constraint
 
     def edge_set(self, mask: int) -> frozenset[Edge]:
         return frozenset(self.edges[index] for index in _bits(mask))
 
 
 def _family_of(sets: Sequence[frozenset[Edge]], forbidden: frozenset[Edge]) -> _Family:
-    """`sets` itself when the refinement loop passes its family (which
-    carries its own forbidden edges), else a new family of them.  Raises
-    InfeasibleSet for the first set that has no allowed edge."""
+    """`sets` itself when the refinement loop passes its family, else a new
+    family of their allowed edges.  Raises InfeasibleSet for the first set
+    that has no allowed edge."""
     if isinstance(sets, _Family):
         family = sets
     else:
-        family = _Family({edge for constraint in sets for edge in constraint}, forbidden)
-        for constraint in sets:
+        allowed = [frozenset(constraint) - forbidden for constraint in sets]
+        family = _Family(frozenset().union(*allowed))
+        for constraint in allowed:
             family.append(constraint)
     for index, mask in enumerate(family.masks):
         if not mask:
@@ -201,7 +174,9 @@ def _greedy_cover(family: _Family) -> int:
     """Greedy over the family's edges: each pick is the edge in the most
     uncovered sets, ties to the smallest index.  Counts only fall, so a
     lazy-deletion heap keyed (-count, index) yields the picks: an entry
-    whose count is stale goes back in with the current one."""
+    whose count is stale goes back in with the current one.  Later picks
+    can cover every set an earlier one was taken for, so then each pick,
+    largest index first, goes if every set holding it holds another."""
     containing, indices = family.containing, family.indices
     count = [len(numbers) for numbers in containing]
     heap = [(-n, index) for index, n in enumerate(count) if n]
@@ -222,6 +197,16 @@ def _greedy_cover(family: _Family) -> int:
                 uncovered -= 1
                 for other in indices[number]:
                     count[other] -= 1
+    # a pick that is the only one in some set stays; only the rest are tried
+    masks, essential = family.masks, 0
+    for mask in masks:
+        hit = mask & chosen
+        if not hit & (hit - 1):
+            essential |= hit
+    for index in sorted(_bits(chosen & ~essential), reverse=True):
+        others = chosen ^ (1 << index)
+        if all(masks[number] & others for number in containing[index]):
+            chosen = others
     return chosen
 
 
@@ -314,22 +299,30 @@ def verify_separation(
     return tuple(leftover)
 
 
-def solve_synthesis_cut(problem: CutProblem, config: SolverConfig = SolverConfig()):
-    """Compute the minimum cut for the problem, or a Conflict.
+def solve_synthesis_cut(
+    graph: FlowGraph, semantics: str = SEPARATION, config: SolverConfig = SolverConfig()
+):
+    """The minimum cut over the graph's cuttable edges, or a Conflict.
 
-    Path semantics hits the observed negative paths once.  Separation
-    semantics (default) runs the lazy refinement loop until every negative
-    pair is separated; `iterations` counts hitting-set solves.  `optimal`
-    is True iff the exact solver produced the final solve.  Both solvers
-    are handed one family that gains each refined constraint in place.
+    Path semantics hits the negative paths once.  Separation semantics
+    (default) runs the lazy refinement loop until every negative pair is
+    separated; `iterations` counts hitting-set solves.  `optimal` is True
+    iff the exact solver produced the final solve.  Both solvers are handed
+    one family that gains each refined constraint in place.  An unknown
+    semantics or solver raises ValueError before any work.
     """
-    graph = problem.graph
-    constraints = list(problem.constraint_paths)
+    if semantics not in SEMANTICS:
+        raise ValueError(f"unknown semantics {semantics!r}")
+    if config.solver not in (AUTO, EXACT, GREEDY):
+        raise ValueError(f"unknown solver {config.solver!r}")
+    constraints = [
+        PathConstraint(trace_id, nodes, path_cuttable_edges(graph, nodes))
+        for trace_id, nodes in graph.negative_paths
+    ]
     for constraint in constraints:
         if not constraint.cuttable:
             return _conflict(graph, (constraint.nodes[0], constraint.nodes[-1]), constraint.nodes)
-    edges = graph.cuttable_edges().union(*(c.cuttable for c in constraints))
-    family = _Family(edges, problem.forbidden)
+    family = _Family(graph.cuttable_edges())
     for constraint in constraints:
         family.append(constraint.cuttable)
 
@@ -342,26 +335,23 @@ def solve_synthesis_cut(problem: CutProblem, config: SolverConfig = SolverConfig
             raise RefinementLimitError(
                 f"refinement did not terminate within {config.max_iterations} iterations"
             )
-        if config.solver == EXACT:
-            use_exact = True
-        elif config.solver == GREEDY:
-            use_exact = False
-        elif config.solver == AUTO:
-            use_exact = len(family.candidates) <= config.max_exact_candidates
-            if not use_exact and not warned_greedy:
-                warned_greedy = True
-                log.warning(
-                    "%d candidate edges exceed max_exact_candidates=%d; "
-                    "falling back to the greedy solver (cut may not be minimum)",
-                    len(family.candidates),
-                    config.max_exact_candidates,
-                )
-        else:
-            raise ValueError(f"unknown solver {config.solver!r}")
+        # auto's candidates: the edges some constraint names
+        named = sum(map(bool, family.containing))
+        use_exact = config.solver == EXACT or (
+            config.solver == AUTO and named <= config.max_exact_candidates
+        )
+        if config.solver == AUTO and not use_exact and not warned_greedy:
+            warned_greedy = True
+            log.warning(
+                "%d candidate edges exceed max_exact_candidates=%d; "
+                "falling back to the greedy solver (cut may not be minimum)",
+                named,
+                config.max_exact_candidates,
+            )
         solve = min_hitting_set_exact if use_exact else min_hitting_set_greedy
-        cut = solve(family, problem.forbidden) if family.masks else frozenset()
+        cut = solve(family) if family.masks else frozenset()
 
-        if problem.semantics == PATH:
+        if semantics == PATH:
             return CutSet(cut, iterations, use_exact, tuple(constraints))
 
         leftover = verify_separation(graph, cut, graph.negative_pairs)

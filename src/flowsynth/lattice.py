@@ -1,9 +1,10 @@
 """Qualifier orders and effect semilattices over a cut flow graph.
 
 Elements are the strongly connected components of the retained graph (all
-edges minus the cut); the order is reachability between components, so a
-retained edge (u, v) always yields assignment(u) <= assignment(v) and a
-separating cut guarantees the rejected flows stay underivable.
+edges minus the cut, a plain edge set); the order is reachability between
+components, so a retained edge (u, v) always yields assignment(u) <=
+assignment(v) and a separating cut guarantees the rejected flows stay
+underivable.
 
 Effect mode completes the order to a join semilattice by representing each
 element as the down-set of component elements at or below it: joins are
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cut import CutSet
 from .errors import UnknownElement
 from .graph import FlowGraph, _bits, _upset_pairs, _upsets, scc_condense
 from .traces import Edge
@@ -86,14 +86,10 @@ class EffectSemilattice(QualifierOrder):
         return {downset: name for name, downset in self.downsets.items()}
 
 
-def cut_edge_set(cut) -> frozenset[Edge]:
-    return cut.edges if isinstance(cut, CutSet) else frozenset(cut)
-
-
-def build_order(graph: FlowGraph, cut) -> QualifierOrder:
-    """Condense the retained graph into elements and take the reachability
-    order on the condensation.  Element names: "Q_" + smallest member."""
-    cut_edges = cut_edge_set(cut)
+def build_order(graph: FlowGraph, cut_edges: frozenset[Edge]) -> QualifierOrder:
+    """Condense the retained graph (every edge not in `cut_edges`) into
+    elements and take the reachability order on the condensation.  Element
+    names: "Q_" + smallest member."""
     retained = [edge for edge in graph.edge_keys() if edge not in cut_edges]
     condensation = scc_condense(graph.nodes, retained)
 
@@ -135,12 +131,15 @@ class Violation:
         return f"{what} ({src}, {dst}): {a} leq {b} still holds"
 
 
-def check_consistency(order: QualifierOrder, cut, negative_pairs) -> tuple[Violation, ...]:
+def check_consistency(
+    order: QualifierOrder, cut_edges: frozenset[Edge], negative_pairs
+) -> tuple[Violation, ...]:
     """Violations of the separation the cut was supposed to achieve: cut
     edges whose endpoints ended up related (or merged), and negative pairs
-    whose endpoints ended up related.  Empty means consistent."""
+    whose endpoints ended up related.  Empty means consistent, as it always
+    is for an irredundant cut that separates every pair."""
     violations = []
-    for src, dst in sorted(cut_edge_set(cut)):
+    for src, dst in sorted(cut_edges):
         a = order.assignment[src]
         b = order.assignment[dst]
         if a == b:

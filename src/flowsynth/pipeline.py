@@ -6,14 +6,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, check_corpus
-from .cut import (
-    SEPARATION,
-    Conflict,
-    CutSet,
-    SolverConfig,
-    cut_problem_from_graph,
-    solve_synthesis_cut,
-)
+from .cut import SEPARATION, Conflict, CutSet, SolverConfig, solve_synthesis_cut
 from .errors import ValidationError
 from .graph import FlowGraph, build_graph
 from .lattice import (
@@ -69,15 +62,14 @@ def synthesize(
         )
 
     graph = build_graph(corpus)
-    problem = cut_problem_from_graph(graph, semantics)
-    outcome = solve_synthesis_cut(problem, config)
+    outcome = solve_synthesis_cut(graph, semantics, config)
     if isinstance(outcome, Conflict):
         return outcome
 
-    order = build_order(graph, outcome)
+    order = build_order(graph, outcome.edges)
     semilattice = complete_join_semilattice(order) if corpus.mode == EFFECT else None
     final = semilattice if semilattice is not None else order
-    violations = check_consistency(final, outcome, graph.negative_pairs)
+    violations = check_consistency(final, outcome.edges, graph.negative_pairs)
     spec = make_analysis_spec(corpus, outcome, final, config, semantics)
     report = check_corpus(spec, corpus)
     return SynthesisResult(

@@ -6,9 +6,10 @@ reachability, every pair and every candidate bound for the semilattice
 laws, every (negative, positive) pair for corpus conflicts.  Earlier
 versions of some layers are kept as references: the hitting-set solvers as
 first written (a greedy that recounts every round, a recursive branch and
-bound that enumerates tied optima), the two-way breadth-first witness
-search, the refinement loop that rebuilds its hitting-set family every
-round and checks separation with one search per negative pair, the
+bound that enumerates tied optima), a reverse-delete pass that makes a
+cover irredundant, the two-way breadth-first witness search, the
+refinement loop that rebuilds its hitting-set family every round and
+checks separation with one search per negative pair, the
 pairwise-fixpoint join completion over frozensets, and the writers and
 checks as first written (the corpus, report and analysis documents through
 `json.dumps` with `indent`, the node-id predicate as a per-character scan,
@@ -67,6 +68,21 @@ def reference_greedy_hitting_set(sets, forbidden=frozenset()):
         chosen.add(pick)
         uncovered = [s for s in uncovered if pick not in s]
     return frozenset(chosen)
+
+
+def reference_irredundant(cover, sets):
+    """The cover less its redundant edges, largest edge first: an edge goes
+    when every set holding it holds another edge still kept."""
+    kept = set(cover)
+    for edge in sorted(cover, reverse=True):
+        if all(s & (kept - {edge}) for s in sets if edge in s):
+            kept.discard(edge)
+    return frozenset(kept)
+
+
+def _reference_irredundant_greedy(sets, forbidden):
+    cover = reference_greedy_hitting_set(sets, forbidden)
+    return None if cover is None else reference_irredundant(cover, sets)
 
 
 def reference_exact_hitting_set(sets, forbidden=frozenset()):
@@ -279,15 +295,24 @@ def reference_verify_separation(graph, cut, negative_pairs):
     return tuple(leftover)
 
 
-def reference_solve_synthesis_cut(problem, config):
+def reference_solve_synthesis_cut(graph, semantics, config):
     """The refinement loop as first written, less its greedy-fallback
     warning: every round rebuilds the family of cuttable-edge sets and its
-    candidate edges, solves it from scratch with the reference solvers, and
-    checks separation pair by pair."""
-    constraints = list(problem.constraint_paths)
+    candidate edges, solves it from scratch with the reference solvers (the
+    greedy cover then made irredundant), and checks separation pair by
+    pair.  Every edge that is not `FlowEdge.cuttable` is forbidden."""
+    forbidden = frozenset(key for key, edge in graph.edges.items() if not edge.cuttable)
+    constraints = [
+        PathConstraint(
+            trace_id,
+            nodes,
+            frozenset(edge for edge in zip(nodes, nodes[1:]) if edge not in forbidden),
+        )
+        for trace_id, nodes in graph.negative_paths
+    ]
     for constraint in constraints:
         if not constraint.cuttable:
-            return _reference_conflict(problem.graph, (constraint.nodes[0], constraint.nodes[-1]), constraint.nodes)
+            return _reference_conflict(graph, (constraint.nodes[0], constraint.nodes[-1]), constraint.nodes)
 
     iterations = 0
     refined = 0
@@ -307,23 +332,23 @@ def reference_solve_synthesis_cut(problem, config):
             use_exact = len(candidates) <= config.max_exact_candidates
         else:
             raise ValueError(f"unknown solver {config.solver!r}")
-        solve = reference_exact_hitting_set if use_exact else reference_greedy_hitting_set
-        cut = _reference_hitting_set(solve, sets, problem.forbidden) if sets else frozenset()
+        solve = reference_exact_hitting_set if use_exact else _reference_irredundant_greedy
+        cut = _reference_hitting_set(solve, sets, forbidden) if sets else frozenset()
 
-        if problem.semantics == PATH:
+        if semantics == PATH:
             return CutSet(cut, iterations, use_exact, tuple(constraints))
 
-        leftover = reference_verify_separation(problem.graph, cut, problem.graph.negative_pairs)
+        leftover = reference_verify_separation(graph, cut, graph.negative_pairs)
         if not leftover:
             return CutSet(cut, iterations, use_exact, tuple(constraints))
         for pair, witness in leftover:
             cuttable = frozenset(
                 edge
                 for edge in zip(witness, witness[1:])
-                if edge in problem.graph.edges and problem.graph.edges[edge].cuttable
+                if edge in graph.edges and graph.edges[edge].cuttable
             )
             if not cuttable:
-                return _reference_conflict(problem.graph, pair, witness)
+                return _reference_conflict(graph, pair, witness)
             refined += 1
             constraints.append(PathConstraint(f"refined-{refined}", witness, cuttable))
 

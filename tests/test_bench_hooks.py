@@ -13,10 +13,15 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def test_every_traced_attribute_resolves():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_attribute_resolves():
+    tracing = _tracing()
     tracer = tracing.Tracer()  # looks up every (module, attribute) pair
     assert len(tracer._originals) == len(tracing.WRAPPED) > 0
 
@@ -30,9 +35,7 @@ def test_every_traced_call_site_is_still_called(tmp_path, monkeypatch):
     """Each wrapped (module, attribute) gets its own counter, so that a call
     site that moves away from its wrapped name shows as never called, not
     as a per-layer figure that silently reads 0."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     calls = {}
     for module_name, attr, _ in tracing.WRAPPED:
         module = importlib.import_module(module_name)
@@ -55,3 +58,31 @@ def test_every_traced_call_site_is_still_called(tmp_path, monkeypatch):
     assert main(["synth", "--stack-traces", stacks, "--mode", "effect", "--out", str(tmp_path / "ui")]) == 0
     never = {key for key, count in calls.items() if not count}
     assert never <= NEVER_CALLED
+
+
+def test_traced_counts_survive_the_wrapped_signatures(tmp_path):
+    """The tracer reads its counts from the arguments and results of the
+    calls it wraps, so a changed signature shows here as a count of 0."""
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    from flowsynth.cli import main
+
+    corpus = str(FIXTURES / "golden" / "corpus.json")
+    with tracer.operation("synth"):
+        assert main(["synth", "--corpus", corpus, "--out", str(tmp_path / "golden")]) == 0
+    analysis = str(tmp_path / "golden" / "analysis.json")
+    with tracer.operation("check"):
+        assert main(["check", "--analysis", analysis, "--corpus", corpus, "--out", str(tmp_path / "check")]) == 0
+    stacks = str(FIXTURES / "ui_traces")
+    with tracer.operation("synth"):
+        assert main(["synth", "--stack-traces", stacks, "--mode", "effect", "--out", str(tmp_path / "ui")]) == 0
+    metrics = tracer.layer_metrics(1)
+    counted = (
+        "graph.nodes",
+        "cut.iterations",
+        "cut.constraints",
+        "lattice.elements",
+        "lattice.relation_pairs",
+        "checker.traces_checked",
+    )
+    assert {name: metrics[name] for name in counted if not metrics[name] > 0} == {}

@@ -112,6 +112,31 @@ def test_synth_sanitize_corpus_under_path_semantics(tmp_path, capsys):
     assert "negative pair (user_input, sql_exec)" in err
 
 
+# 14 negatives s{i} -> x -> y -> t{i} share (x, y), and a positive keeps
+# x -> z -> y, so cutting (x, y) separates nothing.  29 candidate edges
+# exceed auto's threshold of 24, so the greedy solver runs.
+FUNNEL_CORPUS = {
+    "traces": [
+        {"id": "keep", "polarity": "positive", "nodes": ["x", "z", "y"]},
+        *(
+            {"id": f"n{i:02d}", "polarity": "negative", "nodes": [f"s{i:02d}", "x", "y", f"t{i:02d}"]}
+            for i in range(14)
+        ),
+    ]
+}
+
+
+def test_greedy_fallback_drops_its_redundant_first_pick(tmp_path, capsys):
+    # greedy picks (x, y) first and refinement then cuts every (s{i}, x);
+    # a kept (x, y) would be a cut edge whose endpoints stay related
+    code, out = synth(tmp_path, FUNNEL_CORPUS)
+    assert code == 0
+    analysis = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
+    assert analysis["cut"] == [[f"s{i:02d}", "x"] for i in range(14)]
+    assert analysis["metadata"]["optimal"] is False
+    assert "internal consistency violations" not in capsys.readouterr().err
+
+
 def test_synth_duplicate_trace_conflict_exits_1(tmp_path, capsys):
     corpus = {
         "traces": [

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from flowsynth import (
     Conflict,
     Corpus,
-    CutProblem,
     CutSet,
     FlowEdge,
     FlowGraph,
@@ -22,7 +21,6 @@ from flowsynth import (
     Trace,
     ValidationError,
     build_graph,
-    cut_problem_from_graph,
     min_hitting_set_exact,
     min_hitting_set_greedy,
     solve_synthesis_cut,
@@ -38,6 +36,7 @@ from oracles import (
     prefix_conflicts,
     reference_exact_hitting_set,
     reference_greedy_hitting_set,
+    reference_irredundant,
     reference_solve_synthesis_cut,
     reference_verify_separation,
 )
@@ -47,8 +46,7 @@ E1, E2, E3 = ("a", "b"), ("b", "c"), ("c", "d")
 
 def solve_corpus(corpus, semantics="separation", solver="exact"):
     graph = build_graph(corpus)
-    problem = cut_problem_from_graph(graph, semantics)
-    return graph, solve_synthesis_cut(problem, SolverConfig(solver=solver))
+    return graph, solve_synthesis_cut(graph, semantics, SolverConfig(solver=solver))
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +83,16 @@ def test_greedy_examples():
     triangle = [frozenset({E1, E2}), frozenset({E1, E3}), frozenset({E2, E3})]
     assert min_hitting_set_greedy(triangle) == {E1, E2}
     assert len(brute_min_hitting_set(triangle)) == 2
+
+
+# E1 is picked first (two sets), then E2 and E3 for their singletons,
+# which hit both of E1's sets
+REDUNDANT_FIRST_PICK = [frozenset({E1, E2}), frozenset({E1, E3}), frozenset({E2}), frozenset({E3})]
+
+
+def test_greedy_drops_a_pick_that_later_picks_made_redundant():
+    assert reference_greedy_hitting_set(REDUNDANT_FIRST_PICK) == {E1, E2, E3}
+    assert min_hitting_set_greedy(REDUNDANT_FIRST_PICK) == {E2, E3}
 
 
 def test_exact_matches_oracle_on_random_families():
@@ -139,6 +147,7 @@ def first_unhittable(sets, forbidden):
 
 @settings(max_examples=200, deadline=None)
 @given(families(max_edges=8, max_sets=24, max_size=3))
+@example((REDUNDANT_FIRST_PICK, frozenset()))
 def test_greedy_matches_reference_on_tie_heavy_families(family):
     sets, forbidden = family
     expected = reference_greedy_hitting_set(sets, forbidden)
@@ -147,7 +156,25 @@ def test_greedy_matches_reference_on_tie_heavy_families(family):
             min_hitting_set_greedy(sets, forbidden)
         assert excinfo.value.index == first_unhittable(sets, forbidden)
         return
-    assert min_hitting_set_greedy(sets, forbidden) == expected
+    assert min_hitting_set_greedy(sets, forbidden) == reference_irredundant(expected, sets)
+
+
+def is_irredundant(cover, sets):
+    """Every edge of the cover is the only cover edge in some set."""
+    return all(any(s & cover == {edge} for s in sets) for edge in cover)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(max_edges=12, max_sets=24, max_size=4))
+@example((REDUNDANT_FIRST_PICK, frozenset()))
+def test_greedy_cover_is_irredundant(family):
+    sets, forbidden = family
+    try:
+        cover = min_hitting_set_greedy(sets, forbidden)
+    except InfeasibleSet:
+        return
+    assert all(s & cover for s in sets)
+    assert is_irredundant(cover, [s - forbidden for s in sets])
 
 
 @settings(max_examples=200, deadline=None)
@@ -430,6 +457,29 @@ def test_synthesis_matches_the_oracle_under_positive_support(corpus):
         assert result.cut.edges == oracle
 
 
+# three negatives through (x, y), which a kept x -> z -> y bypasses: greedy
+# takes (x, y) first, and the refined constraints then need every (s{i}, x)
+FUNNEL = Corpus(
+    traces=(
+        Trace("keep", "positive", ("x", "z", "y")),
+        *(Trace(f"n{i}", "negative", (f"s{i}", "x", "y", f"t{i}")) for i in range(3)),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(noisy_corpora(), st.sampled_from([SolverConfig("greedy"), SolverConfig("auto", 0), SolverConfig()]))
+@example(FUNNEL, SolverConfig("greedy"))
+def test_separation_syntheses_have_no_violations(corpus, config):
+    """Any irredundant separating cut leaves no cut edge related: the one
+    constraint path only that edge hits would reconnect its pair."""
+    result = synthesize(corpus, config=config)
+    if isinstance(result, Conflict):
+        return
+    assert result.violations == ()
+    assert is_irredundant(result.cut.edges, [c.cuttable for c in result.cut.constraints])
+
+
 def test_diamond_cut_lex_tie_break():
     corpus = Corpus(
         traces=(
@@ -454,8 +504,7 @@ def test_path_semantics_hits_observed_paths_only():
         min_positive_support=2,
     )
     graph = build_graph(corpus)
-    problem = cut_problem_from_graph(graph, "path")
-    cut = solve_synthesis_cut(problem, SolverConfig(solver="exact"))
+    cut = solve_synthesis_cut(graph, "path", SolverConfig(solver="exact"))
     assert cut.edges == {("a", "b")}
     assert cut.iterations == 1
     # the a->c shortcut is untouched, so the endpoints are not separated
@@ -467,9 +516,8 @@ def test_solver_determinism():
     for _ in range(20):
         corpus = random_corpus(rng)
         graph = build_graph(corpus)
-        problem = cut_problem_from_graph(graph)
-        first = solve_synthesis_cut(problem, SolverConfig(solver="exact"))
-        second = solve_synthesis_cut(problem, SolverConfig(solver="exact"))
+        first = solve_synthesis_cut(graph, config=SolverConfig(solver="exact"))
+        second = solve_synthesis_cut(graph, config=SolverConfig(solver="exact"))
         assert first == second
 
 
@@ -478,9 +526,8 @@ def test_separation_postcondition_and_greedy_feasibility():
     for _ in range(60):
         corpus = random_corpus(rng)
         graph = build_graph(corpus)
-        problem = cut_problem_from_graph(graph)
-        exact = solve_synthesis_cut(problem, SolverConfig(solver="exact"))
-        greedy = solve_synthesis_cut(problem, SolverConfig(solver="greedy"))
+        exact = solve_synthesis_cut(graph, config=SolverConfig(solver="exact"))
+        greedy = solve_synthesis_cut(graph, config=SolverConfig(solver="greedy"))
         if isinstance(exact, Conflict):
             assert isinstance(greedy, Conflict)
             continue
@@ -502,21 +549,30 @@ def test_refinement_ceiling_fails_loudly():
         min_positive_support=2,
     )
     graph = build_graph(corpus)
-    problem = cut_problem_from_graph(graph)
     with pytest.raises(RefinementLimitError):
-        solve_synthesis_cut(problem, SolverConfig(solver="exact", max_iterations=1))
+        solve_synthesis_cut(graph, config=SolverConfig(solver="exact", max_iterations=1))
     # the default ceiling is far above what this instance needs
-    assert solve_synthesis_cut(problem, SolverConfig(solver="exact")).iterations == 2
+    assert solve_synthesis_cut(graph, config=SolverConfig(solver="exact")).iterations == 2
+
+
+def test_unknown_semantics_or_solver_raises_before_any_work():
+    # the negative is fully protected, so the loop would return a Conflict at once
+    corpus = Corpus(traces=(Trace("p", "positive", ("a", "b")), Trace("n", "negative", ("a", "b"))))
+    graph = build_graph(corpus)
+    with pytest.raises(ValueError, match="unknown semantics 'paths'"):
+        solve_synthesis_cut(graph, "paths")
+    with pytest.raises(ValueError, match="unknown solver 'fast'"):
+        solve_synthesis_cut(graph, config=SolverConfig("fast"))
+    assert isinstance(solve_synthesis_cut(graph), Conflict)
 
 
 def test_auto_policy_uses_exact_within_budget():
     corpus = Corpus(traces=(Trace("n", "negative", ("a", "b", "c")),))
     graph = build_graph(corpus)
-    problem = cut_problem_from_graph(graph)
-    auto = solve_synthesis_cut(problem, SolverConfig(solver="auto", max_exact_candidates=24))
+    auto = solve_synthesis_cut(graph, config=SolverConfig(solver="auto", max_exact_candidates=24))
     assert auto.optimal
     forced_greedy = solve_synthesis_cut(
-        problem, SolverConfig(solver="auto", max_exact_candidates=1)
+        graph, config=SolverConfig(solver="auto", max_exact_candidates=1)
     )
     assert not forced_greedy.optimal
 
@@ -568,18 +624,14 @@ configs = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(flow_graphs(), st.sampled_from(["separation", "path"]), configs, st.data())
-def test_refinement_loop_matches_reference(graph, semantics, config, data):
-    problem = cut_problem_from_graph(graph, semantics)
-    # a problem may forbid cuttable edges too, which can leave a set unhittable
-    extra = data.draw(st.sets(st.sampled_from(sorted(graph.edges)), max_size=2) | st.just(set()))
-    problem = CutProblem(graph, problem.constraint_paths, problem.forbidden | extra, semantics)
-    expected = outcome(reference_solve_synthesis_cut, problem, config)
-    assert outcome(solve_synthesis_cut, problem, config) == expected
+@given(flow_graphs(), st.sampled_from(["separation", "path"]), configs)
+def test_refinement_loop_matches_reference(graph, semantics, config):
+    expected = outcome(reference_solve_synthesis_cut, graph, semantics, config)
+    assert outcome(solve_synthesis_cut, graph, semantics, config) == expected
 
 
 def _solved(graph):
-    return solve_synthesis_cut(cut_problem_from_graph(graph), SolverConfig("exact"))
+    return solve_synthesis_cut(graph, config=SolverConfig("exact"))
 
 
 def _connected_sinks(graph):
@@ -619,15 +671,3 @@ def test_verify_separation_names_the_first_unknown_node():
         with pytest.raises(UnknownNode) as excinfo:
             verify_separation(graph, frozenset(), pairs)
         assert str(excinfo.value) == missing
-
-
-def test_auto_policy_counts_forbidden_candidates_too():
-    # a problem may forbid an edge its constraints name; auto's count still
-    # includes it, so two named edges exceed a threshold of one
-    graph = build_graph(Corpus(traces=(Trace("n", "negative", ("a", "b", "c")),)))
-    problem = cut_problem_from_graph(graph)
-    problem = CutProblem(graph, problem.constraint_paths, frozenset({("a", "b")}))
-    config = SolverConfig("auto", max_exact_candidates=1)
-    cut = solve_synthesis_cut(problem, config)
-    assert cut == reference_solve_synthesis_cut(problem, config)
-    assert cut.edges == {("b", "c")} and not cut.optimal

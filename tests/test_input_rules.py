@@ -211,6 +211,52 @@ def test_malformed_stack_trace_exits_2_and_names_the_file(tmp_path, capsys, text
 
 
 # ---------------------------------------------------------------------------
+# Conflicts: the report names what protects each witness edge in the graph
+
+
+def _entry(trace_id: str, polarity: str, *nodes: str) -> dict:
+    return {"id": trace_id, "polarity": polarity, "nodes": list(nodes)}
+
+
+CONFLICT_CASES = {
+    "positive-support": (
+        {"traces": [_entry("p", "positive", "a", "b"), _entry("n", "negative", "a", "b")]},
+        "  protected by positive trace(s): p\n",
+    ),
+    "required-only-below-support": (
+        {
+            "traces": [_entry("p", "positive", "a", "b"), _entry("n", "negative", "a", "b")],
+            "required_edges": [["a", "b"]],
+            "options": {"min_positive_support": 2},
+        },
+        "  required edge(s): a -> b\n",
+    ),
+    "support-and-required": (
+        {
+            "traces": [_entry("p", "positive", "a", "b"), _entry("n", "negative", "a", "b", "c")],
+            "required_edges": [["b", "c"]],
+        },
+        "  protected by positive trace(s): p\n  required edge(s): b -> c\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, protection", CONFLICT_CASES.values(), ids=CONFLICT_CASES.keys())
+def test_conflict_names_what_protects_the_witness(tmp_path, capsys, doc, protection):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["synth", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 1
+    negative = doc["traces"][1]
+    source, sink = negative["nodes"][0], negative["nodes"][-1]
+    assert capsys.readouterr().err == (
+        f"conflict: cannot separate {source} -> {sink}\n"
+        "  negative trace(s): n\n"
+        f"  protected witness path: {' -> '.join(negative['nodes'])}\n"
+        + protection
+    )
+
+
+# ---------------------------------------------------------------------------
 # Inputs that once ended in a traceback
 
 EXPLAIN_METADATA_CASES = {
@@ -325,6 +371,110 @@ def test_stack_trace_files_end_in_an_exit_code(files, mode):
             (stacks / f"{stem}{suffix}").write_text("\n".join(lines), encoding="utf-8")
         out = str(Path(scratch) / "out")
         assert main(["synth", "--stack-traces", str(stacks), "--mode", mode, "--out", out]) in range(5)
+
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+_GOLDEN_ANALYSIS = json.loads((GOLDEN / "analysis.json").read_text(encoding="utf-8"))
+
+
+def _containers(value) -> list:
+    """Every object and array in a JSON value, the value itself included."""
+    found, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list)):
+            found.append(item)
+            stack.extend(item.values() if isinstance(item, dict) else item)
+    return found
+
+
+def _words(doc) -> list[str]:
+    """The keys and strings of a document, so that mutations also draw
+    plausible names: element names, node ids, field names."""
+    words = set()
+    for item in _containers(doc):
+        for part in (item.items() if isinstance(item, dict) else enumerate(item)):
+            words.update(value for value in part if isinstance(value, str))
+    return sorted(words)
+
+
+def mutated(documents, words: list[str]):
+    """Documents drawn from `documents`, each with one to four objects or
+    arrays anywhere in it changed: an entry dropped, added or given a value
+    of any type, names among them drawn from `words`."""
+    keys = st.sampled_from(words) | st.text(max_size=4)
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(words) | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=2),
+        max_leaves=6,
+    )
+
+    @st.composite
+    def mutate(draw) -> dict:
+        doc = json.loads(json.dumps(draw(documents)))
+        for _ in range(draw(st.integers(1, 4))):
+            target = draw(st.sampled_from(_containers(doc)))
+            indices = sorted(target) if isinstance(target, dict) else list(range(len(target)))
+            kind = draw(st.sampled_from(["drop", "add", "retype"]))
+            if kind == "add" or not indices:
+                if isinstance(target, dict):
+                    target[draw(keys)] = draw(values)
+                else:
+                    target.insert(draw(st.integers(0, len(target))), draw(values))
+            elif kind == "drop":
+                del target[draw(st.sampled_from(indices))]
+            else:
+                target[draw(st.sampled_from(indices))] = draw(values)
+        return doc
+
+    return mutate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mutated(st.just(_GOLDEN_ANALYSIS), _words(_GOLDEN_ANALYSIS)),
+    st.sampled_from(["entrée-sûre", "fuite→journal", "rendu", "trusted"]),
+)
+def test_mutated_analysis_documents_end_in_an_exit_code(doc, trace_id):
+    """check and explain on a mutated golden analysis.json end in one of
+    their exit codes and never raise."""
+    with tempfile.TemporaryDirectory() as scratch:
+        analysis = Path(scratch) / "analysis.json"
+        analysis.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        corpus = str(GOLDEN / "corpus.json")
+        out = str(Path(scratch) / "out")
+        assert main(["check", "--analysis", str(analysis), "--corpus", corpus, "--out", out]) in range(5)
+        assert main(["explain", "--analysis", str(analysis), "--trace-id", trace_id, "--corpus", corpus]) in range(5)
+
+
+_GRAPH_NODES = "abcd"
+_STATIC_GRAPHS = st.lists(st.sampled_from(_GRAPH_NODES), min_size=1, max_size=4, unique=True).flatmap(
+    lambda nodes: st.fixed_dictionaries(
+        {
+            "nodes": st.just(nodes),
+            "edges": st.lists(st.lists(st.sampled_from(nodes), min_size=2, max_size=2), max_size=6),
+        }
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _STATIC_GRAPHS | mutated(_STATIC_GRAPHS, [*_GRAPH_NODES, "edges", "nodes"]),
+    st.sampled_from(_GRAPH_NODES),
+    st.sampled_from(_GRAPH_NODES),
+    st.integers(0, 5),
+    st.integers(0, 4),
+)
+def test_static_graph_documents_end_in_an_exit_code(doc, source, sink, max_len, max_paths):
+    """expand on a drawn, possibly mutated, static graph ends in one of its
+    exit codes and never raises."""
+    with tempfile.TemporaryDirectory() as scratch:
+        graph = Path(scratch) / "graph.json"
+        graph.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["expand", "--static-graph", str(graph), "--source", source, "--sink", sink]
+        limits = ["--max-path-len", str(max_len), "--max-paths", str(max_paths)]
+        assert main([*argv, *limits, "--out", str(Path(scratch) / "expanded.json")]) in range(5)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from flowsynth import (
     build_order,
     check_consistency,
     complete_join_semilattice,
-    cut_problem_from_graph,
     join,
     order_query,
     solve_synthesis_cut,
@@ -99,9 +98,9 @@ def test_consistency_empty_after_separation_solve():
         )
     )
     graph = build_graph(corpus)
-    cut = solve_synthesis_cut(cut_problem_from_graph(graph), SolverConfig(solver="exact"))
-    order = build_order(graph, cut)
-    assert check_consistency(order, cut, graph.negative_pairs) == ()
+    cut = solve_synthesis_cut(graph, config=SolverConfig(solver="exact"))
+    order = build_order(graph, cut.edges)
+    assert check_consistency(order, cut.edges, graph.negative_pairs) == ()
 
 
 def test_consistency_flags_alternate_retained_path():
