@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _str
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import CycleError, InvalidAnalysisError, NotRejected
 from .graph import _upset_pairs, _upsets, scc_condense
 from .lattice import Element
-from .traces import Corpus, Edge, Trace, dump_json, is_string_list, is_string_pair, load_json
+from .traces import NEGATIVE, POSITIVE, Corpus, Edge, Trace, dump_json, is_string_list, is_string_pair, load_json
 
 QUALIFIER_DEFAULT = "Q_unknown"
 
@@ -41,8 +41,10 @@ class AnalysisSpec:
         return (a, b) in self.relation
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """One trace's verdict, an immutable named tuple; a rejection names the
+    first violating edge, its index in the path and the unrelated pair."""
+
     trace_id: str
     accepted: bool
     violation_index: int | None = None
@@ -94,20 +96,15 @@ def check_trace(spec: AnalysisSpec, trace: Trace) -> Verdict:
 
 
 def check_corpus(spec: AnalysisSpec, corpus: Corpus) -> CheckReport:
-    verdicts = tuple(check_trace(spec, trace) for trace in corpus.traces)
-    neg_rej = neg_acc = pos_acc = pos_rej = 0
-    for trace, verdict in zip(corpus.traces, verdicts):
-        if trace.is_negative:
-            if verdict.accepted:
-                neg_acc += 1
-            else:
-                neg_rej += 1
-        else:
-            if verdict.accepted:
-                pos_acc += 1
-            else:
-                pos_rej += 1
-    return CheckReport(verdicts, neg_rej, neg_acc, pos_acc, pos_rej)
+    """Every trace's verdict, and the four counts taken in the same pass,
+    keyed by (polarity, accepted) in the order CheckReport lists them."""
+    verdicts = []
+    counts = dict.fromkeys([(NEGATIVE, False), (NEGATIVE, True), (POSITIVE, True), (POSITIVE, False)], 0)
+    for trace in corpus.traces:
+        verdict = check_trace(spec, trace)
+        verdicts.append(verdict)
+        counts[trace.polarity, verdict.accepted] += 1
+    return CheckReport(tuple(verdicts), *counts.values())
 
 
 @dataclass(frozen=True)

@@ -98,11 +98,12 @@ def build_graph(corpus: Corpus) -> FlowGraph:
         ) or key in corpus.required_edges
         edges[key] = FlowEdge(key[0], key[1], frozenset(witnesses[key]), support, protected)
 
+    negatives = corpus.negatives
     pairs: list[Edge] = []
-    for trace in corpus.negatives:
+    for trace in negatives:
         if trace.endpoints not in pairs:
             pairs.append(trace.endpoints)
-    paths = tuple((trace.id, trace.nodes) for trace in corpus.negatives)
+    paths = tuple((trace.id, trace.nodes) for trace in negatives)
     return FlowGraph(frozenset(nodes), edges, tuple(pairs), paths, corpus.min_positive_support)
 
 

@@ -13,9 +13,10 @@ checks separation with one search per negative pair, the
 pairwise-fixpoint join completion over frozensets, and the writers and
 checks as first written (the corpus, report and analysis documents through
 `json.dumps` with `indent`, the node-id predicate as a per-character scan,
-the trace check over the `trace_edges` tuple).  None of it shares code with
-the implementations under test; the references only build the package's
-own data types.
+the string-list predicate as a generator over the items, the trace check
+over the `trace_edges` tuple, the corpus check that counts in a second walk
+over the traces).  None of it shares code with the implementations under
+test; the references only build the package's own data types.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 from collections import deque
 from itertools import combinations
 
-from flowsynth.checker import Verdict
+from flowsynth.checker import CheckReport, Verdict
 from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint
 from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode
 from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element
@@ -435,6 +436,10 @@ def reference_is_valid_node_id(name: object) -> bool:
     return isinstance(name, str) and bool(name) and not any(ch.isspace() for ch in name)
 
 
+def reference_is_string_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def reference_serialize_corpus(corpus) -> str:
     """Canonical corpus serialization: key-sorted JSON, sorted edge list,
     defaults written out, trailing newline.  parse_corpus inverts it."""
@@ -465,6 +470,25 @@ def reference_check_trace(spec, trace):
         if not spec.leq(a, b):
             return Verdict(trace.id, False, index, (src, dst), a, b)
     return Verdict(trace.id, True)
+
+
+def reference_check_corpus(spec, corpus):
+    """Verdicts first, then the four counts from a second walk that pairs
+    each trace with its verdict; traces are checked by the reference."""
+    verdicts = tuple(reference_check_trace(spec, trace) for trace in corpus.traces)
+    neg_rej = neg_acc = pos_acc = pos_rej = 0
+    for trace, verdict in zip(corpus.traces, verdicts):
+        if trace.is_negative:
+            if verdict.accepted:
+                neg_acc += 1
+            else:
+                neg_rej += 1
+        else:
+            if verdict.accepted:
+                pos_acc += 1
+            else:
+                pos_rej += 1
+    return CheckReport(verdicts, neg_rej, neg_acc, pos_acc, pos_rej)
 
 
 def reference_report_json(report, digest, spec) -> str:

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowsynth
@@ -33,7 +33,13 @@ from flowsynth import (
 )
 
 from corpusgen import random_corpus
-from oracles import order_law_error, reachability_closure, reference_check_trace, reference_dump_analysis
+from oracles import (
+    order_law_error,
+    reachability_closure,
+    reference_check_corpus,
+    reference_check_trace,
+    reference_dump_analysis,
+)
 
 TAINT_CORPUS = Corpus(
     traces=(
@@ -416,6 +422,51 @@ def test_check_trace_matches_reference(data):
         tuple(data.draw(st.lists(nodes, min_size=2, max_size=8))),
     )
     assert check_trace(spec, trace) == reference_check_trace(spec, trace)
+
+
+
+def _spec(relation, assignment, default) -> AnalysisSpec:
+    return AnalysisSpec("qualifier", (), frozenset(relation), assignment, frozenset(), default)
+
+
+def _corpus(*paths) -> Corpus:
+    return Corpus(traces=tuple(Trace(f"t{i}", polarity, nodes) for i, (polarity, nodes) in enumerate(paths)))
+
+
+@st.composite
+def checked_corpora(draw):
+    """A random relation over four elements (not necessarily an order) and
+    a corpus of up to a dozen traces whose nodes are partly unassigned, so
+    that they fall to the default element."""
+    names = st.sampled_from(["A", "B", "C", "D"])
+    nodes = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+    spec = _spec(
+        draw(st.lists(st.tuples(names, names), max_size=16)),
+        draw(st.dictionaries(nodes, names, max_size=4)),
+        draw(names),
+    )
+    polarity = st.sampled_from(["positive", "negative"])
+    paths = draw(st.lists(st.tuples(polarity, st.lists(nodes, min_size=2, max_size=6)), max_size=12))
+    return spec, _corpus(*paths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_corpora())
+# an empty corpus
+@example((_spec([("A", "A")], {}, "A"), Corpus()))
+# an empty relation rejects every trace, of either polarity
+@example((_spec([], {"a": "A"}, "B"), _corpus(("negative", ("a", "b")), ("positive", ("b", "a", "c")))))
+# nodes no assignment names map to the default: accepted within it, and
+# rejected on the one edge that leaves it
+@example(
+    (
+        _spec([("A", "A"), ("B", "A")], {"a": "B"}, "A"),
+        _corpus(("positive", ("x", "y")), ("negative", ("a", "x", "y")), ("negative", ("x", "a"))),
+    )
+)
+def test_check_corpus_matches_reference(case):
+    spec, corpus = case
+    assert check_corpus(spec, corpus) == reference_check_corpus(spec, corpus)
 
 
 # names that need escaping, line separators, non-ASCII text and the bottom

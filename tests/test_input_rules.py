@@ -113,6 +113,10 @@ ANALYSIS_CASES = {
         "element entries need name, members, synthetic",
     ),
     "duplicate-element": (_duplicate_name, "duplicate element name Q_tainted"),
+    "members-not-strings": (
+        lambda d: _element(d, "Q_tainted").update(members=["tainted", 1]),
+        "members of element Q_tainted must be an array of strings",
+    ),
     "no-members": (
         lambda d: _element(d, "Q_tainted").update(members=[]),
         "non-synthetic element Q_tainted has no members",
@@ -265,6 +269,8 @@ EXPLAIN_METADATA_CASES = {
     "cut-origins-edge-number": ("cut_origins", [[5, []]], "[edge, constraint ids] pairs"),
     "constraints-number": ("constraints", 5, "{id, nodes} objects"),
     "constraint-nodes-number": ("constraints", [{"id": "leak", "nodes": 5}], "{id, nodes} objects"),
+    "constraint-nodes-not-strings": ("constraints", [{"id": "leak", "nodes": ["tainted", 1]}], "{id, nodes} objects"),
+    "cut-origins-ids-not-strings": ("cut_origins", [[["tainted", "untainted"], [None]]], "[edge, constraint ids] pairs"),
 }
 
 

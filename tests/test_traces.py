@@ -25,9 +25,9 @@ from flowsynth import (
     validate_corpus,
 )
 
-from flowsynth.traces import is_valid_node_id, load_json
+from flowsynth.traces import is_string_list, is_valid_node_id, load_json
 
-from oracles import reference_is_valid_node_id, reference_serialize_corpus
+from oracles import reference_is_string_list, reference_is_valid_node_id, reference_serialize_corpus
 
 
 def test_parse_minimal_negative_trace():
@@ -372,6 +372,32 @@ def test_node_id_predicate_matches_reference(name: str):
 @pytest.mark.parametrize("name", [None, 1, b"ab", ["ab"], "", " ", "a\u3000b", "a\x1fb", "\x85", "ab"])
 def test_node_id_predicate_edge_cases(name):
     assert is_valid_node_id(name) == reference_is_valid_node_id(name)
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ([], True),
+        (["a"], True),
+        (["a b", "", "\udc80"], True),
+        ([_Text("a")], True),
+        (["a", 1], False),
+        ([None], False),
+        ([True], False),
+        ([["a"]], False),
+        ([b"a"], False),
+        ("ab", False),
+        (("a", "b"), False),
+        ({"a": 1}, False),
+        (None, False),
+    ],
+)
+def test_string_list_predicate_matches_reference(value, expected):
+    assert is_string_list(value) == reference_is_string_list(value) == expected
 
 
 @pytest.mark.parametrize("bad", ["", "a b", "\u2028", "x\x1c"])
