@@ -7,11 +7,16 @@ convert, a string holding a lone surrogate and a file that is not UTF-8;
 a parse error names the file), and any other flowsynth error; 3 invalid
 or inconsistent analysis, including malformed constraint records in the
 metadata `explain` reads; 4 check found misses or false alarms.
+
+A command runs with the cyclic garbage collector paused: what it builds
+is acyclic, so reference counting frees it, and the collector would only
+rescan the decoded corpus and the traces and verdicts made from it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 from dataclasses import replace
@@ -107,6 +112,8 @@ def main(argv: list[str] | None = None) -> int:
         "expand": run_expand,
         "explain": run_explain,
     }
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args)
     except InvalidAnalysisError as exc:
@@ -118,6 +125,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FlowSynthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _load_corpus_inputs(args) -> Corpus:

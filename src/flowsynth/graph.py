@@ -99,12 +99,9 @@ def build_graph(corpus: Corpus) -> FlowGraph:
         edges[key] = FlowEdge(key[0], key[1], frozenset(witnesses[key]), support, protected)
 
     negatives = corpus.negatives
-    pairs: list[Edge] = []
-    for trace in negatives:
-        if trace.endpoints not in pairs:
-            pairs.append(trace.endpoints)
+    pairs = tuple(dict.fromkeys(trace.endpoints for trace in negatives))
     paths = tuple((trace.id, trace.nodes) for trace in negatives)
-    return FlowGraph(frozenset(nodes), edges, tuple(pairs), paths, corpus.min_positive_support)
+    return FlowGraph(frozenset(nodes), edges, pairs, paths, corpus.min_positive_support)
 
 
 def reachable(graph: FlowGraph, start: str, excluded: frozenset[Edge] = frozenset()) -> frozenset[str]:

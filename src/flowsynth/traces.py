@@ -19,7 +19,9 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from json.encoder import encode_basestring as _str
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -56,7 +58,8 @@ class Trace(_TraceFields):
 
     An immutable named tuple.  Every way of making one validates: the
     constructor, `_make`, `_replace` (which calls `_make`) and unpickling
-    (which calls the constructor)."""
+    (which calls the constructor).  `parse_corpus` builds traces directly,
+    after checking the same rules over the whole "traces" array."""
 
     __slots__ = ()
 
@@ -151,6 +154,7 @@ _CORPUS_KEYS = {"mode", "traces", "required_edges", "options", "metadata"}
 _TRACE_KEYS = {"id", "polarity", "nodes", "origin"}
 _TRACE_REQUIRED = {"id", "polarity", "nodes"}
 _OPTION_KEYS = {"min_positive_support"}
+_ENTRY_KEY_SETS = {frozenset(_TRACE_REQUIRED), frozenset(_TRACE_KEYS)}
 
 
 def parse_file(parse, path: str | Path, *args):
@@ -256,6 +260,39 @@ def dump_json(doc: dict, rows: dict[str, list[str]]) -> str:
     return "".join(pieces)
 
 
+def _bulk_traces(entries: list) -> tuple[Trace, ...] | None:
+    """The traces of a "traces" array, or None if any entry breaks a rule
+    of the per-entry loop in `parse_corpus` or of `Trace.__new__`.  Each
+    rule is checked once over the whole array, in passes that run in C,
+    and the traces are built without calling `Trace.__new__`."""
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    if not all(frozenset(keys) in _ENTRY_KEY_SETS for keys in set(map(tuple, entries))):
+        return None
+    ids = list(map(itemgetter("id"), entries))
+    polarities = list(map(itemgetter("polarity"), entries))
+    paths = list(map(itemgetter("nodes"), entries))
+    origins = list(map(dict.get, entries, repeat("origin")))
+    try:
+        if not (
+            set(map(type, ids)) <= {str}
+            and all(ids)
+            and set(polarities) <= set(POLARITIES)
+            and set(map(type, paths)) <= {list}
+            and min(map(len, paths), default=2) >= 2
+            and set(map(type, origins)) <= {str, type(None)}
+        ):
+            return None
+        # every node is a valid id iff the joined nodes split back into
+        # them, as in Trace.__new__ (a node that is not a string fails the join)
+        nodes = list(chain.from_iterable(paths))
+        if " ".join(nodes).split() != nodes:
+            return None
+    except TypeError:  # an unhashable polarity, or a node that is not a string
+        return None
+    return tuple(map(tuple.__new__, repeat(Trace), zip(ids, polarities, map(tuple, paths), origins)))
+
+
 def parse_corpus(text: str) -> Corpus:
     """Parse the corpus JSON document.
 
@@ -275,23 +312,26 @@ def parse_corpus(text: str) -> Corpus:
     raw_traces = doc["traces"]
     if not isinstance(raw_traces, list):
         raise ValidationError("'traces' must be an array")
-    traces = []
-    for i, entry in enumerate(raw_traces):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"trace entry {i} must be an object")
-        if not entry.keys() <= _TRACE_KEYS:
-            bad = sorted(set(entry) - _TRACE_KEYS)
-            raise ValidationError(f"trace entry {i}: unknown field(s): {', '.join(bad)}")
-        if not entry.keys() >= _TRACE_REQUIRED:
-            missing = sorted(_TRACE_REQUIRED - set(entry))
-            raise ValidationError(f"trace entry {i}: missing field(s): {', '.join(missing)}")
-        nodes = entry["nodes"]
-        if not is_string_list(nodes):
-            raise ValidationError(f"trace entry {i}: 'nodes' must be an array of strings")
-        origin = entry.get("origin")
-        if origin is not None and not isinstance(origin, str):
-            raise ValidationError(f"trace entry {i}: 'origin' must be a string")
-        traces.append(Trace(entry["id"], entry["polarity"], tuple(nodes), origin))
+    traces = _bulk_traces(raw_traces)
+    if traces is None:
+        # some entry breaks a rule: check one by one, to name the first
+        traces = []
+        for i, entry in enumerate(raw_traces):
+            if not isinstance(entry, dict):
+                raise ValidationError(f"trace entry {i} must be an object")
+            if not entry.keys() <= _TRACE_KEYS:
+                bad = sorted(set(entry) - _TRACE_KEYS)
+                raise ValidationError(f"trace entry {i}: unknown field(s): {', '.join(bad)}")
+            if not entry.keys() >= _TRACE_REQUIRED:
+                missing = sorted(_TRACE_REQUIRED - set(entry))
+                raise ValidationError(f"trace entry {i}: missing field(s): {', '.join(missing)}")
+            nodes = entry["nodes"]
+            if not is_string_list(nodes):
+                raise ValidationError(f"trace entry {i}: 'nodes' must be an array of strings")
+            origin = entry.get("origin")
+            if origin is not None and not isinstance(origin, str):
+                raise ValidationError(f"trace entry {i}: 'origin' must be a string")
+            traces.append(Trace(entry["id"], entry["polarity"], tuple(nodes), origin))
 
     required = doc.get("required_edges", [])
     if not isinstance(required, list):

@@ -15,8 +15,11 @@ checks as first written (the corpus, report and analysis documents through
 `json.dumps` with `indent`, the node-id predicate as a per-character scan,
 the string-list predicate as a generator over the items, the trace check
 over the `trace_edges` tuple, the corpus check that counts in a second walk
-over the traces).  None of it shares code with the implementations under
-test; the references only build the package's own data types.
+over the traces, the corpus parser that checks the traces array one entry
+at a time).  None of it shares code with the implementations under test;
+the references only build the package's own data types (the corpus
+parser also reads the document with the package's JSON decoder and
+predicates, which are not what its oracle tests).
 """
 
 from __future__ import annotations
@@ -27,9 +30,17 @@ from itertools import combinations
 
 from flowsynth.checker import CheckReport, Verdict
 from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint
-from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode
+from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode, ValidationError
 from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element
-from flowsynth.traces import trace_edges
+from flowsynth.traces import (
+    QUALIFIER,
+    Corpus,
+    Trace,
+    is_string_list,
+    is_string_pair,
+    load_json,
+    trace_edges,
+)
 
 
 def brute_min_hitting_set(sets, forbidden=frozenset()):
@@ -538,3 +549,72 @@ def reference_dump_analysis(spec) -> str:
         "metadata": spec.metadata,
     }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+_CORPUS_KEYS = {"mode", "traces", "required_edges", "options", "metadata"}
+_TRACE_KEYS = {"id", "polarity", "nodes", "origin"}
+_TRACE_REQUIRED = {"id", "polarity", "nodes"}
+_OPTION_KEYS = {"min_positive_support"}
+
+
+def reference_parse_corpus(text: str) -> Corpus:
+    """The corpus parser as first written: every trace entry checked on
+    its own, in order, and built by the validating `Trace` constructor."""
+    doc = load_json(text)
+    if not isinstance(doc, dict):
+        raise ValidationError("corpus document must be a JSON object")
+    unknown = sorted(set(doc) - _CORPUS_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown corpus field(s): {', '.join(unknown)}")
+    if "traces" not in doc:
+        raise ValidationError("corpus document is missing 'traces'")
+
+    raw_traces = doc["traces"]
+    if not isinstance(raw_traces, list):
+        raise ValidationError("'traces' must be an array")
+    traces = []
+    for i, entry in enumerate(raw_traces):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"trace entry {i} must be an object")
+        if not entry.keys() <= _TRACE_KEYS:
+            bad = sorted(set(entry) - _TRACE_KEYS)
+            raise ValidationError(f"trace entry {i}: unknown field(s): {', '.join(bad)}")
+        if not entry.keys() >= _TRACE_REQUIRED:
+            missing = sorted(_TRACE_REQUIRED - set(entry))
+            raise ValidationError(f"trace entry {i}: missing field(s): {', '.join(missing)}")
+        nodes = entry["nodes"]
+        if not is_string_list(nodes):
+            raise ValidationError(f"trace entry {i}: 'nodes' must be an array of strings")
+        origin = entry.get("origin")
+        if origin is not None and not isinstance(origin, str):
+            raise ValidationError(f"trace entry {i}: 'origin' must be a string")
+        traces.append(Trace(entry["id"], entry["polarity"], tuple(nodes), origin))
+
+    required = doc.get("required_edges", [])
+    if not isinstance(required, list):
+        raise ValidationError("'required_edges' must be an array")
+    required_edges = []
+    for i, pair in enumerate(required):
+        if not is_string_pair(pair):
+            raise ValidationError(f"required edge {i} must be a pair of strings")
+        required_edges.append((pair[0], pair[1]))
+
+    options = doc.get("options", {})
+    if not isinstance(options, dict):
+        raise ValidationError("'options' must be an object")
+    bad = sorted(set(options) - _OPTION_KEYS)
+    if bad:
+        raise ValidationError(f"unknown option(s): {', '.join(bad)}")
+    min_support = options.get("min_positive_support", 1)
+
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValidationError("'metadata' must be an object")
+
+    return Corpus(
+        mode=doc.get("mode", QUALIFIER),
+        traces=tuple(traces),
+        required_edges=frozenset(required_edges),
+        min_positive_support=min_support,
+        metadata=metadata,
+    )

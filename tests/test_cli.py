@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from functools import partial
@@ -346,6 +347,93 @@ def test_synth_deterministic_artifacts(tmp_path):
     assert code1 == code2 == 0
     for name in ("analysis.json", "lattice.dot", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector switched as the parameter says, and restored after."""
+    was_enabled = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collector):
+    code, out = synth(tmp_path, TAINT_CORPUS)
+    assert code == 0
+    assert gc.isenabled() == collector
+    check = ["check", "--analysis", str(out / "analysis.json"), "--out", str(tmp_path / "check")]
+    assert main([*check, "--corpus", str(tmp_path / "missing.json")]) == 2
+    assert gc.isenabled() == collector
+
+    during = []
+
+    def failing(args):
+        during.append(gc.isenabled())
+        raise RuntimeError("not a flowsynth error")
+
+    monkeypatch.setattr(cli, "run_check", failing)
+    with pytest.raises(RuntimeError, match="not a flowsynth error"):
+        main([*check, "--corpus", str(tmp_path / "corpus.json")])
+    assert during == [False]
+    assert gc.isenabled() == collector
+
+
+def _cyclic_garbage_per_run(argvs: list[list[str]]) -> list[int]:
+    """What `gc.collect()` finds after each command, the collector paused
+    throughout; one warm-up run first, so that one-off set-up is not
+    counted."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        main(argvs[0])
+        gc.collect()
+        found = []
+        for argv in argvs:
+            main(argv)
+            found.append(gc.collect())
+        return found
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _chains_corpus(chains: int, copies: int) -> dict:
+    """`chains` taint pairs, each flow written `copies` times under its own id."""
+    traces = []
+    for i in range(chains):
+        for k in range(copies):
+            traces.append({"id": f"ok{i}.{k}", "polarity": "positive", "nodes": [f"u{i}", f"s{i}", f"t{i}"]})
+            traces.append({"id": f"bad{i}.{k}", "polarity": "negative", "nodes": [f"t{i}", f"u{i}"]})
+    return {"mode": "qualifier", "traces": traces}
+
+
+def test_cyclic_garbage_of_a_command_does_not_grow_with_the_corpus(tmp_path, capsys):
+    """Pausing the collector holds memory only while no command makes
+    reference cycles that grow with its input."""
+    small = write_json(tmp_path / "small.json", _chains_corpus(2, 1))
+    large = write_json(tmp_path / "large.json", _chains_corpus(40, 2))
+    synths = [["synth", "--corpus", str(path), "--out", str(tmp_path / path.stem)] for path in (small, large)]
+    synth_garbage = _cyclic_garbage_per_run(synths)
+    assert synth_garbage[0] == synth_garbage[1]
+
+    analysis = str(tmp_path / "large" / "analysis.json")
+    probes = []
+    for size in (50, 5000):
+        traces = _chains_corpus(40, size // 80 + 1)["traces"][:size]
+        probes.append(write_json(tmp_path / f"probe{size}.json", {"traces": traces}))
+    checks = [["check", "--analysis", analysis, "--corpus", str(path), "--out", str(tmp_path / "check")] for path in probes]
+    check_garbage = _cyclic_garbage_per_run(checks)
+    assert check_garbage[0] == check_garbage[1]
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,22 @@ def test_build_graph_union_and_protection():
     assert graph.negative_pairs == (("a", "c"),)
 
 
+def test_negative_pairs_are_distinct_in_first_seen_order():
+    graph = build_graph(
+        corpus_of(
+            Trace("n1", "negative", ("z", "y")),
+            Trace("n2", "negative", ("a", "m", "b")),
+            Trace("p", "positive", ("q", "r")),
+            Trace("n3", "negative", ("z", "x", "y")),
+            Trace("n4", "negative", ("c", "a")),
+            Trace("n5", "negative", ("a", "b")),
+            Trace("n6", "negative", ("z", "y")),
+        )
+    )
+    assert graph.negative_pairs == (("z", "y"), ("a", "b"), ("c", "a"))
+    assert [trace_id for trace_id, _ in graph.negative_paths] == ["n1", "n2", "n3", "n4", "n5", "n6"]
+
+
 def test_build_graph_support_threshold():
     two = corpus_of(
         Trace("p1", "positive", ("a", "b")),

@@ -25,9 +25,14 @@ from flowsynth import (
     validate_corpus,
 )
 
-from flowsynth.traces import is_string_list, is_valid_node_id, load_json
+from flowsynth.traces import _bulk_traces, is_string_list, is_valid_node_id, load_json
 
-from oracles import reference_is_string_list, reference_is_valid_node_id, reference_serialize_corpus
+from oracles import (
+    reference_is_string_list,
+    reference_is_valid_node_id,
+    reference_parse_corpus,
+    reference_serialize_corpus,
+)
 
 
 def test_parse_minimal_negative_trace():
@@ -477,3 +482,86 @@ def test_mutated_corpus_documents_fail_cleanly_or_round_trip(doc: dict):
     except (ParseError, ValidationError):
         return
     assert parse_corpus(serialize_corpus(corpus)) == corpus
+
+
+# ---------------------------------------------------------------------------
+# the bulk check of the traces array, against the per-entry parser
+
+def _parsed(parse, text: str):
+    """The corpus `parse` makes of `text`, or its error's type and message."""
+    try:
+        return parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _entry_error(entries: list) -> bool:
+    """Whether the per-entry parser rejects some entry of a traces array:
+    a duplicate id is found only after every entry has passed."""
+    try:
+        reference_parse_corpus(json.dumps({"traces": entries}))
+    except ValidationError as exc:
+        return not str(exc).startswith("duplicate trace id")
+    return False
+
+
+def _assert_parses_as_reference(text: str) -> None:
+    parsed = _parsed(parse_corpus, text)
+    assert parsed == _parsed(reference_parse_corpus, text)
+    if isinstance(parsed, Corpus):
+        assert all(type(trace) is Trace and type(trace.nodes) is tuple for trace in parsed.traces)
+    doc = json.loads(text)
+    if isinstance(doc, dict) and isinstance(doc.get("traces"), list):
+        # the slow loop runs only when some entry breaks a rule
+        assert (_bulk_traces(doc["traces"]) is None) == _entry_error(doc["traces"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_documents())
+def test_parse_corpus_matches_reference(doc: dict):
+    _assert_parses_as_reference(json.dumps(doc))
+
+
+_DROP = object()
+
+
+def _entry(i: int = 0, **changes) -> dict:
+    """A valid trace entry with `changes` made; a key set to _DROP goes."""
+    entry = {"id": f"t{i}", "polarity": "negative", "nodes": ["a", "b"]}
+    entry.update(changes)
+    return {key: value for key, value in entry.items() if value is not _DROP}
+
+
+_TEN = [_entry(i) for i in range(10)]
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ([], None),
+        ([_entry(origin=None)], None),
+        ([_entry(origin="static-expansion"), _entry(1, polarity="positive", nodes=["b", "c", "d"])], None),
+        ([_entry(polarity=["negative"])], "trace t0: unknown polarity ['negative']"),
+        ([_entry(polarity={"negative": 1})], "trace t0: unknown polarity {'negative': 1}"),
+        ([_entry(nodes=["a"])], "trace t0: a path needs at least 2 nodes, got 1"),
+        ([_entry(nodes=["a", ""])], "trace t0: invalid node id ''"),
+        ([_entry(nodes=["a b", "c"])], "trace t0: invalid node id 'a b'"),
+        ([_entry(nodes=["a", "x\x1c"])], "trace t0: invalid node id 'x\\x1c'"),
+        ([_entry(id=7)], "trace id must be a non-empty string"),
+        ([_entry(id="")], "trace id must be a non-empty string"),
+        ([_entry(), ["t1", "negative", ["a", "b"]]], "trace entry 1 must be an object"),
+        ([_entry(extra=1)], "trace entry 0: unknown field(s): extra"),
+        ([_entry(polarity=_DROP)], "trace entry 0: missing field(s): polarity"),
+        (_TEN[:7] + [_entry(7, nodes="ab")] + _TEN[8:], "trace entry 7: 'nodes' must be an array of strings"),
+        (_TEN[:7] + [_entry(7, origin=3)] + _TEN[8:], "trace entry 7: 'origin' must be a string"),
+    ],
+)
+def test_bulk_trace_check_agrees_with_the_entry_loop(entries, error):
+    text = json.dumps({"traces": entries})
+    _assert_parses_as_reference(text)
+    if error is None:
+        assert parse_corpus(text).traces == reference_parse_corpus(text).traces
+    else:
+        with pytest.raises(ValidationError) as raised:
+            parse_corpus(text)
+        assert str(raised.value) == error
