@@ -1,30 +1,45 @@
 """Apply a synthesized analysis to traces: verdicts, reports, explanations.
 
-The serialized analysis omits reflexive order pairs and implies the
-transitive closure.  The loader rebuilds the order as one up-set bitset per
-element and checks the order laws on those before any trace is checked: a
-cycle breaks antisymmetry (the smallest equivalent pair is reported); in
-effect mode the bottom's up-set holds every element, and a and b have a
-least upper bound iff up(a) & up(b) is itself some element's up-set.
+analysis.json (format_version 2) stores the order as its covering edges,
+which imply the reflexive transitive closure; in effect mode it lists only
+the elements a check can reach, the generators and the bottom, which is
+the default element.  The loader rebuilds the order as one up-set bitset
+per element and checks the order laws on those before any trace is
+checked: a cycle breaks antisymmetry (the smallest equivalent pair is
+reported), and in effect mode the bottom's up-set holds every element.  A
+version 2 effect order needs no join check: its elements stand for the
+down-sets of generators, whose unions form a join semilattice by
+construction.  A version 1 file (no format_version) may list every join
+and the full relation; it still loads, and in effect mode a and b must
+then have a least upper bound, which holds iff up(a) & up(b) is itself
+some element's up-set.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _str
 from typing import Any, NamedTuple
 
 from .errors import CycleError, InvalidAnalysisError, NotRejected
-from .graph import _upset_pairs, _upsets, scc_condense
+from .graph import _upset_pairs, _upsets, hasse_reduce, scc_condense
 from .lattice import Element
 from .traces import NEGATIVE, POSITIVE, Corpus, Edge, Trace, dump_json, is_string_list, is_string_pair, load_json
 
 QUALIFIER_DEFAULT = "Q_unknown"
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class AnalysisSpec:
-    """The synthesized analysis as a self-contained, serializable value."""
+    """The synthesized analysis as a self-contained, serializable value.
+
+    covers are the covering pairs of `relation`, which analysis.json
+    stores.  Synthesis reads them off its up-set bitsets; when they are
+    None, as for a loaded or hand-built spec, `dump_analysis` reduces the
+    relation.
+    """
 
     mode: str
     elements: tuple[Element, ...]
@@ -33,6 +48,7 @@ class AnalysisSpec:
     cut: frozenset[Edge]
     default_element: str
     metadata: dict[str, Any] = field(default_factory=dict)
+    covers: frozenset[tuple[str, str]] | None = field(default=None, compare=False)
 
     def element_of(self, node: str) -> str:
         return self.assignment.get(node, self.default_element)
@@ -178,45 +194,78 @@ def _is_cut_origin(entry: object) -> bool:
 # Serialization
 
 def dump_analysis(spec: AnalysisSpec) -> str:
-    """Canonical analysis serialization: key-sorted JSON with an indent of
-    2, reflexive order pairs omitted, every sequence deterministically
-    ordered, trailing newline.
+    """Canonical analysis serialization, format_version 2: key-sorted JSON
+    with an indent of 2, the order as its covering pairs, every sequence
+    deterministically ordered, trailing newline.
 
-    The fixed-shape values (elements, leq, cut and assignment) are rendered
-    row by row from templates and the rest, metadata included, by
-    json.dumps (see `dump_json`); the bytes are those of one
+    The fixed-shape values (elements, leq, cut, assignment, and the
+    metadata's constraints and cut_origins when they have the shape
+    `make_analysis_spec` writes) are rendered row by row from templates and
+    the rest by json.dumps (see `dump_json`); the bytes are those of one
     `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`.
     """
+    covers = spec.covers
+    if covers is None:
+        covers = hasse_reduce((a, b) for a, b in spec.relation if a != b)
+    metadata = dict(spec.metadata)
     doc = {
+        "format_version": FORMAT_VERSION,
         "mode": spec.mode,
         "elements": [],
         "leq": [],
         "assignment": {},
         "cut": [],
         "default_element": spec.default_element,
-        "metadata": spec.metadata,
+        "metadata": metadata,
     }
     rows = {
         "elements": [_element_row(e) for e in sorted(spec.elements, key=lambda e: e.name)],
-        "leq": [_PAIR_ROW % (_str(a), _str(b)) for a, b in sorted(spec.relation) if a != b],
+        "leq": [_PAIR_ROW % (_str(a), _str(b)) for a, b in sorted(covers)],
         "assignment": [_ENTRY_ROW % (_str(n), _str(e)) for n, e in sorted(spec.assignment.items())],
         "cut": [_PAIR_ROW % (_str(src), _str(dst)) for src, dst in sorted(spec.cut)],
     }
+    for key, shaped, row in (
+        ("constraints", _is_constraint_row, _constraint_row),
+        ("cut_origins", _is_cut_origin, _cut_origin_row),
+    ):
+        value = metadata.get(key)
+        if isinstance(value, list) and all(map(shaped, value)):
+            metadata[key] = []
+            rows["metadata", key] = list(map(row, value))
     return dump_json(doc, rows)
 
 
 # rows of analysis.json's fixed-shape values, keys in sorted order
 _ELEMENT_ROW = '    {\n      "members": %s,\n      "name": %s,\n      "synthetic": %s\n    }'
-_MEMBER_SEP = ",\n        "
 _PAIR_ROW = '    [\n      %s,\n      %s\n    ]'
 _ENTRY_ROW = "    %s: %s"
+_CONSTRAINT_ROW = '      {\n        "id": %s,\n        "nodes": %s\n      }'
+_CUT_ORIGIN_ROW = '      [\n        [\n          %s,\n          %s\n        ],\n        %s\n      ]'
+
+
+def _strings(items: list, indent: str) -> str:
+    """A list of strings as json.dumps writes it with its items at `indent`."""
+    if not items:
+        return "[]"
+    return "[\n" + indent + (",\n" + indent).join(map(_str, items)) + "\n" + indent[:-2] + "]"
 
 
 def _element_row(element: Element) -> str:
-    members = sorted(element.members)
-    listed = "[\n        " + _MEMBER_SEP.join(map(_str, members)) + "\n      ]" if members else "[]"
     synthetic = "true" if element.synthetic else "false"
-    return _ELEMENT_ROW % (listed, _str(element.name), synthetic)
+    return _ELEMENT_ROW % (_strings(sorted(element.members), " " * 8), _str(element.name), synthetic)
+
+
+def _is_constraint_row(entry: object) -> bool:
+    return _is_constraint(entry) and len(entry) == 2
+
+
+def _constraint_row(entry: dict) -> str:
+    return _CONSTRAINT_ROW % (_str(entry["id"]), _strings(entry["nodes"], " " * 10))
+
+
+def _cut_origin_row(entry: list) -> str:
+    (src, dst), ids = entry
+    return _CUT_ORIGIN_ROW % (_str(src), _str(dst), _strings(ids, " " * 10))
 
 
 def load_analysis(text: str) -> AnalysisSpec:
@@ -232,6 +281,7 @@ def load_analysis(text: str) -> AnalysisSpec:
     missing = sorted(required - set(doc))
     if missing:
         raise InvalidAnalysisError(f"analysis document missing field(s): {', '.join(missing)}")
+    version = _format_version(doc)
     if doc["mode"] not in ("qualifier", "effect"):
         raise InvalidAnalysisError(f"unknown mode {doc['mode']!r}")
     for key in ("elements", "leq", "cut"):
@@ -306,7 +356,9 @@ def load_analysis(text: str) -> AnalysisSpec:
 
     ordered = list(successors)
     if doc["mode"] == "effect":
-        _verify_joins(ordered, up)
+        _verify_bottom(ordered, up)
+        if version == 1:
+            _verify_joins(ordered, up)
 
     if not isinstance(doc["metadata"], dict):
         raise InvalidAnalysisError("'metadata' must be an object")
@@ -322,16 +374,34 @@ def load_analysis(text: str) -> AnalysisSpec:
     )
 
 
-def _verify_joins(names: list[str], up: dict[str, int]) -> None:
-    """Effect mode needs a bottom and a unique least upper bound for every
-    pair of elements.  In an antisymmetric order, z is the least upper bound
-    of a and b iff up[z] is their common upper bounds, up[a] & up[b]."""
+def _format_version(doc: dict) -> int:
+    """1 when the document has no format_version, else the integer 1 or 2
+    it holds; any other value, `true` and `2.0` included, is an error."""
+    version = doc.get("format_version", 1)
+    if type(version) is not int or version not in (1, 2):
+        if isinstance(version, (dict, list)):
+            shown = "an object" if isinstance(version, dict) else "an array"
+        else:
+            shown = json.dumps(version)
+        raise InvalidAnalysisError(f"format_version must be 1 or 2, got {shown}")
+    return version
+
+
+def _verify_bottom(names: list[str], up: dict[str, int]) -> None:
+    """Effect mode needs exactly one bottom: one element whose up-set holds
+    every element."""
     everything = (1 << len(names)) - 1
     bottoms = sum(1 for name in names if up[name] == everything)
     if bottoms != 1:
         raise InvalidAnalysisError(
             f"effect semilattice needs exactly one bottom element, found {bottoms}"
         )
+
+
+def _verify_joins(names: list[str], up: dict[str, int]) -> None:
+    """A version 1 effect order needs a unique least upper bound for every
+    pair of elements.  In an antisymmetric order, z is the least upper bound
+    of a and b iff up[z] is their common upper bounds, up[a] & up[b]."""
     upsets = set(up.values())
     for i, a in enumerate(names):
         for b in names[i + 1:]:

@@ -24,8 +24,9 @@ def _label(name: str, members: frozenset[str]) -> str:
 def lattice_dot(order: QualifierOrder) -> str:
     """Covering edges only, drawn bottom-up (rank-min at the bottom);
     synthetic elements get dashed borders.  Output is byte-deterministic."""
-    strict = {(a, b) for a, b in order.relation if a != b}
-    covers = hasse_reduce(strict)
+    covers = order.covers
+    if covers is None:
+        covers = hasse_reduce((a, b) for a, b in order.relation if a != b)
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for element in sorted(order.elements, key=lambda e: e.name):
         attrs = f"label={_label(element.name, element.members)}"

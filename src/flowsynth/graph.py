@@ -293,6 +293,22 @@ def _upset_pairs(nodes: list, up: dict) -> frozenset[tuple]:
     return frozenset((a, nodes[index]) for a, mask in up.items() for index in _bits(mask))
 
 
+def _covers(nodes: list, up: dict, candidates: list | None = None) -> frozenset[tuple]:
+    """The covering pairs of the order whose up-sets are `up` (bit i
+    standing for nodes[i], each node in its own up-set).  candidates[i] is
+    a bitset that holds every node covering nodes[i] and only nodes above
+    it, by default everything above it: b covers a when b is a candidate
+    of a and above no other candidate of a."""
+    strict = [up[node] & ~(1 << i) for i, node in enumerate(nodes)]
+    covers = []
+    for i, above in enumerate(strict if candidates is None else candidates):
+        implied = 0
+        for j in _bits(above):
+            implied |= strict[j]
+        covers.extend((nodes[i], nodes[j]) for j in _bits(above & ~implied))
+    return frozenset(covers)
+
+
 def hasse_reduce(edges: Iterable[tuple]) -> frozenset[tuple]:
     """Transitive reduction of an acyclic relation: the minimal edge set
     with the same reachability.  Raises CycleError on cyclic input."""
@@ -300,13 +316,7 @@ def hasse_reduce(edges: Iterable[tuple]) -> frozenset[tuple]:
     successors: dict = {node: [] for node in sorted({n for edge in edge_set for n in edge})}
     for src, dst in edge_set:
         successors[src].append(dst)
-    up = _upsets(successors)
-    index = {node: i for i, node in enumerate(successors)}
-    kept = set()
-    for src, dsts in successors.items():
-        # nodes src reaches in two or more steps: edges to them are implied
-        covered = 0
-        for succ in dsts:
-            covered |= up[succ] & ~(1 << index[succ])
-        kept.update((src, dst) for dst in dsts if not covered >> index[dst] & 1)
-    return frozenset(kept)
+    nodes = list(successors)
+    index = {node: i for i, node in enumerate(nodes)}
+    direct = [sum(1 << index[dst] for dst in dsts) for dsts in successors.values()]
+    return _covers(nodes, _upsets(successors), direct)

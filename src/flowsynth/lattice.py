@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import UnknownElement
-from .graph import FlowGraph, _bits, _upset_pairs, _upsets, scc_condense
+from .graph import FlowGraph, _bits, _covers, _upset_pairs, _upsets, scc_condense
 from .traces import Edge
 
 BOTTOM_NAME = "⊥"
@@ -44,11 +44,18 @@ class Element:
 @dataclass(frozen=True)
 class QualifierOrder:
     """Elements, their partial order (stored as the full reflexive
-    transitive relation over names), and the node assignment."""
+    transitive relation over names), and the node assignment.
+
+    covers are the order's covering pairs, its Hasse diagram, as
+    `build_order` and `complete_join_semilattice` read them off the up-set
+    bitsets they build; None for an order built by hand, whose covers are
+    then reduced from the relation where they are needed.
+    """
 
     elements: tuple[Element, ...]
     relation: frozenset[tuple[str, str]]
     assignment: dict[str, str]
+    covers: frozenset[tuple[str, str]] | None = field(default=None, compare=False)
 
     @cached_property
     def by_name(self) -> dict[str, Element]:
@@ -103,9 +110,12 @@ def build_order(graph: FlowGraph, cut_edges: frozenset[Edge]) -> QualifierOrder:
     assignment = {node: names[index] for node, index in condensation.membership.items()}
 
     successors: dict[str, list[str]] = {name: [] for name in names}
+    direct = [0] * len(names)
     for src, dst in condensation.quotient_edges:
         successors[names[src]].append(names[dst])
-    return QualifierOrder(elements, _upset_pairs(names, _upsets(successors)), assignment)
+        direct[src] |= 1 << dst
+    up = _upsets(successors)
+    return QualifierOrder(elements, _upset_pairs(names, up), assignment, _covers(names, up, direct))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +212,7 @@ def complete_join_semilattice(order: QualifierOrder) -> EffectSemilattice:
         taken.add(name)
         name_for[mask] = name
 
+    mask_of = {name: mask for mask, name in name_for.items()}
     members_of = {g.name: g.members for g in generators}
     elements = tuple(
         sorted(
@@ -212,14 +223,31 @@ def complete_join_semilattice(order: QualifierOrder) -> EffectSemilattice:
             key=lambda element: element.name,
         )
     )
-    relation = frozenset(
-        (name_for[a], name_for[b]) for a in closed for b in closed if not a & ~b
-    )
+    # Up-sets and cover candidates as bitsets, bit p standing for the p-th
+    # element by name.  An element is below every element that holds all
+    # of its generators, and it is covered by some of its joins with one
+    # more generator's down-set.
+    ordered = [element.name for element in elements]
+    masks = [mask_of[name] for name in ordered]
+    bit = {mask: 1 << p for p, mask in enumerate(masks)}
+    holding = [0] * len(names)
+    for mask in masks:
+        for i in _bits(mask):
+            holding[i] |= bit[mask]
+    up = {}
+    joins = []
+    for name, mask in zip(ordered, masks):
+        above = (1 << len(masks)) - 1
+        for i in _bits(mask):
+            above &= holding[i]
+        up[name] = above
+        joins.append(sum({bit[mask | generated] for generated in down if generated & ~mask}))
     downsets = {name: frozenset(names[i] for i in _bits(mask)) for mask, name in name_for.items()}
     return EffectSemilattice(
         elements=elements,
-        relation=relation,
+        relation=_upset_pairs(ordered, up),
         assignment=dict(order.assignment),
+        covers=_covers(ordered, up, joins),
         bottom=name_for[0],
         downsets=downsets,
     )

@@ -8,7 +8,7 @@ from . import __version__
 from .checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, check_corpus
 from .cut import SEPARATION, Conflict, CutSet, SolverConfig, solve_synthesis_cut
 from .errors import ValidationError
-from .graph import FlowGraph, build_graph
+from .graph import FlowGraph, _covers, _upset_pairs, build_graph
 from .lattice import (
     Element,
     EffectSemilattice,
@@ -96,18 +96,22 @@ def make_analysis_spec(
 
     Unknown nodes default to a fresh maximal element in qualifier mode
     (conservative: related only to itself) and to bottom in effect mode.
+    An effect spec keeps only the elements a check can reach, the
+    generators and the bottom, and the order among them: a node maps to a
+    generator or to the default, so no verdict reads a synthetic join.
     """
-    elements = list(lattice.elements)
-    relation = set(lattice.relation)
     if isinstance(lattice, EffectSemilattice):
         default = lattice.bottom
+        elements = [e for e in lattice.elements if not e.synthetic or e.name == default]
+        relation, covers = _suborder(lattice.relation, [e.name for e in elements])
     else:
         default = QUALIFIER_DEFAULT
-        taken = {element.name for element in elements}
+        taken = {element.name for element in lattice.elements}
         while default in taken:
             default += "'"
-        elements.append(Element(default, frozenset(), synthetic=True))
-        relation.add((default, default))
+        elements = [*lattice.elements, Element(default, frozenset(), synthetic=True)]
+        relation = lattice.relation | {(default, default)}
+        covers = lattice.covers
 
     origins: dict[Edge, list[str]] = {edge: [] for edge in sorted(cut.edges)}
     for constraint in cut.constraints:
@@ -129,9 +133,20 @@ def make_analysis_spec(
     return AnalysisSpec(
         mode=corpus.mode,
         elements=tuple(sorted(elements, key=lambda e: e.name)),
-        relation=frozenset(relation),
+        relation=relation,
         assignment=dict(lattice.assignment),
         cut=frozenset(cut.edges),
         default_element=default,
         metadata=metadata,
+        covers=covers,
     )
+
+
+def _suborder(relation: frozenset[Edge], names: list[str]) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    """The order `relation` induces on `names`, and its covering pairs."""
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    up = dict.fromkeys(names, 0)
+    for a, b in relation:
+        if a in bit and b in bit:
+            up[a] |= bit[b]
+    return _upset_pairs(names, up), _covers(names, up)

@@ -224,27 +224,35 @@ def _reject_surrogates(doc) -> None:
             stack.extend(value.values())
 
 
-def dump_json(doc: dict, rows: dict[str, list[str]]) -> str:
+def dump_json(doc: dict, rows: dict) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) +
-    "\\n"`, where each key of `rows` is a top-level key whose array or
-    object `doc` holds empty, and `rows[key]` are its items already
-    rendered at their depth: four spaces of indent, no separator.
+    "\\n"`, where each key of `rows` names an array or object that `doc`
+    holds empty, either a top-level key or a (top-level key, key) pair for
+    one inside a top-level object, and `rows[key]` are its items already
+    rendered at their depth (four spaces of indent at the top level, six
+    one level down), without separators.
 
     json.dumps writes the skeleton with those values left empty, so
     free-form values of any nesting still go through it; only the large,
     fixed-shape values skip its pure-Python encoder, which `indent`
-    selects.  A top-level key is the only line that starts with exactly two
-    spaces and a quote, so each one is found by a plain search.  Row
-    templates escape strings with `encode_basestring`, the function
-    json.dumps uses under `ensure_ascii=False`.
+    selects.  Inside an object at depth d, a key of its own is the only
+    line that starts with exactly 2(d + 1) spaces and a quote, so each one
+    is found by a plain search from its parent's key.  Row templates escape
+    strings with `encode_basestring`, the function json.dumps uses under
+    `ensure_ascii=False`.
     """
     skeleton = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
     pieces = []
     start = 0
-    for key in sorted(rows):
-        empty = "{}" if isinstance(doc[key], dict) else "[]"
-        marker = f"\n  {_str(key)}: {empty}"
-        closing = skeleton.index(marker, start) + len(marker) - 1
+    for key in sorted(rows, key=_key_path):
+        path = _key_path(key)
+        at, parent = 0, doc
+        for depth, name in enumerate(path[:-1], 1):
+            at = skeleton.index(f"\n{'  ' * depth}{_str(name)}: {{", at)
+            parent = parent[name]
+        empty = "{}" if isinstance(parent[path[-1]], dict) else "[]"
+        marker = f"\n{'  ' * len(path)}{_str(path[-1])}: {empty}"
+        closing = skeleton.index(marker, at) + len(marker) - 1
         pieces.append(skeleton[start:closing])
         if rows[key]:
             # the rows and their separators go into the one final join, so
@@ -253,11 +261,15 @@ def dump_json(doc: dict, rows: dict[str, list[str]]) -> str:
             spaced[::2] = rows[key]
             pieces.append("\n")
             pieces += spaced
-            pieces.append("\n  ")
+            pieces.append("\n" + "  " * len(path))
         start = closing
     pieces.append(skeleton[start:])
     pieces.append("\n")
     return "".join(pieces)
+
+
+def _key_path(key: str | tuple[str, ...]) -> tuple[str, ...]:
+    return (key,) if isinstance(key, str) else key
 
 
 def _bulk_traces(entries: list) -> tuple[Trace, ...] | None:

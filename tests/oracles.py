@@ -2,8 +2,9 @@
 
 Everything here enumerates: subsets by increasing size for hitting sets and
 separation cuts, recursive walks for simple paths, pairwise closure for
-reachability, every pair and every candidate bound for the semilattice
-laws, every (negative, positive) pair for corpus conflicts.  Earlier
+reachability, every intermediate element for transitive reduction,
+every pair and every candidate bound for the semilattice laws, every
+(negative, positive) pair for corpus conflicts.  Earlier
 versions of some layers are kept as references: the hitting-set solvers as
 first written (a greedy that recounts every round, a recursive branch and
 bound that enumerates tied optima), a reverse-delete pass that makes a
@@ -207,13 +208,25 @@ def reachability_closure(nodes, edges):
     return {(a, b) for a in nodes for b in reachable_nodes(edges, a) | {a}}
 
 
-def order_law_error(names, pairs, mode):
+def transitive_reduction(relation):
+    """The covering pairs of an order given as its full relation: (a, b)
+    with a != b related and no third element strictly between them."""
+    strict = {(a, b) for a, b in relation if a != b}
+    elements = {n for pair in strict for n in pair}
+    return {
+        (a, b)
+        for a, b in strict
+        if not any((a, c) in strict and (c, b) in strict for c in elements)
+    }
+
+
+def order_law_error(names, pairs, mode, version=1):
     """The message the analysis loader must reject an order with, or None.
 
     Antisymmetry is reported as the lexicographically smallest pair of
-    distinct mutually related elements; effect mode then needs a bottom and
-    a unique least upper bound for every pair, the first failing pair taken
-    in sorted order.
+    distinct mutually related elements; effect mode then needs a bottom
+    and, in a version 1 document, a unique least upper bound for every
+    pair, the first failing pair taken in sorted order.
     """
     relation = reachability_closure(names, pairs)
     equivalent = sorted((a, b) for a, b in relation if a != b and (b, a) in relation)
@@ -221,16 +234,19 @@ def order_law_error(names, pairs, mode):
         a, b = equivalent[0]
         return f"order is not antisymmetric: {a} and {b} are equivalent"
     if mode == "effect":
-        return semilattice_error(sorted(names), relation)
+        return semilattice_error(sorted(names), relation, joins=version == 1)
     return None
 
 
-def semilattice_error(names, relation):
-    """Bottom and least-upper-bound existence by enumerating every pair and
-    every candidate bound: O(n^3) probes of the full relation."""
+def semilattice_error(names, relation, joins=True):
+    """Bottom and (with `joins`) least-upper-bound existence by enumerating
+    every pair and every candidate bound: O(n^3) probes of the full
+    relation."""
     bottoms = [n for n in names if all((n, other) in relation for other in names)]
     if len(bottoms) != 1:
         return f"effect semilattice needs exactly one bottom element, found {len(bottoms)}"
+    if not joins:
+        return None
     for a in names:
         for b in names:
             uppers = [z for z in names if (a, z) in relation and (b, z) in relation]
@@ -531,8 +547,10 @@ def reference_report_json(report, digest, spec) -> str:
 
 
 def reference_dump_analysis(spec) -> str:
-    """analysis.json as first written: one `json.dumps` with `indent`."""
+    """analysis.json in format version 2 through one `json.dumps` with
+    `indent`, its `leq` the brute-force transitive reduction."""
     doc = {
+        "format_version": 2,
         "mode": spec.mode,
         "elements": [
             {
@@ -542,7 +560,7 @@ def reference_dump_analysis(spec) -> str:
             }
             for element in sorted(spec.elements, key=lambda e: e.name)
         ],
-        "leq": [list(pair) for pair in sorted(spec.relation) if pair[0] != pair[1]],
+        "leq": [list(pair) for pair in sorted(transitive_reduction(spec.relation))],
         "assignment": dict(sorted(spec.assignment.items())),
         "cut": [list(edge) for edge in sorted(spec.cut)],
         "default_element": spec.default_element,

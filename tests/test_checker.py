@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -32,13 +33,14 @@ from flowsynth import (
     synthesize,
 )
 
-from corpusgen import random_corpus
+from corpusgen import random_corpus, random_walk
 from oracles import (
     order_law_error,
     reachability_closure,
     reference_check_corpus,
     reference_check_trace,
     reference_dump_analysis,
+    transitive_reduction,
 )
 
 TAINT_CORPUS = Corpus(
@@ -264,6 +266,38 @@ def test_load_rejects_effect_spec_without_lubs():
         load_analysis(json.dumps(doc))
 
 
+def _lubless_effect_doc(**version) -> dict:
+    """Two elements above a bottom and no join of them."""
+    return {
+        **version,
+        "mode": "effect",
+        "elements": [
+            {"name": "bot", "members": ["b"], "synthetic": False},
+            {"name": "x", "members": ["x"], "synthetic": False},
+            {"name": "y", "members": ["y"], "synthetic": False},
+        ],
+        "leq": [["bot", "x"], ["bot", "y"]],
+        "assignment": {"b": "bot", "x": "x", "y": "y"},
+        "cut": [],
+        "default_element": "bot",
+        "metadata": {},
+    }
+
+
+def test_load_rejects_a_lubless_effect_spec_of_version_1():
+    with pytest.raises(InvalidAnalysisError, match="least upper bound"):
+        load_analysis(json.dumps(_lubless_effect_doc(format_version=1)))
+
+
+def test_load_accepts_a_lubless_effect_spec_of_version_2():
+    # a version 2 effect file lists generators and bottom; their joins are
+    # implicit, so none is looked for
+    spec = load_analysis(json.dumps(_lubless_effect_doc(format_version=2)))
+    assert spec.relation == {("bot", "bot"), ("x", "x"), ("y", "y"), ("bot", "x"), ("bot", "y")}
+    assert check_trace(spec, Trace("t", "positive", ("b", "x"))).accepted
+    assert not check_trace(spec, Trace("t", "negative", ("x", "y"))).accepted
+
+
 def test_load_accepts_transitively_reduced_leq(taint_spec):
     # the stored relation implies its transitive closure
     doc = {
@@ -327,6 +361,51 @@ def test_load_agrees_with_brute_force_order_laws(order):
             with pytest.raises(InvalidAnalysisError) as info:
                 load_analysis(text)
             assert str(info.value) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_orders())
+def test_load_agrees_with_brute_force_order_laws_of_version_2(order):
+    names, pairs = order
+    for mode in ("qualifier", "effect"):
+        expected = order_law_error(names, pairs, mode, version=2)
+        text = json.dumps({**_order_doc(mode, names, pairs), "format_version": 2})
+        if expected is None:
+            assert load_analysis(text).relation == reachability_closure(names, pairs)
+        else:
+            with pytest.raises(InvalidAnalysisError) as info:
+                load_analysis(text)
+            assert str(info.value) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["qualifier", "effect"]))
+def test_written_analysis_stores_covering_pairs_and_reloads_the_order(seed, mode):
+    """On synthesized analyses: the written leq is the brute-force
+    transitive reduction, the bytes are the reference writer's, the loaded
+    relation is the spec's, and loaded, in-memory and (in effect mode)
+    full-semilattice specs give every verdict alike, on the corpus and on
+    random walks that also cross an unseen node."""
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, mode)
+    result = synthesize(corpus, config=SolverConfig(solver="exact"))
+    if isinstance(result, Conflict):
+        return
+    spec = result.spec
+    text = dump_analysis(spec)
+    assert text == reference_dump_analysis(spec)
+    assert {tuple(pair) for pair in json.loads(text)["leq"]} == transitive_reduction(spec.relation)
+    loaded = load_analysis(text)
+    assert loaded.relation == spec.relation
+    specs = [spec, loaded]
+    if mode == "effect":
+        # the spec as a version 1 file held it: every join, the full order
+        full = result.semilattice
+        specs.append(dataclasses.replace(spec, elements=full.elements, relation=full.relation, covers=None))
+    alphabet = sorted({node for trace in corpus.traces for node in trace.nodes}) + ["unseen"]
+    walks = [Trace(f"w{i}", "positive", random_walk(rng, alphabet, rng.randint(2, 6))) for i in range(20)]
+    for trace in (*corpus.traces, *walks):
+        assert len({check_trace(each, trace) for each in specs}) == 1
 
 
 def test_antisymmetry_error_names_smallest_equivalent_pair(tmp_path):
@@ -481,22 +560,41 @@ _values = st.recursive(
 )
 
 
+_constraint = st.fixed_dictionaries({"id": _name, "nodes": st.lists(_name, max_size=3)})
+_cut_origin = st.tuples(st.lists(_name, min_size=2, max_size=2), st.lists(_name, max_size=3)).map(list)
+# the two metadata arrays synthesis records, in its shape or off it by an
+# entry of another shape or one extra key
+_recorded = st.fixed_dictionaries(
+    {},
+    optional={
+        "constraints": st.lists(
+            _constraint | _constraint.map(lambda c: {**c, "x": 1}) | _values, max_size=3
+        ),
+        "cut_origins": st.lists(_cut_origin | _values, max_size=3),
+    },
+)
+
+
 @st.composite
 def analysis_specs(draw):
-    """Any element, node and edge names, empty values included."""
+    """Any element, node and edge names, empty values included.  The
+    relation is a partial order, the only kind the loader admits: the
+    drawn pairs point forward in the drawn name order, and are closed."""
     names = draw(st.lists(_name, unique=True, min_size=1, max_size=5))
     elements = tuple(
         Element(name, frozenset(draw(st.sets(_name, max_size=3))), draw(st.booleans())) for name in names
     )
     element = st.sampled_from(names)
+    index = st.integers(0, len(names) - 1)
+    pairs = [(names[min(i, j)], names[max(i, j)]) for i, j in draw(st.lists(st.tuples(index, index), max_size=6))]
     return AnalysisSpec(
         mode=draw(st.sampled_from(["qualifier", "effect"])),
         elements=elements,
-        relation=frozenset(draw(st.sets(st.tuples(element, element), max_size=6))),
+        relation=frozenset(reachability_closure(names, pairs)),
         assignment=draw(st.dictionaries(_name, element, max_size=4)),
         cut=frozenset(draw(st.sets(st.tuples(_name, _name), max_size=3))),
         default_element=draw(element),
-        metadata=draw(st.dictionaries(_name, _values, max_size=3)),
+        metadata={**draw(st.dictionaries(_name, _values, max_size=3)), **draw(_recorded)},
     )
 
 

@@ -21,6 +21,7 @@ from flowsynth import (
     UnknownElement,
     Verdict,
     cli,
+    load_analysis,
 )
 from flowsynth.cli import main
 from flowsynth.cut import SolverConfig
@@ -105,7 +106,9 @@ def test_synth_sanitize_corpus_under_path_semantics(tmp_path, capsys):
     assert code == 3
     analysis = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
     assert analysis["cut"] == [["render", "sql_exec"]]
-    assert ["Q_user_input", "Q_sql_exec"] in analysis["leq"]
+    # a transitive pair: implied by the covering pairs analysis.json stores
+    spec = load_analysis((out / "analysis.json").read_text(encoding="utf-8"))
+    assert spec.leq("Q_user_input", "Q_sql_exec")
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["summary"]["negatives_rejected"] == 1
     assert report["summary"]["positives_accepted"] == 1
@@ -723,6 +726,28 @@ def test_artifacts_match_golden_files(tmp_path):
     }
     for name, path in produced.items():
         assert path.read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("fixture", ["golden", "ui_effect"])
+def test_a_version_1_analysis_checks_like_its_version_2_twin(tmp_path, fixture):
+    """analysis.v1.json is what synth wrote before format version 2 (in
+    effect mode with every join and the full relation), analysis.json what
+    it writes now: check writes the same report from either."""
+    folder = FIXTURES / fixture
+    corpus = str(folder / "corpus.json")
+    reports = []
+    for name in ("analysis.v1.json", "analysis.json"):
+        out = tmp_path / name
+        assert main(["check", "--analysis", str(folder / name), "--corpus", corpus, "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_effect_synthesis_writes_the_version_2_fixture(tmp_path):
+    # generators and bottom only, covering pairs only
+    out = tmp_path / "out"
+    assert main(["synth", "--stack-traces", str(FIXTURES / "ui_traces"), "--mode", "effect", "--out", str(out)]) == 0
+    assert (out / "analysis.json").read_bytes() == (FIXTURES / "ui_effect" / "analysis.json").read_bytes()
 
 
 _text = st.text(max_size=6)

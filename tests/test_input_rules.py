@@ -107,6 +107,13 @@ ANALYSIS_CASES = {
     # load_analysis: the document
     "not-an-object": (lambda d: [d], "analysis document must be a JSON object"),
     "unknown-mode": (lambda d: d.update(mode="typestate"), "unknown mode 'typestate'"),
+    # load_analysis: format_version, absent or 1 (version 1) or 2, integers only
+    "format-version-3": (lambda d: d.update(format_version=3), "format_version must be 1 or 2, got 3"),
+    "format-version-string": (lambda d: d.update(format_version="2"), 'format_version must be 1 or 2, got "2"'),
+    "format-version-true": (lambda d: d.update(format_version=True), "format_version must be 1 or 2, got true"),
+    "format-version-null": (lambda d: d.update(format_version=None), "format_version must be 1 or 2, got null"),
+    "format-version-float": (lambda d: d.update(format_version=2.5), "format_version must be 1 or 2, got 2.5"),
+    "format-version-array": (lambda d: d.update(format_version=[2]), "format_version must be 1 or 2, got an array"),
     # load_analysis: elements
     "element-missing-keys": (
         lambda d: d["elements"].append({"name": "Q_x", "members": []}),
