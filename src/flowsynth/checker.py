@@ -387,25 +387,24 @@ def _format_version(doc: dict) -> int:
     return version
 
 
-def _verify_bottom(names: list[str], up: dict[str, int]) -> None:
+def _verify_bottom(names: list[str], up: list[int]) -> None:
     """Effect mode needs exactly one bottom: one element whose up-set holds
     every element."""
-    everything = (1 << len(names)) - 1
-    bottoms = sum(1 for name in names if up[name] == everything)
+    bottoms = up.count((1 << len(names)) - 1)
     if bottoms != 1:
         raise InvalidAnalysisError(
             f"effect semilattice needs exactly one bottom element, found {bottoms}"
         )
 
 
-def _verify_joins(names: list[str], up: dict[str, int]) -> None:
+def _verify_joins(names: list[str], up: list[int]) -> None:
     """A version 1 effect order needs a unique least upper bound for every
     pair of elements.  In an antisymmetric order, z is the least upper bound
     of a and b iff up[z] is their common upper bounds, up[a] & up[b]."""
-    upsets = set(up.values())
+    upsets = set(up)
     for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if (up[a] & up[b]) not in upsets:
+        for j in range(i + 1, len(names)):
+            if (up[i] & up[j]) not in upsets:
                 raise InvalidAnalysisError(
-                    f"elements {a} and {b} lack a unique least upper bound"
+                    f"elements {a} and {names[j]} lack a unique least upper bound"
                 )

@@ -27,13 +27,14 @@ def lattice_dot(order: QualifierOrder) -> str:
     covers = order.covers
     if covers is None:
         covers = hasse_reduce((a, b) for a, b in order.relation if a != b)
+    quoted = {element.name: _quote(element.name) for element in order.elements}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for element in sorted(order.elements, key=lambda e: e.name):
         attrs = f"label={_label(element.name, element.members)}"
         if element.synthetic:
             attrs += ", style=dashed"
-        lines.append(f"  {_quote(element.name)} [{attrs}];")
+        lines.append(f"  {quoted[element.name]} [{attrs}];")
     for a, b in sorted(covers):
-        lines.append(f"  {_quote(a)} -> {_quote(b)};")
+        lines.append(f"  {quoted[a]} -> {quoted[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

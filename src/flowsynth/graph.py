@@ -251,12 +251,12 @@ def scc_condense(nodes: Iterable[str], edges: Iterable[Edge]) -> Condensation:
     return Condensation(tuple(components), membership, quotient)
 
 
-def _upsets(successors: dict) -> dict:
+def _upsets(successors: dict) -> list[int]:
     """Each node's up-set (itself plus everything it reaches) as an int
-    bitset, bit i standing for the i-th key of `successors`: Kahn's
-    topological sort, then one reverse-topological pass that ORs each
-    node's successors' up-sets into its own.  Raises CycleError on a
-    cycle, self-loops included."""
+    bitset, listed and numbered as the keys of `successors` (bit i stands
+    for the i-th key): Kahn's topological sort, then one
+    reverse-topological pass that ORs each node's successors' up-sets into
+    its own.  Raises CycleError on a cycle, self-loops included."""
     indegree = dict.fromkeys(successors, 0)
     for dsts in successors.values():
         for dst in dsts:
@@ -276,7 +276,7 @@ def _upsets(successors: dict) -> dict:
         for succ in successors[node]:
             mask |= up[succ]
         up[node] = mask
-    return up
+    return [up[node] for node in successors]
 
 
 def _bits(mask: int):
@@ -287,19 +287,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _upset_pairs(nodes: list, up: dict) -> frozenset[tuple]:
-    """The order as pairs: (a, b) for every b in a's up-set, bit i of an
-    up-set standing for nodes[i]."""
-    return frozenset((a, nodes[index]) for a, mask in up.items() for index in _bits(mask))
+def _upset_pairs(nodes: list, up: list) -> frozenset[tuple]:
+    """The order as pairs: (a, b) for every b in a's up-set, up[i] being
+    the up-set of nodes[i] and bit i standing for nodes[i]."""
+    return frozenset((a, nodes[index]) for a, mask in zip(nodes, up) for index in _bits(mask))
 
 
-def _covers(nodes: list, up: dict, candidates: list | None = None) -> frozenset[tuple]:
-    """The covering pairs of the order whose up-sets are `up` (bit i
-    standing for nodes[i], each node in its own up-set).  candidates[i] is
-    a bitset that holds every node covering nodes[i] and only nodes above
-    it, by default everything above it: b covers a when b is a candidate
-    of a and above no other candidate of a."""
-    strict = [up[node] & ~(1 << i) for i, node in enumerate(nodes)]
+def _covers(nodes: list, up: list, candidates: list | None = None) -> frozenset[tuple]:
+    """The covering pairs of the order whose up-sets are `up` (up[i] the
+    up-set of nodes[i], bit i standing for nodes[i], each node in its own
+    up-set).  candidates[i] is a bitset that holds every node covering
+    nodes[i] and only nodes above it, by default everything above it: b
+    covers a when b is a candidate of a and above no other candidate of a."""
+    strict = [mask & ~(1 << i) for i, mask in enumerate(up)]
     covers = []
     for i, above in enumerate(strict if candidates is None else candidates):
         implied = 0

@@ -6,18 +6,23 @@ components, so a retained edge (u, v) always yields assignment(u) <=
 assignment(v) and a separating cut guarantees the rejected flows stay
 underivable.
 
+An order holds one up-set bitset per element, in name order, so `leq` is
+a bit test (Aït-Kaci et al., "Efficient implementation of lattice
+operations", TOPLAS 1989); its relation as name pairs is built on demand.
+
 Effect mode completes the order to a join semilattice by representing each
 element as the down-set of component elements at or below it: joins are
 down-set unions, a bottom (the pure, empty effect) is always added, and
 missing unions become synthetic elements named after their maximal
-generators ("A∨B").  While completing, a down-set is a Python-int bitset
-over the generators, so a union is a bitwise OR and a subset test a mask.
+generators ("A∨B").  A down-set is a Python-int bitset over the
+generators, so a union is a bitwise OR and a subset test a mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 from .errors import UnknownElement
 from .graph import FlowGraph, _bits, _covers, _upset_pairs, _upsets, scc_condense
@@ -43,54 +48,71 @@ class Element:
 
 @dataclass(frozen=True)
 class QualifierOrder:
-    """Elements, their partial order (stored as the full reflexive
-    transitive relation over names), and the node assignment.
+    """Elements, their partial order, and the node assignment.
 
-    covers are the order's covering pairs, its Hasse diagram, as
-    `build_order` and `complete_join_semilattice` read them off the up-set
-    bitsets they build; None for an order built by hand, whose covers are
-    then reduced from the relation where they are needed.
+    up[p] is elements[p]'s up-set: bit q is set iff elements[p] leq
+    elements[q].  `relation`, the full reflexive transitive relation over
+    names, is a view computed on first read.  covers are the order's
+    covering pairs, its Hasse diagram, as `build_order` and
+    `complete_join_semilattice` read them off the up-sets; None for an
+    order built by hand, whose covers are reduced where they are needed.
     """
 
     elements: tuple[Element, ...]
-    relation: frozenset[tuple[str, str]]
+    up: tuple[int, ...]
     assignment: dict[str, str]
     covers: frozenset[tuple[str, str]] | None = field(default=None, compare=False)
 
     @cached_property
-    def by_name(self) -> dict[str, Element]:
-        return {element.name: element for element in self.elements}
+    def index(self) -> dict[str, int]:
+        return {element.name: p for p, element in enumerate(self.elements)}
 
     def element(self, name: str) -> Element:
         try:
-            return self.by_name[name]
+            return self.elements[self.index[name]]
         except KeyError:
             raise UnknownElement(name) from None
 
     def leq(self, a: str, b: str) -> bool:
-        self.element(a)
-        self.element(b)
-        return (a, b) in self.relation
+        try:
+            return self.up[self.index[a]] >> self.index[b] & 1 == 1
+        except KeyError as error:
+            raise UnknownElement(error.args[0]) from None
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(element.name for element in self.elements)
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        return _upset_pairs(self.names, self.up)
 
 
 @dataclass(frozen=True)
 class EffectSemilattice(QualifierOrder):
     """A QualifierOrder closed under binary joins, with a bottom element.
 
-    downsets maps each element name to the set of non-synthetic generator
-    names at or below it; joins are unions of these sets.
+    down[p] is elements[p]'s down-set of generators (the non-synthetic
+    elements), bit i standing for the i-th generator; a join is a union.
+    `downsets` and `by_downset` give them as sets of names, on first read.
     """
 
     bottom: str = BOTTOM_NAME
-    downsets: dict[str, frozenset[str]] = field(default_factory=dict)
+    down: tuple[int, ...] = ()
+
+    @cached_property
+    def downsets(self) -> dict[str, frozenset[str]]:
+        generators = [element.name for element in self.elements if not element.synthetic]
+        sets = [frozenset(generators[i] for i in _bits(mask)) for mask in self.down]
+        return dict(zip(self.names, sets))
 
     @cached_property
     def by_downset(self) -> dict[frozenset[str], str]:
         return {downset: name for name, downset in self.downsets.items()}
+
+    @cached_property
+    def by_down(self) -> dict[int, int]:
+        return {mask: p for p, mask in enumerate(self.down)}
 
 
 def build_order(graph: FlowGraph, cut_edges: frozenset[Edge]) -> QualifierOrder:
@@ -100,22 +122,18 @@ def build_order(graph: FlowGraph, cut_edges: frozenset[Edge]) -> QualifierOrder:
     retained = [edge for edge in graph.edge_keys() if edge not in cut_edges]
     condensation = scc_condense(graph.nodes, retained)
 
+    # components come ordered by smallest member, so already in name order
     names = ["Q_" + min(component) for component in condensation.components]
-    elements = tuple(
-        sorted(
-            (Element(names[i], component) for i, component in enumerate(condensation.components)),
-            key=lambda element: element.name,
-        )
-    )
+    elements = tuple(Element(name, component) for name, component in zip(names, condensation.components))
     assignment = {node: names[index] for node, index in condensation.membership.items()}
 
-    successors: dict[str, list[str]] = {name: [] for name in names}
+    successors: dict[int, list[int]] = {i: [] for i in range(len(names))}
     direct = [0] * len(names)
     for src, dst in condensation.quotient_edges:
-        successors[names[src]].append(names[dst])
+        successors[src].append(dst)
         direct[src] |= 1 << dst
     up = _upsets(successors)
-    return QualifierOrder(elements, _upset_pairs(names, up), assignment, _covers(names, up, direct))
+    return QualifierOrder(elements, tuple(up), assignment, _covers(names, up, direct))
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +194,10 @@ def complete_join_semilattice(order: QualifierOrder) -> EffectSemilattice:
     elements embed order-faithfully: x leq y iff downset(x) is a subset of
     downset(y).
     """
-    generators = [e for e in sorted(order.elements, key=lambda e: e.name) if not e.synthetic]
+    generators = sorted((e for e in order.elements if not e.synthetic), key=lambda e: e.name)
     names = [g.name for g in generators]
-    index = {name: i for i, name in enumerate(names)}
-    down = [0] * len(names)
-    for a, b in order.relation:
-        if a in index and b in index:
-            down[index[b]] |= 1 << index[a]
+    at = [order.index[name] for name in names]
+    down = [sum(1 << i for i, q in enumerate(at) if order.up[q] >> p & 1) for p in at]
 
     closed = {0, *down}
     work = list(closed)
@@ -196,7 +211,7 @@ def complete_join_semilattice(order: QualifierOrder) -> EffectSemilattice:
 
     taken = set(names)
     name_for = dict(zip(down, names))
-    for mask in sorted(closed, key=lambda mask: (mask.bit_count(), list(_bits(mask)))):
+    for mask in sorted(closed, key=_naming_key(len(names))):
         if mask in name_for:
             continue
         if not mask:
@@ -212,45 +227,34 @@ def complete_join_semilattice(order: QualifierOrder) -> EffectSemilattice:
         taken.add(name)
         name_for[mask] = name
 
-    mask_of = {name: mask for mask, name in name_for.items()}
-    members_of = {g.name: g.members for g in generators}
+    members_of = {mask: g.members for mask, g in zip(down, generators)}
+    ordered = sorted(name_for, key=name_for.__getitem__)
     elements = tuple(
-        sorted(
-            (
-                Element(name, members_of.get(name, frozenset()), name not in members_of)
-                for name in name_for.values()
-            ),
-            key=lambda element: element.name,
-        )
+        Element(name_for[mask], members_of.get(mask, frozenset()), mask not in members_of) for mask in ordered
     )
     # Up-sets and cover candidates as bitsets, bit p standing for the p-th
     # element by name.  An element is below every element that holds all
     # of its generators, and it is covered by some of its joins with one
     # more generator's down-set.
-    ordered = [element.name for element in elements]
-    masks = [mask_of[name] for name in ordered]
-    bit = {mask: 1 << p for p, mask in enumerate(masks)}
-    holding = [0] * len(names)
-    for mask in masks:
-        for i in _bits(mask):
-            holding[i] |= bit[mask]
-    up = {}
-    joins = []
-    for name, mask in zip(ordered, masks):
-        above = (1 << len(masks)) - 1
-        for i in _bits(mask):
-            above &= holding[i]
-        up[name] = above
-        joins.append(sum({bit[mask | generated] for generated in down if generated & ~mask}))
-    downsets = {name: frozenset(names[i] for i in _bits(mask)) for mask, name in name_for.items()}
+    bit = {mask: 1 << p for p, mask in enumerate(ordered)}
+    holding = [sum(bit[mask] for mask in ordered if mask >> i & 1) for i in range(len(names))]
+    up = [reduce(and_, [holding[i] for i in _bits(mask)], (1 << len(ordered)) - 1) for mask in ordered]
+    joins = [sum({bit[mask | generated] for generated in down if generated & ~mask}) for mask in ordered]
     return EffectSemilattice(
         elements=elements,
-        relation=_upset_pairs(ordered, up),
+        up=tuple(up),
         assignment=dict(order.assignment),
-        covers=_covers(ordered, up, joins),
+        covers=_covers([element.name for element in elements], up, joins),
         bottom=name_for[0],
-        downsets=downsets,
+        down=tuple(ordered),
     )
+
+
+def _naming_key(width: int):
+    """Completion names new down-sets of `width` generators by size, then
+    as the ascending lists of their generators compare; for sets of one
+    size, that is the bit-reversed mask, descending."""
+    return lambda mask: (mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2))
 
 
 def order_query(lattice: QualifierOrder, a: str, b: str) -> str:
@@ -268,7 +272,9 @@ def order_query(lattice: QualifierOrder, a: str, b: str) -> str:
 
 def join(lattice: EffectSemilattice, a: str, b: str) -> Element:
     """Least upper bound in the completed semilattice."""
-    lattice.element(a)
-    lattice.element(b)
-    union = lattice.downsets[a] | lattice.downsets[b]
-    return lattice.element(lattice.by_downset[union])
+    index = lattice.index
+    try:
+        union = lattice.down[index[a]] | lattice.down[index[b]]
+    except KeyError as error:
+        raise UnknownElement(error.args[0]) from None
+    return lattice.elements[lattice.by_down[union]]

@@ -102,15 +102,18 @@ def make_analysis_spec(
     """
     if isinstance(lattice, EffectSemilattice):
         default = lattice.bottom
-        elements = [e for e in lattice.elements if not e.synthetic or e.name == default]
-        relation, covers = _suborder(lattice.relation, [e.name for e in elements])
+        kept = [p for p, e in enumerate(lattice.elements) if not e.synthetic or e.name == default]
+        elements = [lattice.elements[p] for p in kept]
+        # each kept element's up-set among the kept ones, renumbered
+        up = [sum(1 << k for k, q in enumerate(kept) if lattice.up[p] >> q & 1) for p in kept]
+        covers = _covers([e.name for e in elements], up)
     else:
         default = QUALIFIER_DEFAULT
         taken = {element.name for element in lattice.elements}
         while default in taken:
             default += "'"
         elements = [*lattice.elements, Element(default, frozenset(), synthetic=True)]
-        relation = lattice.relation | {(default, default)}
+        up = [*lattice.up, 1 << len(lattice.up)]
         covers = lattice.covers
 
     origins: dict[Edge, list[str]] = {edge: [] for edge in sorted(cut.edges)}
@@ -133,7 +136,7 @@ def make_analysis_spec(
     return AnalysisSpec(
         mode=corpus.mode,
         elements=tuple(sorted(elements, key=lambda e: e.name)),
-        relation=relation,
+        relation=_upset_pairs([e.name for e in elements], up),
         assignment=dict(lattice.assignment),
         cut=frozenset(cut.edges),
         default_element=default,
@@ -141,12 +144,3 @@ def make_analysis_spec(
         covers=covers,
     )
 
-
-def _suborder(relation: frozenset[Edge], names: list[str]) -> tuple[frozenset[Edge], frozenset[Edge]]:
-    """The order `relation` induces on `names`, and its covering pairs."""
-    bit = {name: 1 << i for i, name in enumerate(names)}
-    up = dict.fromkeys(names, 0)
-    for a, b in relation:
-        if a in bit and b in bit:
-            up[a] |= bit[b]
-    return _upset_pairs(names, up), _covers(names, up)

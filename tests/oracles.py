@@ -28,11 +28,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from itertools import combinations
+from typing import NamedTuple
 
 from flowsynth.checker import CheckReport, Verdict
 from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint
 from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode, ValidationError
-from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element
+from flowsynth.lattice import BOTTOM_NAME, Element
 from flowsynth.traces import (
     QUALIFIER,
     Corpus,
@@ -397,13 +398,23 @@ def _reference_conflict(graph, pair, witness):
     return Conflict(pair, witness, negative_ids)
 
 
-def reference_complete_join_semilattice(order):
-    """The join completion as first written: generator down-sets as
-    frozensets of names, closed by rescanning every pair until no union is
-    new, maximal generators found by an all-pairs scan."""
-    generators = [element for element in order.elements if not element.synthetic]
+class ReferenceSemilattice(NamedTuple):
+    elements: tuple
+    relation: frozenset
+    assignment: dict
+    bottom: str
+    downsets: dict
+
+
+def reference_complete_join_semilattice(elements, relation, assignment):
+    """The join completion as first written, of the order `relation` (the
+    full reflexive transitive relation as name pairs) on `elements`:
+    generator down-sets as frozensets of names, closed by rescanning every
+    pair until no union is new, maximal generators found by an all-pairs
+    scan."""
+    generators = [element for element in elements if not element.synthetic]
     downset_of = {
-        g.name: frozenset(h.name for h in generators if order.leq(h.name, g.name))
+        g.name: frozenset(h.name for h in generators if (h.name, g.name) in relation)
         for g in generators
     }
 
@@ -449,13 +460,7 @@ def reference_complete_join_semilattice(order):
         (name_for[a], name_for[b]) for a in closed for b in closed if a <= b
     )
     downsets = {name: downset for downset, name in name_for.items()}
-    return EffectSemilattice(
-        elements=elements,
-        relation=relation,
-        assignment=dict(order.assignment),
-        bottom=name_for[frozenset()],
-        downsets=downsets,
-    )
+    return ReferenceSemilattice(elements, relation, dict(assignment), name_for[frozenset()], downsets)
 
 
 def reference_is_valid_node_id(name: object) -> bool:

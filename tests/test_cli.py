@@ -750,6 +750,17 @@ def test_effect_synthesis_writes_the_version_2_fixture(tmp_path):
     assert (out / "analysis.json").read_bytes() == (FIXTURES / "ui_effect" / "analysis.json").read_bytes()
 
 
+def test_effect_synthesis_writes_the_join_fixture(tmp_path):
+    """Three chains of two and three elements: 36 elements with the joins,
+    one join primed because a generator (from the frame named
+    requestLayout∨Q_java.net.Socket.connect) already has its name."""
+    folder = FIXTURES / "ui_chains"
+    out = tmp_path / "out"
+    assert main(["synth", "--stack-traces", str(folder / "traces"), "--mode", "effect", "--out", str(out)]) == 0
+    for name in ("analysis.json", "lattice.dot"):
+        assert (out / name).read_bytes() == (folder / name).read_bytes(), name
+
+
 _text = st.text(max_size=6)
 
 

@@ -507,16 +507,12 @@ def test_node_named_unknown_primes_the_default(tmp_path):
 
 
 def test_order_query_equal():
-    order = QualifierOrder(
-        (Element("Q_a", frozenset({"a"})),), frozenset({("Q_a", "Q_a")}), {"a": "Q_a"}
-    )
+    order = QualifierOrder((Element("Q_a", frozenset({"a"})),), (1,), {"a": "Q_a"})
     assert order_query(order, "Q_a", "Q_a") == EQUAL
 
 
 def test_cut_edge_merged_message():
-    order = QualifierOrder(
-        (Element("Q_a", frozenset({"a", "b"})),), frozenset({("Q_a", "Q_a")}), {"a": "Q_a", "b": "Q_a"}
-    )
+    order = QualifierOrder((Element("Q_a", frozenset({"a", "b"})),), (1,), {"a": "Q_a", "b": "Q_a"})
     (violation,) = check_consistency(order, frozenset({("a", "b")}), ())
     assert str(violation) == "cut edge (a, b): endpoints merged into one cluster Q_a"
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowsynth import (
@@ -21,12 +22,19 @@ from flowsynth import (
     build_order,
     check_consistency,
     complete_join_semilattice,
+    dump_analysis,
     join,
+    lattice_dot,
     order_query,
     solve_synthesis_cut,
+    stack_traces_from_dir,
     synthesize,
     trace_edges,
 )
+from flowsynth import lattice as lattice_module
+from flowsynth import pipeline
+from flowsynth.graph import _bits
+from flowsynth.lattice import EQUAL, GREATER, INCOMPARABLE, LESS, _naming_key
 
 from corpusgen import random_corpus
 from oracles import reachability_closure, reference_complete_join_semilattice
@@ -35,6 +43,14 @@ from oracles import reachability_closure, reference_complete_join_semilattice
 def order_from(corpus, cut_edges):
     graph = build_graph(corpus)
     return graph, build_order(graph, frozenset(cut_edges))
+
+
+def hand_built(elements, relation, assignment):
+    """A QualifierOrder over `elements` whose up-sets hold what the full
+    relation `relation` (name pairs) relates."""
+    names = [element.name for element in elements]
+    up = tuple(sum(1 << q for q, b in enumerate(names) if (a, b) in relation) for a in names)
+    return QualifierOrder(tuple(elements), up, assignment)
 
 
 def test_taint_direction_matches_subtyping():
@@ -230,13 +246,14 @@ def test_completion_matches_reference(names, data):
     elements = [Element(name, frozenset({f"m{i}"})) for i, name in enumerate(sorted(names))]
     if data.draw(st.booleans()):
         elements.append(Element("Q_z∨Q_y", frozenset(), synthetic=True))
-    order = QualifierOrder(
-        tuple(sorted(elements, key=lambda element: element.name)),
-        frozenset(reachability_closure(names, edges)),
+    relation = frozenset(reachability_closure(names, edges))
+    order = hand_built(
+        sorted(elements, key=lambda element: element.name),
+        relation,
         {f"m{i}": name for i, name in enumerate(sorted(names))},
     )
     lattice = complete_join_semilattice(order)
-    reference = reference_complete_join_semilattice(order)
+    reference = reference_complete_join_semilattice(order.elements, relation, order.assignment)
     assert lattice.elements == reference.elements
     assert lattice.relation == reference.relation
     assert lattice.downsets == reference.downsets
@@ -248,15 +265,80 @@ def test_completion_names_colliding_joins_in_reference_order():
     # {Q_a, Q_b∨Q_b} and {Q_a∨Q_b, Q_b} both join to "Q_a∨Q_b∨Q_b"; the
     # prime goes to the later one in (size, sorted names) order
     names = ["Q_a", "Q_a∨Q_b", "Q_b", "Q_b∨Q_b"]
-    order = QualifierOrder(
-        tuple(Element(name, frozenset({name})) for name in names),
-        frozenset((name, name) for name in names),
-        {},
-    )
+    relation = frozenset((name, name) for name in names)
+    order = hand_built([Element(name, frozenset({name})) for name in names], relation, {})
     lattice = complete_join_semilattice(order)
     assert lattice.downsets["Q_a∨Q_b∨Q_b"] == {"Q_a", "Q_b∨Q_b"}
     assert lattice.downsets["Q_a∨Q_b∨Q_b'"] == {"Q_a∨Q_b", "Q_b"}
-    assert lattice.downsets == reference_complete_join_semilattice(order).downsets
+    assert lattice.downsets == reference_complete_join_semilattice(order.elements, relation, {}).downsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 70), st.data())
+def test_naming_key_orders_masks_as_their_sorted_bit_lists(width, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << width) - 1), unique=True, max_size=40))
+    old = sorted(masks, key=lambda mask: (mask.bit_count(), list(_bits(mask))))
+    assert sorted(masks, key=_naming_key(width)) == old
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12), st.booleans())
+def test_mask_order_matches_the_references(pairs, complete):
+    # every edge points up the node numbering, so the order is acyclic
+    edges = {(f"n{min(a, b)}", f"n{max(a, b)}") for a, b in pairs if a != b}
+    assume(edges)
+    corpus = Corpus(traces=tuple(Trace(f"p{i}", "positive", edge) for i, edge in enumerate(sorted(edges))))
+    _, order = order_from(corpus, [])
+    nodes = sorted({node for edge in edges for node in edge})
+    relation = {("Q_" + a, "Q_" + b) for a, b in reachability_closure(nodes, edges)}
+    lattice = order
+    if complete:
+        lattice = complete_join_semilattice(order)
+        reference = reference_complete_join_semilattice(order.elements, frozenset(relation), order.assignment)
+        relation = reference.relation
+        by_downset = {downset: name for name, downset in reference.downsets.items()}
+        assert lattice.elements == reference.elements
+        assert lattice.bottom == reference.bottom
+        assert lattice.downsets == reference.downsets
+        assert lattice.by_downset == by_downset
+        for a, b in product(lattice.names, repeat=2):
+            union = reference.downsets[a] | reference.downsets[b]
+            assert join(lattice, a, b).name == by_downset[union]
+        with pytest.raises(UnknownElement):
+            join(lattice, lattice.bottom, "nope")
+    assert lattice.relation == relation
+    kinds = {(True, True): EQUAL, (True, False): LESS, (False, True): GREATER, (False, False): INCOMPARABLE}
+    for a, b in product(lattice.names, repeat=2):
+        assert lattice.leq(a, b) == ((a, b) in relation)
+        assert order_query(lattice, a, b) == kinds[(a, b) in relation, (b, a) in relation]
+    for a, b in (("nope", lattice.names[0]), (lattice.names[0], "nope"), ("nope", "nope")):
+        with pytest.raises(UnknownElement):
+            lattice.leq(a, b)
+        with pytest.raises(UnknownElement):
+            order_query(lattice, a, b)
+
+
+def test_effect_synthesis_expands_only_the_spec_into_pairs(monkeypatch):
+    """Completion and the spec read masks: the one pair expansion is of the
+    generators and the bottom, and the semilattice's relation and down-set
+    views stay unbuilt through synthesis, the DOT file and the dump."""
+    sizes = []
+    expand = lattice_module._upset_pairs
+
+    def counted(nodes, up):
+        sizes.append(len(nodes))
+        return expand(nodes, up)
+
+    monkeypatch.setattr(lattice_module, "_upset_pairs", counted)
+    monkeypatch.setattr(pipeline, "_upset_pairs", counted)
+    traces = stack_traces_from_dir(Path(__file__).parent / "fixtures" / "ui_chains" / "traces")
+    result = synthesize(Corpus(mode="effect", traces=traces))
+    lattice_dot(result.lattice)
+    dump_analysis(result.spec)
+    assert len(result.semilattice.elements) == 36
+    assert sizes == [len(result.spec.elements)] == [8]
+    assert not {"relation", "downsets", "by_downset"} & set(result.semilattice.__dict__)
+    assert "relation" not in result.order.__dict__
 
 
 def assert_order_laws(order):
