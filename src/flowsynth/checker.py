@@ -18,12 +18,17 @@ some element's up-set.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring as _str
+from operator import and_, itemgetter, rshift
 from typing import Any, NamedTuple
 
-from .errors import CycleError, InvalidAnalysisError, NotRejected
-from .graph import _upset_pairs, _upsets, hasse_reduce, scc_condense
+from .errors import CycleError, InvalidAnalysisError, NotRejected, UnknownElement
+from .graph import _covers, _upset_pairs, _upsets, scc_condense
 from .lattice import Element
 from .traces import NEGATIVE, POSITIVE, Corpus, Edge, Trace, dump_json, is_string_list, is_string_pair, load_json
 
@@ -35,26 +40,56 @@ FORMAT_VERSION = 2
 class AnalysisSpec:
     """The synthesized analysis as a self-contained, serializable value.
 
-    covers are the covering pairs of `relation`, which analysis.json
-    stores.  Synthesis reads them off its up-set bitsets; when they are
-    None, as for a loaded or hand-built spec, `dump_analysis` reduces the
-    relation.
+    The order is held as in `QualifierOrder`: the elements are in name
+    order, and up[p] is elements[p]'s up-set, bit q set iff elements[p]
+    leq elements[q].  `relation`, the order as name pairs, is a view
+    computed on first read; neither synthesis nor a check reads it.
+    covers are the covering pairs, which analysis.json stores.  Synthesis
+    reads them off its up-sets; when they are None, as for a loaded or
+    hand-built spec, `dump_analysis` reads them off `up`.
     """
 
     mode: str
     elements: tuple[Element, ...]
-    relation: frozenset[tuple[str, str]]
+    up: tuple[int, ...]
     assignment: dict[str, str]
     cut: frozenset[Edge]
     default_element: str
     metadata: dict[str, Any] = field(default_factory=dict)
     covers: frozenset[tuple[str, str]] | None = field(default=None, compare=False)
 
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(element.name for element in self.elements)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {name: p for p, name in enumerate(self.names)}
+
+    @cached_property
+    def node_index(self) -> dict[str, int]:
+        """Each assigned node's element index, for the check's one lookup
+        per node.  Raises UnknownElement when the assignment or the default
+        names no element, which only a spec built by hand can do."""
+        index = self.index
+        try:
+            index[self.default_element]  # the index of every other node
+            return {node: index[name] for node, name in self.assignment.items()}
+        except KeyError as error:
+            raise UnknownElement(error.args[0]) from None
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        return _upset_pairs(self.names, self.up)
+
     def element_of(self, node: str) -> str:
         return self.assignment.get(node, self.default_element)
 
     def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self.relation
+        """False when either name is not an element."""
+        p = self.index.get(a)
+        q = self.index.get(b)
+        return p is not None and q is not None and self.up[p] >> q & 1 == 1
 
 
 class Verdict(NamedTuple):
@@ -96,31 +131,61 @@ class CheckReport:
 def check_trace(spec: AnalysisSpec, trace: Trace) -> Verdict:
     """Accept iff every consecutive edge relates source element to target
     element; reject at the first violating edge in path order.  Unknown
-    nodes map to the spec's default element.
-
-    One walk over the path, one assignment lookup per node: each node's
-    element is carried over as the next edge's source."""
-    assignment, default, relation = spec.assignment, spec.default_element, spec.relation
-    src = trace.nodes[0]
-    a = assignment.get(src, default)
-    for index, dst in enumerate(trace.nodes[1:]):
-        b = assignment.get(dst, default)
-        if (a, b) not in relation:
-            return Verdict(trace.id, False, index, (src, dst), a, b)
-        src, a = dst, b
+    nodes map to the spec's default element."""
+    for _, index, edge, a, b in _rejections(spec, (trace.nodes,)):
+        return Verdict(trace.id, False, index, edge, a, b)
     return Verdict(trace.id, True)
 
 
 def check_corpus(spec: AnalysisSpec, corpus: Corpus) -> CheckReport:
-    """Every trace's verdict, and the four counts taken in the same pass,
-    keyed by (polarity, accepted) in the order CheckReport lists them."""
-    verdicts = []
-    counts = dict.fromkeys([(NEGATIVE, False), (NEGATIVE, True), (POSITIVE, True), (POSITIVE, False)], 0)
-    for trace in corpus.traces:
-        verdict = check_trace(spec, trace)
-        verdicts.append(verdict)
-        counts[trace.polarity, verdict.accepted] += 1
-    return CheckReport(tuple(verdicts), *counts.values())
+    """Every trace's verdict, as `check_trace` gives it, and the four
+    counts.  The accepted verdicts are built in bulk; only the rejections
+    are visited one by one."""
+    traces = corpus.traces
+    # (trace id, True, None, None, None, None) per trace, as Verdict(id, True)
+    verdicts = list(
+        map(tuple.__new__, repeat(Verdict), zip(map(itemgetter(0), traces), repeat(True), *[repeat(None)] * 4))
+    )
+    rejected = dict.fromkeys([NEGATIVE, POSITIVE], 0)
+    for t, index, edge, a, b in _rejections(spec, list(map(itemgetter(2), traces))):
+        trace_id, polarity = traces[t][:2]
+        verdicts[t] = Verdict(trace_id, False, index, edge, a, b)
+        rejected[polarity] += 1
+    negatives = list(map(itemgetter(1), traces)).count(NEGATIVE)
+    positives = len(traces) - negatives
+    return CheckReport(
+        tuple(verdicts),
+        rejected[NEGATIVE],
+        negatives - rejected[NEGATIVE],
+        positives - rejected[POSITIVE],
+        rejected[POSITIVE],
+    )
+
+
+def _rejections(spec: AnalysisSpec, paths):
+    """(path position, violation index, violating edge, source element,
+    target element) for each path that is rejected, in path order.
+
+    The paths are checked as one, in passes that run in C: every node is
+    mapped to its element index, and each consecutive pair of indices
+    (a, b) is tested with up[a] >> b & 1.  A path's last node is given the
+    up-set -1, every bit set, so the pair that straddles it and the next
+    path's first node is related; a search for the first unrelated pair
+    from a path's start then finds its violation, and `bisect` the path
+    that it falls in."""
+    nodes = list(chain.from_iterable(paths))
+    at = list(map(spec.node_index.get, nodes, repeat(spec.index[spec.default_element])))
+    ups = list(map(spec.up.__getitem__, at))
+    # lasts[t + 1] is the position of path t's last node
+    lasts = list(accumulate(map(len, paths), initial=-1))
+    deque(map(ups.__setitem__, lasts[1:], repeat(-1)), maxlen=0)
+    related = bytes(map(and_, map(rshift, ups, at[1:]), repeat(1)))
+    names = spec.names
+    i = related.find(0)
+    while i >= 0:
+        t = bisect_right(lasts, i) - 1
+        yield t, i - lasts[t] - 1, (nodes[i], nodes[i + 1]), names[at[i]], names[at[i + 1]]
+        i = related.find(0, lasts[t + 1] + 1)
 
 
 @dataclass(frozen=True)
@@ -206,7 +271,7 @@ def dump_analysis(spec: AnalysisSpec) -> str:
     """
     covers = spec.covers
     if covers is None:
-        covers = hasse_reduce((a, b) for a, b in spec.relation if a != b)
+        covers = _covers(spec.names, spec.up)
     metadata = dict(spec.metadata)
     doc = {
         "format_version": FORMAT_VERSION,
@@ -344,6 +409,10 @@ def load_analysis(text: str) -> AnalysisSpec:
             raise InvalidAnalysisError(
                 f"assignment of {node} targets {target}, but {node} is a member of {owner[node]}"
             )
+    unassigned = sorted(owner.keys() - assignment.keys())
+    if unassigned:
+        node = unassigned[0]
+        raise InvalidAnalysisError(f"{node} is a member of {owner[node]}, but has no assignment")
     default = doc["default_element"]
     if not isinstance(default, str) or default not in names:
         raise InvalidAnalysisError(f"default element {default!r} is not an element")
@@ -366,7 +435,7 @@ def load_analysis(text: str) -> AnalysisSpec:
     return AnalysisSpec(
         mode=doc["mode"],
         elements=tuple(sorted(elements, key=lambda e: e.name)),
-        relation=_upset_pairs(ordered, up),
+        up=tuple(up),
         assignment=dict(assignment),
         cut=frozenset(cut),
         default_element=default,

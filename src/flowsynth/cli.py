@@ -16,6 +16,7 @@ rescan the decoded corpus and the traces and verdicts made from it.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import logging
 import sys
@@ -66,7 +67,9 @@ EXIT_CHECK_FAILED = 4
 log = logging.getLogger("flowsynth")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="flowsynth",
         description="Synthesize and apply program-specific flow analyses from trace corpora.",

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .graph import hasse_reduce
+from .graph import _covers
+from .graph import hasse_reduce  # noqa: F401  (bench/tracing.py wraps dot.hasse_reduce)
 from .lattice import QualifierOrder
 
 
@@ -26,7 +27,7 @@ def lattice_dot(order: QualifierOrder) -> str:
     synthetic elements get dashed borders.  Output is byte-deterministic."""
     covers = order.covers
     if covers is None:
-        covers = hasse_reduce((a, b) for a, b in order.relation if a != b)
+        covers = _covers(order.names, order.up)
     quoted = {element.name: _quote(element.name) for element in order.elements}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for element in sorted(order.elements, key=lambda e: e.name):

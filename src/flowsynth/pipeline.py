@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import __version__
 from .checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, check_corpus
 from .cut import SEPARATION, Conflict, CutSet, SolverConfig, solve_synthesis_cut
 from .errors import ValidationError
-from .graph import FlowGraph, _covers, _upset_pairs, build_graph
+from .graph import FlowGraph, _covers, build_graph
 from .lattice import (
     Element,
     EffectSemilattice,
@@ -99,21 +100,28 @@ def make_analysis_spec(
     An effect spec keeps only the elements a check can reach, the
     generators and the bottom, and the order among them: a node maps to a
     generator or to the default, so no verdict reads a synthetic join.
+    Either way the spec's elements stay in name order, so its up-sets
+    are the lattice's, renumbered.
     """
     if isinstance(lattice, EffectSemilattice):
         default = lattice.bottom
         kept = [p for p, e in enumerate(lattice.elements) if not e.synthetic or e.name == default]
         elements = [lattice.elements[p] for p in kept]
-        # each kept element's up-set among the kept ones, renumbered
+        # each kept element's up-set among the kept ones
         up = [sum(1 << k for k, q in enumerate(kept) if lattice.up[p] >> q & 1) for p in kept]
         covers = _covers([e.name for e in elements], up)
     else:
         default = QUALIFIER_DEFAULT
-        taken = {element.name for element in lattice.elements}
-        while default in taken:
+        names = lattice.names
+        while default in lattice.index:
             default += "'"
-        elements = [*lattice.elements, Element(default, frozenset(), synthetic=True)]
-        up = [*lattice.up, 1 << len(lattice.up)]
+        # the default goes in at its name position k, related only to itself
+        k = bisect_left(names, default)
+        below = (1 << k) - 1
+        up = [(mask & below) | (mask >> k << (k + 1)) for mask in lattice.up]
+        up.insert(k, 1 << k)
+        elements = list(lattice.elements)
+        elements.insert(k, Element(default, frozenset(), synthetic=True))
         covers = lattice.covers
 
     origins: dict[Edge, list[str]] = {edge: [] for edge in sorted(cut.edges)}
@@ -135,8 +143,8 @@ def make_analysis_spec(
     }
     return AnalysisSpec(
         mode=corpus.mode,
-        elements=tuple(sorted(elements, key=lambda e: e.name)),
-        relation=_upset_pairs([e.name for e in elements], up),
+        elements=tuple(elements),
+        up=tuple(up),
         assignment=dict(lattice.assignment),
         cut=frozenset(cut.edges),
         default_element=default,

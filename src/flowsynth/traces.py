@@ -114,7 +114,7 @@ class Corpus:
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "traces", tuple(self.traces))
-        ids = [trace.id for trace in self.traces]
+        ids = list(map(itemgetter(0), self.traces))
         if len(set(ids)) != len(ids):
             seen: set[str] = set()
             for trace_id in ids:

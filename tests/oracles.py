@@ -15,7 +15,8 @@ pairwise-fixpoint join completion over frozensets, and the writers and
 checks as first written (the corpus, report and analysis documents through
 `json.dumps` with `indent`, the node-id predicate as a per-character scan,
 the string-list predicate as a generator over the items, the trace check
-over the `trace_edges` tuple, the corpus check that counts in a second walk
+as a walk over the `trace_edges` tuple that looks each edge up in the
+closure of the spec's pairs, the corpus check that counts in a second walk
 over the traces, the corpus parser that checks the traces array one entry
 at a time).  None of it shares code with the implementations under test;
 the references only build the package's own data types (the corpus
@@ -30,7 +31,7 @@ from collections import deque
 from itertools import combinations
 from typing import NamedTuple
 
-from flowsynth.checker import CheckReport, Verdict
+from flowsynth.checker import AnalysisSpec, CheckReport, Verdict
 from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint
 from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode, ValidationError
 from flowsynth.lattice import BOTTOM_NAME, Element
@@ -492,22 +493,46 @@ def reference_serialize_corpus(corpus) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def spec_of(mode, elements, pairs, assignment, default_element, cut=frozenset(), metadata=None):
+    """An AnalysisSpec whose order is the reachability closure of the name
+    pairs `pairs`: its elements in name order, and each up-set read off the
+    closure one pair at a time."""
+    elements = tuple(sorted(elements, key=lambda e: e.name))
+    names = [element.name for element in elements]
+    closure = reachability_closure(names, pairs)
+    up = tuple(sum(1 << q for q, b in enumerate(names) if (a, b) in closure) for a in names)
+    return AnalysisSpec(mode, elements, up, dict(assignment), frozenset(cut), default_element, metadata or {})
+
+
+def _reference_order(spec):
+    """The spec's order as name pairs: the brute-force closure of its
+    covering pairs, or of its relation when it carries none."""
+    names = [element.name for element in spec.elements]
+    return reachability_closure(names, spec.relation if spec.covers is None else spec.covers)
+
+
+def _reference_verdict(order, spec, trace):
+    for index, (src, dst) in enumerate(trace_edges(trace)):
+        a = spec.assignment.get(src, spec.default_element)
+        b = spec.assignment.get(dst, spec.default_element)
+        if (a, b) not in order:
+            return Verdict(trace.id, False, index, (src, dst), a, b)
+    return Verdict(trace.id, True)
+
+
 def reference_check_trace(spec, trace):
     """Accept iff every consecutive edge relates source element to target
     element; reject at the first violating edge in path order.  Unknown
-    nodes map to the spec's default element."""
-    for index, (src, dst) in enumerate(trace_edges(trace)):
-        a = spec.element_of(src)
-        b = spec.element_of(dst)
-        if not spec.leq(a, b):
-            return Verdict(trace.id, False, index, (src, dst), a, b)
-    return Verdict(trace.id, True)
+    nodes map to the spec's default element.  The order is looked up in
+    `_reference_order`, never through `spec.leq`."""
+    return _reference_verdict(_reference_order(spec), spec, trace)
 
 
 def reference_check_corpus(spec, corpus):
     """Verdicts first, then the four counts from a second walk that pairs
     each trace with its verdict; traces are checked by the reference."""
-    verdicts = tuple(reference_check_trace(spec, trace) for trace in corpus.traces)
+    order = _reference_order(spec)
+    verdicts = tuple(_reference_verdict(order, spec, trace) for trace in corpus.traces)
     neg_rej = neg_acc = pos_acc = pos_rej = 0
     for trace, verdict in zip(corpus.traces, verdicts):
         if trace.is_negative:

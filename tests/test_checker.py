@@ -40,6 +40,7 @@ from oracles import (
     reference_check_corpus,
     reference_check_trace,
     reference_dump_analysis,
+    spec_of,
     transitive_reduction,
 )
 
@@ -401,7 +402,7 @@ def test_written_analysis_stores_covering_pairs_and_reloads_the_order(seed, mode
     if mode == "effect":
         # the spec as a version 1 file held it: every join, the full order
         full = result.semilattice
-        specs.append(dataclasses.replace(spec, elements=full.elements, relation=full.relation, covers=None))
+        specs.append(dataclasses.replace(spec, elements=full.elements, up=full.up, covers=None))
     alphabet = sorted({node for trace in corpus.traces for node in trace.nodes}) + ["unseen"]
     walks = [Trace(f"w{i}", "positive", random_walk(rng, alphabet, rng.randint(2, 6))) for i in range(20)]
     for trace in (*corpus.traces, *walks):
@@ -480,72 +481,81 @@ def test_load_rejects_malformed_schema(taint_spec, mutate, message):
         load_analysis(json.dumps(doc))
 
 
+_NODES = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+
+
+@st.composite
+def checked_specs(draw):
+    """Up to six elements with names among which the default can sort
+    anywhere, in a random order: drawn pairs pointed along a random
+    ranking, so acyclic, and closed.  The assignment leaves nodes out, so
+    that they fall to the default element."""
+    names = st.sampled_from(["A", "B", "Q_unknown", "a", "m", "⊥", "Z"])
+    names = draw(st.lists(names, min_size=1, max_size=6, unique=True))
+    ranking = draw(st.permutations(names))
+    element = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(element, element), max_size=12))
+    return spec_of(
+        draw(st.sampled_from(["qualifier", "effect"])),
+        [Element(name, frozenset(), True) for name in names],
+        [tuple(sorted(pair, key=ranking.index)) for pair in pairs],
+        draw(st.dictionaries(_NODES, element, max_size=5)),
+        draw(element),
+    )
+
+
+# paths with repeated nodes, so that self-loops occur
+_PATHS = st.tuples(st.sampled_from(["positive", "negative"]), st.lists(_NODES, min_size=2, max_size=8))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_check_trace_matches_reference(data):
-    """Random relations over four elements (not necessarily orders), nodes
-    partly unassigned so that they fall to the default element."""
-    names = st.sampled_from(["A", "B", "C", "D"])
-    nodes = st.sampled_from(["a", "b", "c", "d", "e", "f"])
-    spec = AnalysisSpec(
-        mode=data.draw(st.sampled_from(["qualifier", "effect"])),
-        elements=(),
-        relation=frozenset(data.draw(st.lists(st.tuples(names, names), max_size=16))),
-        assignment=data.draw(st.dictionaries(nodes, names, max_size=4)),
-        cut=frozenset(),
-        default_element=data.draw(names),
-    )
-    trace = Trace(
-        "t",
-        data.draw(st.sampled_from(["positive", "negative"])),
-        tuple(data.draw(st.lists(nodes, min_size=2, max_size=8))),
-    )
+@given(checked_specs(), _PATHS)
+def test_check_trace_matches_reference(spec, path):
+    trace = Trace("t", *path)
     assert check_trace(spec, trace) == reference_check_trace(spec, trace)
 
 
-
-def _spec(relation, assignment, default) -> AnalysisSpec:
-    return AnalysisSpec("qualifier", (), frozenset(relation), assignment, frozenset(), default)
+def _spec(pairs, assignment, default, names="ABCD") -> AnalysisSpec:
+    elements = [Element(name, frozenset(), True) for name in names]
+    return spec_of("qualifier", elements, pairs, assignment, default)
 
 
 def _corpus(*paths) -> Corpus:
     return Corpus(traces=tuple(Trace(f"t{i}", polarity, nodes) for i, (polarity, nodes) in enumerate(paths)))
 
 
-@st.composite
-def checked_corpora(draw):
-    """A random relation over four elements (not necessarily an order) and
-    a corpus of up to a dozen traces whose nodes are partly unassigned, so
-    that they fall to the default element."""
-    names = st.sampled_from(["A", "B", "C", "D"])
-    nodes = st.sampled_from(["a", "b", "c", "d", "e", "f"])
-    spec = _spec(
-        draw(st.lists(st.tuples(names, names), max_size=16)),
-        draw(st.dictionaries(nodes, names, max_size=4)),
-        draw(names),
-    )
-    polarity = st.sampled_from(["positive", "negative"])
-    paths = draw(st.lists(st.tuples(polarity, st.lists(nodes, min_size=2, max_size=6)), max_size=12))
-    return spec, _corpus(*paths)
-
-
 @settings(max_examples=300, deadline=None)
-@given(checked_corpora())
+@given(checked_specs(), st.lists(_PATHS, max_size=12).map(lambda paths: _corpus(*paths)))
 # an empty corpus
-@example((_spec([("A", "A")], {}, "A"), Corpus()))
-# an empty relation rejects every trace, of either polarity
-@example((_spec([], {"a": "A"}, "B"), _corpus(("negative", ("a", "b")), ("positive", ("b", "a", "c")))))
+@example(_spec([("A", "A")], {}, "A"), Corpus())
+# an antichain rejects every edge between two elements, of either polarity
+@example(_spec([], {"a": "A"}, "B"), _corpus(("negative", ("a", "b")), ("positive", ("b", "a", "c"))))
 # nodes no assignment names map to the default: accepted within it, and
 # rejected on the one edge that leaves it
 @example(
-    (
-        _spec([("A", "A"), ("B", "A")], {"a": "B"}, "A"),
-        _corpus(("positive", ("x", "y")), ("negative", ("a", "x", "y")), ("negative", ("x", "a"))),
-    )
+    _spec([("A", "A"), ("B", "A")], {"a": "B"}, "A"),
+    _corpus(("positive", ("x", "y")), ("negative", ("a", "x", "y")), ("negative", ("x", "a"))),
 )
-def test_check_corpus_matches_reference(case):
-    spec, corpus = case
-    assert check_corpus(spec, corpus) == reference_check_corpus(spec, corpus)
+# the default sorts between the other elements, and unknown nodes reach it
+@example(
+    _spec([("A", "M"), ("M", "Z")], {"a": "A", "z": "Z"}, "M", names="AMZ"),
+    _corpus(("positive", ("a", "x", "z")), ("negative", ("z", "x")), ("negative", ("x", "a"))),
+)
+# the violation at a path's last edge, after self-loops, which every
+# element allows
+@example(
+    _spec([("A", "B")], {"a": "A", "b": "B"}, "C"),
+    _corpus(("positive", ("a", "a", "b", "b", "a")), ("negative", ("c", "c")), ("positive", ("b", "b", "a"))),
+)
+# B -> A is unrelated, but it only runs from one path's end to the next
+# path's start, so every path is accepted
+@example(_spec([("A", "B")], {"a": "A", "b": "B"}, "A"), _corpus(("positive", ("a", "b")), ("positive", ("a", "b"))))
+def test_check_corpus_matches_reference(spec, corpus):
+    """check_corpus gives the reference's report, and each trace the
+    verdict check_trace gives it alone."""
+    report = check_corpus(spec, corpus)
+    assert report == reference_check_corpus(spec, corpus)
+    assert report.verdicts == tuple(check_trace(spec, trace) for trace in corpus.traces)
 
 
 # names that need escaping, line separators, non-ASCII text and the bottom
@@ -578,23 +588,23 @@ _recorded = st.fixed_dictionaries(
 @st.composite
 def analysis_specs(draw):
     """Any element, node and edge names, empty values included.  The
-    relation is a partial order, the only kind the loader admits: the
-    drawn pairs point forward in the drawn name order, and are closed."""
+    order is a partial order, the only kind the loader admits: the drawn
+    pairs point forward in the drawn name order, and are closed."""
     names = draw(st.lists(_name, unique=True, min_size=1, max_size=5))
-    elements = tuple(
+    elements = [
         Element(name, frozenset(draw(st.sets(_name, max_size=3))), draw(st.booleans())) for name in names
-    )
+    ]
     element = st.sampled_from(names)
     index = st.integers(0, len(names) - 1)
     pairs = [(names[min(i, j)], names[max(i, j)]) for i, j in draw(st.lists(st.tuples(index, index), max_size=6))]
-    return AnalysisSpec(
-        mode=draw(st.sampled_from(["qualifier", "effect"])),
-        elements=elements,
-        relation=frozenset(reachability_closure(names, pairs)),
-        assignment=draw(st.dictionaries(_name, element, max_size=4)),
-        cut=frozenset(draw(st.sets(st.tuples(_name, _name), max_size=3))),
-        default_element=draw(element),
-        metadata={**draw(st.dictionaries(_name, _values, max_size=3)), **draw(_recorded)},
+    return spec_of(
+        draw(st.sampled_from(["qualifier", "effect"])),
+        elements,
+        pairs,
+        draw(st.dictionaries(_name, element, max_size=4)),
+        draw(element),
+        draw(st.sets(st.tuples(_name, _name), max_size=3)),
+        {**draw(st.dictionaries(_name, _values, max_size=3)), **draw(_recorded)},
     )
 
 
@@ -605,5 +615,5 @@ def test_dump_analysis_matches_reference(spec):
 
 
 def test_dump_analysis_of_empty_values_matches_reference():
-    spec = AnalysisSpec("qualifier", (Element("⊥", frozenset(), True),), frozenset(), {}, frozenset(), "⊥", {})
+    spec = AnalysisSpec("qualifier", (Element("⊥", frozenset(), True),), (1,), {}, frozenset(), "⊥", {})
     assert dump_analysis(spec) == reference_dump_analysis(spec)

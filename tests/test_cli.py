@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from flowsynth import (
     AnalysisSpec,
     CheckReport,
+    Corpus,
     CycleError,
     FlowSynthError,
     InfeasibleSet,
@@ -22,6 +23,8 @@ from flowsynth import (
     Verdict,
     cli,
     load_analysis,
+    serialize_corpus,
+    stack_traces_from_dir,
 )
 from flowsynth.cli import main
 from flowsynth.cut import SolverConfig
@@ -728,6 +731,24 @@ def test_artifacts_match_golden_files(tmp_path):
         assert path.read_bytes() == (golden / name).read_bytes(), name
 
 
+def test_synth_and_check_expand_no_pairs(tmp_path, monkeypatch):
+    """Synthesis, the written files and the check read the order as up-set
+    masks: neither command expands it into name pairs."""
+    from flowsynth import checker, graph, lattice
+
+    calls = []
+    for module in (graph, lattice, checker):
+        monkeypatch.setattr(module, "_upset_pairs", lambda nodes, up: calls.append(len(nodes)))
+    chains = Corpus(mode="effect", traces=stack_traces_from_dir(FIXTURES / "ui_chains" / "traces"))
+    (tmp_path / "chains.json").write_text(serialize_corpus(chains), encoding="utf-8")
+    for name, corpus in (("golden", FIXTURES / "golden" / "corpus.json"), ("chains", tmp_path / "chains.json")):
+        out = tmp_path / name
+        assert main(["synth", "--corpus", str(corpus), "--out", str(out)]) == 0
+        argv = ["check", "--analysis", str(out / "analysis.json"), "--corpus", str(corpus), "--out", str(out / "check")]
+        assert main(argv) == 0
+    assert calls == []
+
+
 @pytest.mark.parametrize("fixture", ["golden", "ui_effect"])
 def test_a_version_1_analysis_checks_like_its_version_2_twin(tmp_path, fixture):
     """analysis.v1.json is what synth wrote before format version 2 (in
@@ -786,7 +807,7 @@ def reports(draw):
             max_leaves=6,
         )})
     )
-    spec = AnalysisSpec("qualifier", (), frozenset(), {}, frozenset(), "Q", recorded)
+    spec = AnalysisSpec("qualifier", (), (), {}, frozenset(), "Q", recorded)
     return CheckReport(tuple(verdicts), *counts), draw(_text), spec
 
 

@@ -138,6 +138,11 @@ ANALYSIS_CASES = {
         "leq pair references unknown element: ['Q_tainted', 'Q_ghost']",
     ),
     "assignment-not-object": (lambda d: d.update(assignment=[]), "'assignment' must be an object"),
+    # a member checked as the default element would raise false alarms
+    "member-unassigned": (
+        lambda d: d["assignment"].__delitem__("tainted"),
+        "tainted is a member of Q_tainted, but has no assignment",
+    ),
     "metadata-not-object": (lambda d: d.update(metadata=[]), "'metadata' must be an object"),
 }
 

@@ -31,8 +31,8 @@ from flowsynth import (
     synthesize,
     trace_edges,
 )
+from flowsynth import checker
 from flowsynth import lattice as lattice_module
-from flowsynth import pipeline
 from flowsynth.graph import _bits
 from flowsynth.lattice import EQUAL, GREATER, INCOMPARABLE, LESS, _naming_key
 
@@ -318,10 +318,10 @@ def test_mask_order_matches_the_references(pairs, complete):
             order_query(lattice, a, b)
 
 
-def test_effect_synthesis_expands_only_the_spec_into_pairs(monkeypatch):
-    """Completion and the spec read masks: the one pair expansion is of the
-    generators and the bottom, and the semilattice's relation and down-set
-    views stay unbuilt through synthesis, the DOT file and the dump."""
+def test_effect_synthesis_expands_no_pairs(monkeypatch):
+    """Completion and the spec read masks: nothing is expanded into pairs,
+    and the semilattice's relation and down-set views and the spec's
+    relation stay unbuilt through synthesis, the DOT file and the dump."""
     sizes = []
     expand = lattice_module._upset_pairs
 
@@ -330,15 +330,17 @@ def test_effect_synthesis_expands_only_the_spec_into_pairs(monkeypatch):
         return expand(nodes, up)
 
     monkeypatch.setattr(lattice_module, "_upset_pairs", counted)
-    monkeypatch.setattr(pipeline, "_upset_pairs", counted)
+    monkeypatch.setattr(checker, "_upset_pairs", counted)
     traces = stack_traces_from_dir(Path(__file__).parent / "fixtures" / "ui_chains" / "traces")
     result = synthesize(Corpus(mode="effect", traces=traces))
     lattice_dot(result.lattice)
     dump_analysis(result.spec)
     assert len(result.semilattice.elements) == 36
-    assert sizes == [len(result.spec.elements)] == [8]
+    assert len(result.spec.elements) == 8
+    assert sizes == []
     assert not {"relation", "downsets", "by_downset"} & set(result.semilattice.__dict__)
     assert "relation" not in result.order.__dict__
+    assert "relation" not in result.spec.__dict__
 
 
 def assert_order_laws(order):
