@@ -28,43 +28,27 @@ from operator import and_, itemgetter, rshift
 from typing import Any, NamedTuple
 
 from .errors import CycleError, InvalidAnalysisError, NotRejected, UnknownElement
-from .graph import _covers, _upset_pairs, _upsets, scc_condense
-from .lattice import Element
+from .graph import _upsets, scc_condense
+from .lattice import Element, QualifierOrder, covering_pairs
 from .traces import NEGATIVE, POSITIVE, Corpus, Edge, Trace, dump_json, is_string_list, is_string_pair, load_json
 
 QUALIFIER_DEFAULT = "Q_unknown"
 FORMAT_VERSION = 2
 
 
-@dataclass(frozen=True)
-class AnalysisSpec:
-    """The synthesized analysis as a self-contained, serializable value.
-
-    The order is held as in `QualifierOrder`: the elements are in name
-    order, and up[p] is elements[p]'s up-set, bit q set iff elements[p]
-    leq elements[q].  `relation`, the order as name pairs, is a view
-    computed on first read; neither synthesis nor a check reads it.
-    covers are the covering pairs, which analysis.json stores.  Synthesis
-    reads them off its up-sets; when they are None, as for a loaded or
-    hand-built spec, `dump_analysis` reads them off `up`.
+@dataclass(frozen=True, kw_only=True)
+class AnalysisSpec(QualifierOrder):
+    """The synthesized analysis as a self-contained, serializable value:
+    an order, as `QualifierOrder` holds it, with the default element that
+    unknown nodes map to, the cut and the synthesis metadata.  covers are
+    the covering pairs analysis.json stores; a loaded spec has none, and
+    `covering_pairs` reads them off `up`.
     """
 
     mode: str
-    elements: tuple[Element, ...]
-    up: tuple[int, ...]
-    assignment: dict[str, str]
     cut: frozenset[Edge]
     default_element: str
     metadata: dict[str, Any] = field(default_factory=dict)
-    covers: frozenset[tuple[str, str]] | None = field(default=None, compare=False)
-
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(element.name for element in self.elements)
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {name: p for p, name in enumerate(self.names)}
 
     @cached_property
     def node_index(self) -> dict[str, int]:
@@ -78,18 +62,8 @@ class AnalysisSpec:
         except KeyError as error:
             raise UnknownElement(error.args[0]) from None
 
-    @cached_property
-    def relation(self) -> frozenset[tuple[str, str]]:
-        return _upset_pairs(self.names, self.up)
-
     def element_of(self, node: str) -> str:
         return self.assignment.get(node, self.default_element)
-
-    def leq(self, a: str, b: str) -> bool:
-        """False when either name is not an element."""
-        p = self.index.get(a)
-        q = self.index.get(b)
-        return p is not None and q is not None and self.up[p] >> q & 1 == 1
 
 
 class Verdict(NamedTuple):
@@ -269,9 +243,6 @@ def dump_analysis(spec: AnalysisSpec) -> str:
     the rest by json.dumps (see `dump_json`); the bytes are those of one
     `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`.
     """
-    covers = spec.covers
-    if covers is None:
-        covers = _covers(spec.names, spec.up)
     metadata = dict(spec.metadata)
     doc = {
         "format_version": FORMAT_VERSION,
@@ -285,7 +256,7 @@ def dump_analysis(spec: AnalysisSpec) -> str:
     }
     rows = {
         "elements": [_element_row(e) for e in sorted(spec.elements, key=lambda e: e.name)],
-        "leq": [_PAIR_ROW % (_str(a), _str(b)) for a, b in sorted(covers)],
+        "leq": [_PAIR_ROW % (_str(a), _str(b)) for a, b in sorted(covering_pairs(spec))],
         "assignment": [_ENTRY_ROW % (_str(n), _str(e)) for n, e in sorted(spec.assignment.items())],
         "cut": [_PAIR_ROW % (_str(src), _str(dst)) for src, dst in sorted(spec.cut)],
     }

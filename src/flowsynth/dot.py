@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from .graph import _covers
 from .graph import hasse_reduce  # noqa: F401  (bench/tracing.py wraps dot.hasse_reduce)
-from .lattice import QualifierOrder
+from .lattice import QualifierOrder, covering_pairs
 
 
 def _escape(text: str) -> str:
@@ -25,9 +24,6 @@ def _label(name: str, members: frozenset[str]) -> str:
 def lattice_dot(order: QualifierOrder) -> str:
     """Covering edges only, drawn bottom-up (rank-min at the bottom);
     synthetic elements get dashed borders.  Output is byte-deterministic."""
-    covers = order.covers
-    if covers is None:
-        covers = _covers(order.names, order.up)
     quoted = {element.name: _quote(element.name) for element in order.elements}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for element in sorted(order.elements, key=lambda e: e.name):
@@ -35,7 +31,7 @@ def lattice_dot(order: QualifierOrder) -> str:
         if element.synthetic:
             attrs += ", style=dashed"
         lines.append(f"  {quoted[element.name]} [{attrs}];")
-    for a, b in sorted(covers):
+    for a, b in sorted(covering_pairs(order)):
         lines.append(f"  {quoted[a]} -> {quoted[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

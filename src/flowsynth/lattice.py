@@ -55,7 +55,8 @@ class QualifierOrder:
     names, is a view computed on first read.  covers are the order's
     covering pairs, its Hasse diagram, as `build_order` and
     `complete_join_semilattice` read them off the up-sets; None for an
-    order built by hand, whose covers are reduced where they are needed.
+    order built by hand or loaded, whose covers `covering_pairs` reduces
+    when they are needed.
     """
 
     elements: tuple[Element, ...]
@@ -113,6 +114,11 @@ class EffectSemilattice(QualifierOrder):
     @cached_property
     def by_down(self) -> dict[int, int]:
         return {mask: p for p, mask in enumerate(self.down)}
+
+
+def covering_pairs(order: QualifierOrder) -> frozenset[tuple[str, str]]:
+    """The order's covering pairs: those it carries, else read off its up-sets."""
+    return order.covers if order.covers is not None else _covers(order.names, order.up)
 
 
 def build_order(graph: FlowGraph, cut_edges: frozenset[Edge]) -> QualifierOrder:

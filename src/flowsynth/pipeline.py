@@ -4,13 +4,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import __version__
 from .checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, check_corpus
 from .cut import SEPARATION, Conflict, CutSet, SolverConfig, solve_synthesis_cut
 from .errors import ValidationError
-from .graph import FlowGraph, _covers, build_graph
+from .graph import FlowGraph, build_graph
 from .lattice import (
+    BOTTOM_NAME,
     Element,
     EffectSemilattice,
     QualifierOrder,
@@ -69,9 +72,8 @@ def synthesize(
 
     order = build_order(graph, outcome.edges)
     semilattice = complete_join_semilattice(order) if corpus.mode == EFFECT else None
-    final = semilattice if semilattice is not None else order
-    violations = check_consistency(final, outcome.edges, graph.negative_pairs)
-    spec = make_analysis_spec(corpus, outcome, final, config, semantics)
+    violations = check_consistency(semilattice or order, outcome.edges, graph.negative_pairs)
+    spec = make_analysis_spec(corpus, outcome, order, config, semantics)
     report = check_corpus(spec, corpus)
     return SynthesisResult(
         corpus=corpus,
@@ -89,40 +91,36 @@ def synthesize(
 def make_analysis_spec(
     corpus: Corpus,
     cut: CutSet,
-    lattice: QualifierOrder,
+    order: QualifierOrder,
     config: SolverConfig,
     semantics: str,
 ) -> AnalysisSpec:
-    """Bundle the synthesized lattice and cut into a serializable spec.
+    """Bundle the synthesized order and the cut into a serializable spec.
 
-    Unknown nodes default to a fresh maximal element in qualifier mode
-    (conservative: related only to itself) and to bottom in effect mode.
-    An effect spec keeps only the elements a check can reach, the
-    generators and the bottom, and the order among them: a node maps to a
-    generator or to the default, so no verdict reads a synthetic join.
-    Either way the spec's elements stay in name order, so its up-sets
-    are the lattice's, renumbered.
+    Unknown nodes map to a default element, inserted at its name position:
+    in qualifier mode a fresh maximal element, related only to itself; in
+    effect mode the bottom, covered by the minimal elements, so that no
+    verdict reads a synthetic join.  A completed semilattice, whose joins
+    and bottom are synthetic, raises ValueError.
     """
-    if isinstance(lattice, EffectSemilattice):
-        default = lattice.bottom
-        kept = [p for p, e in enumerate(lattice.elements) if not e.synthetic or e.name == default]
-        elements = [lattice.elements[p] for p in kept]
-        # each kept element's up-set among the kept ones
-        up = [sum(1 << k for k, q in enumerate(kept) if lattice.up[p] >> q & 1) for p in kept]
-        covers = _covers([e.name for e in elements], up)
-    else:
-        default = QUALIFIER_DEFAULT
-        names = lattice.names
-        while default in lattice.index:
-            default += "'"
-        # the default goes in at its name position k, related only to itself
-        k = bisect_left(names, default)
-        below = (1 << k) - 1
-        up = [(mask & below) | (mask >> k << (k + 1)) for mask in lattice.up]
-        up.insert(k, 1 << k)
-        elements = list(lattice.elements)
-        elements.insert(k, Element(default, frozenset(), synthetic=True))
-        covers = lattice.covers
+    if any(element.synthetic for element in order.elements):
+        raise ValueError("make_analysis_spec takes the synthesized order, which has no synthetic elements")
+    names = order.names
+    effect = corpus.mode == EFFECT
+    default = BOTTOM_NAME if effect else QUALIFIER_DEFAULT
+    while default in order.index:
+        default += "'"
+    k = bisect_left(names, default)
+    below = (1 << k) - 1
+    up = [(mask & below) | (mask >> k << (k + 1)) for mask in order.up]
+    # the default's up-set: every element for the bottom, else only itself
+    up.insert(k, (2 << len(names)) - 1 if effect else 1 << k)
+    elements = (*order.elements[:k], Element(default, frozenset(), synthetic=True), *order.elements[k:])
+    covers = order.covers
+    if effect and covers is not None:
+        # the bottom is covered by each element with nothing else below it
+        above = reduce(or_, [mask & ~(1 << p) for p, mask in enumerate(order.up)], 0)
+        covers |= {(default, name) for p, name in enumerate(names) if not above >> p & 1}
 
     origins: dict[Edge, list[str]] = {edge: [] for edge in sorted(cut.edges)}
     for constraint in cut.constraints:
@@ -142,13 +140,7 @@ def make_analysis_spec(
         "cut_origins": [[list(edge), sorted(ids)] for edge, ids in origins.items()],
     }
     return AnalysisSpec(
-        mode=corpus.mode,
-        elements=tuple(elements),
-        up=tuple(up),
-        assignment=dict(lattice.assignment),
-        cut=frozenset(cut.edges),
-        default_element=default,
-        metadata=metadata,
-        covers=covers,
+        elements, tuple(up), dict(order.assignment), covers,
+        mode=corpus.mode, cut=frozenset(cut.edges), default_element=default, metadata=metadata,
     )
 

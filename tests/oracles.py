@@ -18,27 +18,34 @@ the string-list predicate as a generator over the items, the trace check
 as a walk over the `trace_edges` tuple that looks each edge up in the
 closure of the spec's pairs, the corpus check that counts in a second walk
 over the traces, the corpus parser that checks the traces array one entry
-at a time).  None of it shares code with the implementations under test;
+at a time), and the spec builder that read the completed semilattice in
+effect mode.  None of it shares code with the implementations under test;
 the references only build the package's own data types (the corpus
 parser also reads the document with the package's JSON decoder and
-predicates, which are not what its oracle tests).
+predicates, and the spec builder takes its digest with `corpus_digest`
+and its covers with `_covers`, which are not what their oracle tests).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import deque
 from itertools import combinations
 from typing import NamedTuple
 
-from flowsynth.checker import AnalysisSpec, CheckReport, Verdict
-from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint
+from flowsynth import __version__
+from flowsynth.checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, Verdict
+from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint, SolverConfig
 from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode, ValidationError
-from flowsynth.lattice import BOTTOM_NAME, Element
+from flowsynth.graph import _covers
+from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element, QualifierOrder
 from flowsynth.traces import (
     QUALIFIER,
     Corpus,
+    Edge,
     Trace,
+    corpus_digest,
     is_string_list,
     is_string_pair,
     load_json,
@@ -493,6 +500,75 @@ def reference_serialize_corpus(corpus) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+# make_analysis_spec as it was when it read the completed semilattice in
+# effect mode: it keeps the generators and the bottom of the completion.
+def reference_make_analysis_spec(
+    corpus: Corpus,
+    cut: CutSet,
+    lattice: QualifierOrder,
+    config: SolverConfig,
+    semantics: str,
+) -> AnalysisSpec:
+    """Bundle the synthesized lattice and cut into a serializable spec.
+
+    Unknown nodes default to a fresh maximal element in qualifier mode
+    (conservative: related only to itself) and to bottom in effect mode.
+    An effect spec keeps only the elements a check can reach, the
+    generators and the bottom, and the order among them: a node maps to a
+    generator or to the default, so no verdict reads a synthetic join.
+    Either way the spec's elements stay in name order, so its up-sets
+    are the lattice's, renumbered.
+    """
+    if isinstance(lattice, EffectSemilattice):
+        default = lattice.bottom
+        kept = [p for p, e in enumerate(lattice.elements) if not e.synthetic or e.name == default]
+        elements = [lattice.elements[p] for p in kept]
+        # each kept element's up-set among the kept ones
+        up = [sum(1 << k for k, q in enumerate(kept) if lattice.up[p] >> q & 1) for p in kept]
+        covers = _covers([e.name for e in elements], up)
+    else:
+        default = QUALIFIER_DEFAULT
+        names = lattice.names
+        while default in lattice.index:
+            default += "'"
+        # the default goes in at its name position k, related only to itself
+        k = bisect_left(names, default)
+        below = (1 << k) - 1
+        up = [(mask & below) | (mask >> k << (k + 1)) for mask in lattice.up]
+        up.insert(k, 1 << k)
+        elements = list(lattice.elements)
+        elements.insert(k, Element(default, frozenset(), synthetic=True))
+        covers = lattice.covers
+
+    origins: dict[Edge, list[str]] = {edge: [] for edge in sorted(cut.edges)}
+    for constraint in cut.constraints:
+        for edge in constraint.cuttable & cut.edges:
+            origins[edge].append(constraint.id)
+    metadata = {
+        "corpus_sha256": corpus_digest(corpus),
+        "optimal": cut.optimal,
+        "semantics": semantics,
+        "tool_version": __version__,
+        "solver": config.solver,
+        "max_exact_candidates": config.max_exact_candidates,
+        "iterations": cut.iterations,
+        "constraints": [
+            {"id": c.id, "nodes": list(c.nodes)} for c in cut.constraints
+        ],
+        "cut_origins": [[list(edge), sorted(ids)] for edge, ids in origins.items()],
+    }
+    return AnalysisSpec(
+        mode=corpus.mode,
+        elements=tuple(elements),
+        up=tuple(up),
+        assignment=dict(lattice.assignment),
+        cut=frozenset(cut.edges),
+        default_element=default,
+        metadata=metadata,
+        covers=covers,
+    )
+
+
 def spec_of(mode, elements, pairs, assignment, default_element, cut=frozenset(), metadata=None):
     """An AnalysisSpec whose order is the reachability closure of the name
     pairs `pairs`: its elements in name order, and each up-set read off the
@@ -501,7 +577,10 @@ def spec_of(mode, elements, pairs, assignment, default_element, cut=frozenset(),
     names = [element.name for element in elements]
     closure = reachability_closure(names, pairs)
     up = tuple(sum(1 << q for q, b in enumerate(names) if (a, b) in closure) for a in names)
-    return AnalysisSpec(mode, elements, up, dict(assignment), frozenset(cut), default_element, metadata or {})
+    return AnalysisSpec(
+        elements, up, dict(assignment),
+        mode=mode, cut=frozenset(cut), default_element=default_element, metadata=metadata or {},
+    )
 
 
 def _reference_order(spec):

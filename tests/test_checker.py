@@ -23,23 +23,31 @@ from flowsynth import (
     InvalidAnalysisError,
     NotRejected,
     ParseError,
+    QualifierOrder,
     SolverConfig,
     Trace,
+    UnknownElement,
     check_corpus,
     check_trace,
     dump_analysis,
     explain_rejection,
+    lattice_dot,
     load_analysis,
+    make_analysis_spec,
+    order_query,
     synthesize,
 )
+from flowsynth.cut import PATH, SEPARATION
+from flowsynth.lattice import INCOMPARABLE, LESS
 
-from corpusgen import random_corpus, random_walk
+from corpusgen import ALPHABET, random_corpus, random_walk
 from oracles import (
     order_law_error,
     reachability_closure,
     reference_check_corpus,
     reference_check_trace,
     reference_dump_analysis,
+    reference_make_analysis_spec,
     spec_of,
     transitive_reduction,
 )
@@ -142,6 +150,101 @@ def test_counts_sum_to_totals_on_random_corpora():
         report = result.report
         assert report.negatives_rejected + report.negatives_accepted == len(corpus.negatives)
         assert report.positives_accepted + report.positives_rejected == len(corpus.positives)
+
+
+# ---------------------------------------------------------------------------
+# the spec as an order
+
+# node names whose elements sort on either side of the qualifier default
+# Q_unknown, and two whose elements take its name and its primed name
+_NODE_NAMES = ["a", "b", "unknown", "unknown'", "zeta", "ab", "z", "B"]
+
+
+def _renamed(corpus, names) -> Corpus:
+    rename = dict(zip(ALPHABET, names)).__getitem__
+    traces = tuple(Trace(t.id, t.polarity, tuple(map(rename, t.nodes))) for t in corpus.traces)
+    required = frozenset((rename(a), rename(b)) for a, b in corpus.required_edges)
+    return Corpus(mode=corpus.mode, traces=traces, required_edges=required)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["qualifier", "effect"]),
+    st.sampled_from([SEPARATION, PATH]),
+    st.permutations(_NODE_NAMES),
+)
+def test_spec_matches_the_reference_built_from_the_completion(seed, mode, semantics, names):
+    """The spec built from the synthesized order is the one the earlier
+    builder read off the completed semilattice (in effect mode) or the
+    order (in qualifier mode), covers included."""
+    corpus = _renamed(random_corpus(random.Random(seed), mode), names)
+    config = SolverConfig()
+    result = synthesize(corpus, semantics, config)
+    if isinstance(result, Conflict):
+        return
+    reference = reference_make_analysis_spec(corpus, result.cut, result.lattice, config, semantics)
+    assert result.spec == reference
+    assert result.spec.covers == reference.covers
+
+
+def test_make_analysis_spec_refuses_a_completed_semilattice():
+    """A completion holds synthetic joins and its own bottom; built from
+    it, the spec would gain a second bottom."""
+    corpus = Corpus(mode="effect", traces=TAINT_CORPUS.traces)
+    result = synthesize(corpus)
+    assert not isinstance(result, Conflict)
+    config = SolverConfig()
+    with pytest.raises(ValueError, match="synthetic"):
+        make_analysis_spec(corpus, result.cut, result.semilattice, config, SEPARATION)
+    assert make_analysis_spec(corpus, result.cut, result.order, config, SEPARATION) == result.spec
+
+
+def test_a_spec_is_an_order(taint_spec):
+    assert isinstance(taint_spec, QualifierOrder)
+    assert order_query(taint_spec, "Q_untainted", "Q_tainted") == LESS
+    assert order_query(taint_spec, "Q_unknown", "Q_tainted") == INCOMPARABLE
+    for a, b in (("nope", "Q_tainted"), ("Q_tainted", "nope")):
+        with pytest.raises(UnknownElement):
+            taint_spec.leq(a, b)
+        with pytest.raises(UnknownElement):
+            order_query(taint_spec, a, b)
+
+
+def test_lattice_dot_draws_a_loaded_spec():
+    """The golden analysis loads without covers; its drawing is the golden
+    lattice.dot plus the default element."""
+    folder = Path(__file__).parent / "fixtures" / "golden"
+    spec = load_analysis((folder / "analysis.json").read_text(encoding="utf-8"))
+    assert spec.covers is None
+    default = '  "Q_unknown" [label="Q_unknown", style=dashed];\n'
+    drawn = lattice_dot(spec)
+    assert default in drawn
+    assert drawn.replace(default, "") == (folder / "lattice.dot").read_text(encoding="utf-8")
+
+
+def test_spec_fields_by_keyword_and_replace(taint_spec):
+    """The order's fields come first and may be positional; the spec's own
+    fields are keyword-only."""
+    rebuilt = AnalysisSpec(
+        elements=taint_spec.elements,
+        up=taint_spec.up,
+        assignment=taint_spec.assignment,
+        mode=taint_spec.mode,
+        cut=taint_spec.cut,
+        default_element=taint_spec.default_element,
+        metadata=taint_spec.metadata,
+    )
+    assert rebuilt == taint_spec
+    assert rebuilt.covers is None
+    with pytest.raises(TypeError):
+        AnalysisSpec(taint_spec.elements, taint_spec.up, {}, "qualifier", frozenset(), "Q_unknown")
+    # every element related to every other: the leak is accepted
+    related = dataclasses.replace(taint_spec, up=(7, 7, 7), covers=None)
+    assert type(related) is AnalysisSpec and related.mode == taint_spec.mode
+    assert related.leq("Q_tainted", "Q_untainted")
+    assert check_trace(related, Trace("leak", "negative", ("tainted", "untainted"))).accepted
+    assert not check_trace(taint_spec, Trace("leak", "negative", ("tainted", "untainted"))).accepted
 
 
 # ---------------------------------------------------------------------------
@@ -615,5 +718,6 @@ def test_dump_analysis_matches_reference(spec):
 
 
 def test_dump_analysis_of_empty_values_matches_reference():
-    spec = AnalysisSpec("qualifier", (Element("⊥", frozenset(), True),), (1,), {}, frozenset(), "⊥", {})
+    bottom = Element("⊥", frozenset(), True)
+    spec = AnalysisSpec((bottom,), (1,), {}, mode="qualifier", cut=frozenset(), default_element="⊥", metadata={})
     assert dump_analysis(spec) == reference_dump_analysis(spec)

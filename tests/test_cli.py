@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import json
 import os
+import pkgutil
 from functools import partial
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowsynth
 from flowsynth import (
     AnalysisSpec,
     CheckReport,
@@ -734,10 +737,12 @@ def test_artifacts_match_golden_files(tmp_path):
 def test_synth_and_check_expand_no_pairs(tmp_path, monkeypatch):
     """Synthesis, the written files and the check read the order as up-set
     masks: neither command expands it into name pairs."""
-    from flowsynth import checker, graph, lattice
-
     calls = []
-    for module in (graph, lattice, checker):
+    # every flowsynth module that defines or imports it: graph and lattice
+    modules = [importlib.import_module(f"flowsynth.{info.name}") for info in pkgutil.iter_modules(flowsynth.__path__)]
+    holders = [module for module in modules if hasattr(module, "_upset_pairs")]
+    assert len(holders) >= 2
+    for module in holders:
         monkeypatch.setattr(module, "_upset_pairs", lambda nodes, up: calls.append(len(nodes)))
     chains = Corpus(mode="effect", traces=stack_traces_from_dir(FIXTURES / "ui_chains" / "traces"))
     (tmp_path / "chains.json").write_text(serialize_corpus(chains), encoding="utf-8")
@@ -807,7 +812,7 @@ def reports(draw):
             max_leaves=6,
         )})
     )
-    spec = AnalysisSpec("qualifier", (), (), {}, frozenset(), "Q", recorded)
+    spec = AnalysisSpec((), (), {}, mode="qualifier", cut=frozenset(), default_element="Q", metadata=recorded)
     return CheckReport(tuple(verdicts), *counts), draw(_text), spec
 
 

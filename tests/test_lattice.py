@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -31,7 +33,7 @@ from flowsynth import (
     synthesize,
     trace_edges,
 )
-from flowsynth import checker
+import flowsynth
 from flowsynth import lattice as lattice_module
 from flowsynth.graph import _bits
 from flowsynth.lattice import EQUAL, GREATER, INCOMPARABLE, LESS, _naming_key
@@ -329,8 +331,11 @@ def test_effect_synthesis_expands_no_pairs(monkeypatch):
         sizes.append(len(nodes))
         return expand(nodes, up)
 
-    monkeypatch.setattr(lattice_module, "_upset_pairs", counted)
-    monkeypatch.setattr(checker, "_upset_pairs", counted)
+    modules = [importlib.import_module(f"flowsynth.{info.name}") for info in pkgutil.iter_modules(flowsynth.__path__)]
+    holders = [module for module in modules if hasattr(module, "_upset_pairs")]
+    assert lattice_module in holders
+    for module in holders:
+        monkeypatch.setattr(module, "_upset_pairs", counted)
     traces = stack_traces_from_dir(Path(__file__).parent / "fixtures" / "ui_chains" / "traces")
     result = synthesize(Corpus(mode="effect", traces=traces))
     lattice_dot(result.lattice)
