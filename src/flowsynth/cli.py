@@ -4,7 +4,8 @@ Exit codes: 0 success; 1 infeasible/conflict, or refinement hit its
 iteration ceiling; 2 input parse/validation (including a negative
 --max-exact-candidates, JSON nested too deeply, an integer too long to
 convert, a string holding a lone surrogate and a file that is not UTF-8;
-a parse error names the file), and any other flowsynth error; 3 invalid
+a parse error names the file), any other flowsynth error, and running out
+of memory, which prints one `error: out of memory` line; 3 invalid
 or inconsistent analysis, including malformed constraint records in the
 metadata `explain` reads; 4 check found misses or false alarms.
 
@@ -128,9 +129,13 @@ def main(argv: list[str] | None = None) -> int:
     except (FlowSynthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        pass  # reported below, once the handler's frames and what they held are freed
     finally:
         if collecting:
             gc.enable()
+    print("error: out of memory: the input is too large for the memory available", file=sys.stderr)
+    return EXIT_INPUT
 
 
 def _load_corpus_inputs(args) -> Corpus:

@@ -16,19 +16,28 @@ and as a Python-int bitmask over them, and an edge-to-constraints index.
 The refinement loop numbers every cuttable edge of the graph once and
 appends each refined constraint to the same family, so no round
 renumbers or rebuilds; since index order is edge order in any numbering,
-the answers are those of a family built afresh.  The greedy solver resets
-only its per-edge counts of uncovered constraints and its lazy-deletion
-heap, updates only the counts a pick changes, and ends with a
-reverse-delete pass: each cut edge is the only one on some constraint
-path, so a separating cut leaves no cut edge related.  The exact solver is an
-iterative branch and bound whose first bound is the greedy cover's size;
-it branches on edges in sorted order, so the first cover it meets of a
+the answers are those of a family built afresh.
+
+The family also keeps its components: groups of constraints linked by
+shared edges, found by a union-find over the edge numbers as constraints
+arrive.  A greedy pick lowers the counts of its own component only, and
+the reverse-delete pass that ends greedy tests an edge only against the
+sets that hold it, so greedy over the whole family is the union of
+greedy over each component.  Each component keeps its cover until a new
+constraint touches it; a round re-solves only those, and a family built
+afresh has every component to solve.  The exact solver is an iterative
+branch and bound whose first bound is the greedy cover's size; it
+branches on edges in sorted order, so the first cover it meets of a
 given size is the lexicographically smallest one and tied optima need no
 enumeration.
 
 Separation is checked with one backward breadth-first search per distinct
 sink, serving every negative pair that ends there; each witness is the
-walk `shortest_path` takes for its pair alone.
+walk `shortest_path` takes for its pair alone.  A cut only ever removes
+edges from the search, so a sink whose search reached none of its
+sources stays separated for as long as every cut edge that search
+stopped at stays cut; the refinement loop passes a memo of those edges
+and such sinks are not searched again.
 """
 
 from __future__ import annotations
@@ -130,6 +139,12 @@ class _Family:
     bit i stands for the i-th edge, and `containing[i]` lists the sets that
     hold edge i.  `append` extends all three, so a family that gains a set
     per refinement round is never renumbered or rebuilt.
+
+    The components live in a union-find over the edge numbers: `sets`
+    maps each component's root to its set numbers and `covers` to its
+    greedy cover, and `dirty` holds the roots whose cover is missing.
+    `named` counts the edges some set holds, and `empty` is the first set
+    with no edge at all, if any.
     """
 
     def __init__(self, edges):
@@ -138,16 +153,47 @@ class _Family:
         self.indices: list[list[int]] = []
         self.masks: list[int] = []
         self.containing: list[list[int]] = [[] for _ in self.edges]
+        self.named = 0
+        self.empty: int | None = None
+        self.parent = list(range(len(self.edges)))
+        self.sets: dict[int, list[int]] = {}
+        self.covers: dict[int, int] = {}
+        self.dirty: set[int] = set()
 
     def append(self, constraint) -> None:
+        """Add a set and merge every component it touches into the one with
+        the most sets, which then needs solving again."""
         set_number = len(self.masks)
         indices = [self.number[edge] for edge in constraint]
         mask = 0
         for index in indices:
             mask |= 1 << index
-            self.containing[index].append(set_number)
+            holders = self.containing[index]
+            if not holders:
+                self.named += 1
+            holders.append(set_number)
         self.indices.append(indices)
         self.masks.append(mask)
+        if not indices:
+            if self.empty is None:
+                self.empty = set_number
+            return
+        parent, sets = self.parent, self.sets
+        roots = set()
+        for index in indices:
+            while parent[index] != index:  # path halving
+                parent[index] = index = parent[parent[index]]
+            roots.add(index)
+        top = max(roots, key=lambda root: len(sets.get(root, ())))
+        roots.discard(top)
+        merged = sets.setdefault(top, [])
+        for root in roots:
+            parent[root] = top
+            merged.extend(sets.pop(root, ()))
+            self.covers.pop(root, None)
+            self.dirty.discard(root)
+        merged.append(set_number)
+        self.dirty.add(top)
 
     def edge_set(self, mask: int) -> frozenset[Edge]:
         return frozenset(self.edges[index] for index in _bits(mask))
@@ -164,25 +210,42 @@ def _family_of(sets: Sequence[frozenset[Edge]], forbidden: frozenset[Edge]) -> _
         family = _Family(frozenset().union(*allowed))
         for constraint in allowed:
             family.append(constraint)
-    for index, mask in enumerate(family.masks):
-        if not mask:
-            raise InfeasibleSet(index)
+    if family.empty is not None:
+        raise InfeasibleSet(family.empty)
     return family
 
 
 def _greedy_cover(family: _Family) -> int:
-    """Greedy over the family's edges: each pick is the edge in the most
-    uncovered sets, ties to the smallest index.  Counts only fall, so a
-    lazy-deletion heap keyed (-count, index) yields the picks: an entry
-    whose count is stale goes back in with the current one.  Later picks
-    can cover every set an earlier one was taken for, so then each pick,
-    largest index first, goes if every set holding it holds another."""
-    containing, indices = family.containing, family.indices
-    count = [len(numbers) for numbers in containing]
-    heap = [(-n, index) for index, n in enumerate(count) if n]
+    """The greedy cover of the whole family: each component that gained a
+    set since its last solve is solved again by `_component_cover`, and the
+    covers of the others are reused.  A pick changes counts only in its
+    own component and the reverse-delete test of an edge reads only sets
+    that hold it, so this is greedy over all the sets at once, ties
+    included."""
+    covers, sets = family.covers, family.sets
+    for root in family.dirty:
+        covers[root] = _component_cover(family, sets[root])
+    family.dirty.clear()
+    chosen = 0
+    for cover in covers.values():
+        chosen |= cover
+    return chosen
+
+
+def _component_cover(family: _Family, numbers: list[int]) -> int:
+    """Greedy over the sets `numbers`, a component of the family: each pick
+    is the edge in the most uncovered sets, ties to the smallest index.
+    Counts only fall, so a lazy-deletion heap keyed (-count, index) yields
+    the picks: an entry whose count is stale goes back in with the current
+    one.  Later picks can cover every set an earlier one was taken for, so
+    then each pick, largest index first, goes if every set holding it
+    holds another."""
+    containing, indices, masks = family.containing, family.indices, family.masks
+    count = {index: len(containing[index]) for number in numbers for index in indices[number]}
+    heap = [(-n, index) for index, n in count.items()]
     heapq.heapify(heap)
-    covered = [False] * len(indices)
-    uncovered = len(indices)
+    covered: set[int] = set()
+    uncovered = len(numbers)
     chosen = 0
     while uncovered:
         negated, index = heapq.heappop(heap)
@@ -192,15 +255,15 @@ def _greedy_cover(family: _Family) -> int:
             continue
         chosen |= 1 << index
         for number in containing[index]:
-            if not covered[number]:
-                covered[number] = True
+            if number not in covered:
+                covered.add(number)
                 uncovered -= 1
                 for other in indices[number]:
                     count[other] -= 1
     # a pick that is the only one in some set stays; only the rest are tried
-    masks, essential = family.masks, 0
-    for mask in masks:
-        hit = mask & chosen
+    essential = 0
+    for number in numbers:
+        hit = masks[number] & chosen
         if not hit & (hit - 1):
             essential |= hit
     for index in sorted(_bits(chosen & ~essential), reverse=True):
@@ -274,7 +337,11 @@ def _packing_bound(sets: list[int]) -> int:
 # Separation checking and the refinement loop
 
 def verify_separation(
-    graph: FlowGraph, cut: frozenset[Edge], negative_pairs: Sequence[Edge]
+    graph: FlowGraph,
+    cut: frozenset[Edge],
+    negative_pairs: Sequence[Edge],
+    *,
+    separated: dict | None = None,
 ) -> tuple[tuple[Edge, tuple[str, ...]], ...]:
     """For every negative pair still connected after the cut, one witness
     path (breadth-first shortest, lexicographic), in `negative_pairs`
@@ -282,18 +349,39 @@ def verify_separation(
 
     One backward search runs from each distinct sink until all of that
     sink's sources are labelled; its distances are exact, so each witness
-    is the one `shortest_path` gives for its pair."""
+    is the one `shortest_path` gives for its pair.
+
+    `separated` is a memo the caller keeps across calls on one graph, at
+    first empty.  A search that reaches none of its sink's sources leaves
+    there the sources and the cut edges it stopped at.  Cutting more can
+    only shrink what reaches the sink, so while all of those edges are
+    still in `cut` the sink is not searched again.  The answer is the same
+    with or without the memo."""
+    nodes = graph.nodes
     sources: dict[str, set[str]] = {}
     for source, sink in negative_pairs:
-        if source not in graph.nodes:
+        if source not in nodes:
             raise UnknownNode(source)
-        if sink not in graph.nodes:
+        if sink not in nodes:
             raise UnknownNode(sink)
         sources.setdefault(sink, set()).add(source)
-    distances = {sink: _distances_to(graph, sink, starts, cut) for sink, starts in sources.items()}
+    memo = {} if separated is None else separated
+    distances = {}
+    for sink, starts in sources.items():
+        known = memo.get(sink)
+        if known is not None and known[0] == starts and known[1] <= cut:
+            continue
+        stopped: list[Edge] = []
+        dist = distances[sink] = _distances_to(graph, sink, starts, cut, stopped)
+        if starts.isdisjoint(dist):
+            # the search ran dry, so every stopped edge whose tail it never
+            # labelled is an edge into what reaches the sink
+            memo[sink] = (starts, frozenset(edge for edge in stopped if edge[0] not in dist))
+        else:
+            memo.pop(sink, None)
     leftover = []
     for source, sink in negative_pairs:
-        dist = distances[sink]
+        dist = distances.get(sink, ())
         if source in dist:
             leftover.append(((source, sink), _nearest_walk(graph, source, dist, cut)))
     return tuple(leftover)
@@ -308,8 +396,10 @@ def solve_synthesis_cut(
     (default) runs the lazy refinement loop until every negative pair is
     separated; `iterations` counts hitting-set solves.  `optimal` is True
     iff the exact solver produced the final solve.  Both solvers are handed
-    one family that gains each refined constraint in place.  An unknown
-    semantics or solver raises ValueError before any work.
+    one family that gains each refined constraint in place, and
+    `verify_separation` one memo of the sinks already separated.  Each
+    separation round logs one DEBUG line.  An unknown semantics or solver
+    raises ValueError before any work.
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
@@ -325,6 +415,8 @@ def solve_synthesis_cut(
     family = _Family(graph.cuttable_edges())
     for constraint in constraints:
         family.append(constraint.cuttable)
+    separated: dict = {}
+    sinks = len({sink for _, sink in graph.negative_pairs})
 
     iterations = 0
     refined = 0
@@ -336,25 +428,41 @@ def solve_synthesis_cut(
                 f"refinement did not terminate within {config.max_iterations} iterations"
             )
         # auto's candidates: the edges some constraint names
-        named = sum(map(bool, family.containing))
         use_exact = config.solver == EXACT or (
-            config.solver == AUTO and named <= config.max_exact_candidates
+            config.solver == AUTO and family.named <= config.max_exact_candidates
         )
         if config.solver == AUTO and not use_exact and not warned_greedy:
             warned_greedy = True
             log.warning(
                 "%d candidate edges exceed max_exact_candidates=%d; "
                 "falling back to the greedy solver (cut may not be minimum)",
-                named,
+                family.named,
                 config.max_exact_candidates,
             )
         solve = min_hitting_set_exact if use_exact else min_hitting_set_greedy
+        resolved = len(family.dirty)
         cut = solve(family) if family.masks else frozenset()
 
         if semantics == PATH:
             return CutSet(cut, iterations, use_exact, tuple(constraints))
 
-        leftover = verify_separation(graph, cut, graph.negative_pairs)
+        # a memo entry the call leaves as it was is a sink it did not search
+        kept = dict(separated) if log.isEnabledFor(logging.DEBUG) else None
+        leftover = verify_separation(graph, cut, graph.negative_pairs, separated=separated)
+        if kept is not None:
+            log.debug(
+                "round %d: %d constraints, %d of %d components re-solved, %s solver, "
+                "cut %d edges, %d pairs unseparated, %d of %d sinks searched",
+                iterations,
+                len(family.masks),
+                resolved,
+                len(family.sets),
+                EXACT if use_exact else GREEDY,
+                len(cut),
+                len(leftover),
+                sinks - sum(separated.get(sink) is entry for sink, entry in kept.items()),
+                sinks,
+            )
         if not leftover:
             return CutSet(cut, iterations, use_exact, tuple(constraints))
         for pair, witness in leftover:

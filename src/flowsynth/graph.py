@@ -135,13 +135,18 @@ def shortest_path(
 
 
 def _distances_to(
-    graph: FlowGraph, goal: str, starts: Iterable[str], excluded: frozenset[Edge]
+    graph: FlowGraph,
+    goal: str,
+    starts: Iterable[str],
+    excluded: frozenset[Edge],
+    stopped: list[Edge] | None = None,
 ) -> dict[str, int]:
     """Distances to goal over edges not in `excluded`, from one
     breadth-first search run backward from goal until every node of
     `starts` is labelled or nothing is left to label.  A node is labelled
     when found, with its exact distance; when the last start is labelled,
-    every node nearer to goal than it has been labelled too."""
+    every node nearer to goal than it has been labelled too.  Each excluded
+    edge the search meets from a node not yet labelled goes on `stopped`."""
     dist = {goal: 0}
     waiting = set(starts)
     waiting.discard(goal)
@@ -151,10 +156,13 @@ def _distances_to(
         node = queue.popleft()
         step = dist[node] + 1
         for pred in reverse[node]:
-            if pred not in dist and (pred, node) not in excluded:
-                dist[pred] = step
-                queue.append(pred)
-                waiting.discard(pred)
+            if pred not in dist:
+                if (pred, node) not in excluded:
+                    dist[pred] = step
+                    queue.append(pred)
+                    waiting.discard(pred)
+                elif stopped is not None:
+                    stopped.append((pred, node))
     return dist
 
 

@@ -7,6 +7,8 @@ import importlib
 import json
 import os
 import pkgutil
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -33,6 +35,11 @@ from flowsynth.cli import main
 from flowsynth.cut import SolverConfig
 
 from oracles import reference_report_json
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -281,6 +288,34 @@ def test_any_other_flowsynth_error_exits_2(tmp_path, capsys, monkeypatch, error)
     code, _ = synth(tmp_path, TAINT_CORPUS)
     assert code == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_synth_out_of_memory_under_an_address_space_limit_exits_2(tmp_path):
+    """A 40,000-node chain needs about 200 MB of up-set masks alone; the
+    child process lowers its own address-space limit to 450 MiB first."""
+    n = 40_000
+    traces = [{"id": f"p{i:05d}", "polarity": "positive", "nodes": [f"n{i:05d}", f"n{i + 1:05d}"]} for i in range(n - 1)]
+    traces.append({"id": "neg", "polarity": "negative", "nodes": [f"n{n - 1:05d}", "n00000"]})
+    corpus = tmp_path / "chain.json"
+    corpus.write_text(json.dumps({"traces": traces}))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (450 * 2**20, 450 * 2**20))\n"
+        "from flowsynth.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(flowsynth.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script, "synth", "--corpus", str(corpus), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert "Traceback" not in run.stderr
+    assert run.returncode == 2
+    assert run.stderr == "error: out of memory: the input is too large for the memory available\n"
 
 
 def test_synth_validation_error_exits_2(tmp_path, capsys):

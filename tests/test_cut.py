@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import logging
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
@@ -27,6 +29,8 @@ from flowsynth import (
     synthesize,
     verify_separation,
 )
+from flowsynth import cut as cut_module
+from flowsynth.cut import _Family, _greedy_cover, path_cuttable_edges
 from flowsynth.graph import shortest_path
 
 from corpusgen import random_corpus
@@ -34,6 +38,7 @@ from oracles import (
     brute_min_hitting_set,
     brute_min_separation_cut,
     prefix_conflicts,
+    reachable_nodes,
     reference_exact_hitting_set,
     reference_greedy_hitting_set,
     reference_irredundant,
@@ -638,17 +643,101 @@ def _connected_sinks(graph):
     return [sink for (_, sink), _ in verify_separation(graph, frozenset(), graph.negative_pairs)]
 
 
+def components(sets):
+    """The numbers of the sets, grouped by shared edges: sorted groups in
+    sorted order."""
+    groups = []
+    for number, constraint in enumerate(sets):
+        edges, numbers = set(constraint), [number]
+        for group in [group for group in groups if group[0] & edges]:
+            groups.remove(group)
+            edges |= group[0]
+            numbers += group[1]
+        groups.append((edges, numbers))
+    return sorted(sorted(numbers) for _, numbers in groups)
+
+
+def _merges_components(graph):
+    """Some refined constraint links two or more groups of the constraints
+    before it."""
+    cut = _solved(graph)
+    if not isinstance(cut, CutSet):
+        return False
+    sets = [c.cuttable for c in cut.constraints]
+    return any(
+        len(components(sets[: n + 1])) < len(components(sets[:n])) for n in range(len(graph.negative_paths), len(sets))
+    )
+
+
+def round_cuts(graph, config):
+    """The loop's result and the cut each of its rounds verified."""
+    cuts = []
+
+    def spy(graph, cut, pairs, **kwargs):
+        cuts.append(cut)
+        return verify_separation(graph, cut, pairs, **kwargs)
+
+    with mock.patch.object(cut_module, "verify_separation", spy):
+        return solve_synthesis_cut(graph, config=config), cuts
+
+
+def sink_searches(graph, cuts):
+    """For each cut in turn, the sinks that need a search and those among
+    them that a search had separated: a sink is skipped while every edge
+    into what its last search reached, from outside that, is still cut."""
+    sources = {}
+    for source, sink in graph.negative_pairs:
+        sources.setdefault(sink, set()).add(source)
+    backward = [(dst, src) for src, dst in graph.edges]
+    stopped = {}
+    rounds = []
+    for cut in cuts:
+        searched, reopened = set(), set()
+        for sink, starts in sources.items():
+            if sink in stopped:
+                if stopped[sink] <= cut:
+                    continue
+                reopened.add(sink)
+            searched.add(sink)
+            reach = reachable_nodes(backward, sink, {(dst, src) for src, dst in cut})
+            if starts & reach:
+                stopped.pop(sink, None)
+            else:
+                stopped[sink] = {(src, dst) for src, dst in graph.edges if dst in reach and src not in reach}
+        rounds.append((searched, reopened))
+    return rounds
+
+
+def _reopens_a_sink(graph):
+    return any(
+        reopened
+        for solver in ("exact", "greedy")
+        for _, reopened in sink_searches(graph, round_cuts(graph, SolverConfig(solver))[1])
+    )
+
+
+def _auto_switches_to_greedy(graph):
+    """auto, with the first round's candidate count as its limit, starts
+    exact and ends greedy."""
+    first = len(frozenset().union(*(path_cuttable_edges(graph, nodes) for _, nodes in graph.negative_paths)))
+    cut = solve_synthesis_cut(graph, config=SolverConfig("auto", first))
+    return first <= 8 and isinstance(cut, CutSet) and not cut.optimal
+
+
 REACHED = {
     "refined": lambda graph: isinstance(cut := _solved(graph), CutSet) and cut.iterations >= 2,
     "refined-conflict": lambda graph: isinstance(c := _solved(graph), Conflict) and len(c.witness) > 2,
     "source-is-sink-conflict": lambda graph: isinstance(c := _solved(graph), Conflict) and c.pair[0] == c.pair[1],
     "shared-sink": lambda graph: len(set(sinks := _connected_sinks(graph))) < len(sinks),
+    "refined-merges-components": _merges_components,
+    "separated-sink-reopened": _reopens_a_sink,
+    "auto-exact-then-greedy": _auto_switches_to_greedy,
 }
 
 
 @pytest.mark.parametrize("shape", sorted(REACHED))
 def test_graph_strategy_reaches(shape):
-    """The generator makes every case the two tests around it are for."""
+    """The generator makes every case the tests around it are for."""
     find(flow_graphs(), REACHED[shape], settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
 
 
@@ -671,3 +760,167 @@ def test_verify_separation_names_the_first_unknown_node():
         with pytest.raises(UnknownNode) as excinfo:
             verify_separation(graph, frozenset(), pairs)
         assert str(excinfo.value) == missing
+
+
+# ---------------------------------------------------------------------------
+# the components of a growing family and the memo of separated sinks
+
+E4 = ("d", "e")
+MERGES_THREE = ([frozenset({E1}), frozenset({E2}), frozenset({E3}), frozenset({E1, E2, E3})], frozenset())
+# {E1, E2} alone is covered by E1; merged into the larger {E3, E4}, {E4}
+# by {E2, E3}, it is covered by E2
+DROPS_A_MERGED_COVER = ([frozenset({E1, E2}), frozenset({E3, E4}), frozenset({E4}), frozenset({E2, E3})], frozenset())
+DUPLICATES = ([frozenset({E1, E2}), frozenset({E3}), frozenset({E1, E2}), frozenset({E2, E3})], frozenset())
+FORBIDDEN = ([frozenset({E1, E2}), frozenset({E3}), frozenset({E2, E3}), frozenset({E2})], frozenset({E2}))
+
+
+def whole_family_greedy(sets, forbidden):
+    return reference_irredundant(reference_greedy_hitting_set(sets, forbidden), sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(max_edges=10, max_sets=20, max_size=3), st.lists(st.booleans(), min_size=20, max_size=20))
+@example(MERGES_THREE, [False] * 20)
+@example(MERGES_THREE, [True] * 20)
+@example(DROPS_A_MERGED_COVER, [True] * 20)
+@example(DUPLICATES, [True] * 20)
+@example(FORBIDDEN, [False, True] * 10)
+def test_growing_family_covers_match_the_whole_family_greedy(family, solve_after):
+    """One family is solved after every append, as a round would; a second
+    gets the same appends but is solved only now and then, so that one
+    solve meets several merges.  Both give greedy over all sets so far,
+    and the exact solver, whose first bound reads the same covers, gives
+    the exact answer."""
+    sets, forbidden = family
+    sets = [constraint for constraint in sets if constraint - forbidden]
+    edges = frozenset().union(*sets) - forbidden
+    every, batched = _Family(edges), _Family(edges)
+    for count, (constraint, solve) in enumerate(zip(sets, solve_after), 1):
+        every.append(constraint - forbidden)
+        batched.append(constraint - forbidden)
+        expected = whole_family_greedy(sets[:count], forbidden)
+        assert every.edge_set(_greedy_cover(every)) == expected
+        assert sorted(map(sorted, every.sets.values())) == components([c - forbidden for c in sets[:count]])
+        if solve:
+            assert min_hitting_set_greedy(batched) == expected
+    if sets:
+        assert min_hitting_set_exact(batched) == reference_exact_hitting_set(sets, forbidden)
+        assert min_hitting_set_greedy(batched) == whole_family_greedy(sets, forbidden)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_graphs(), st.data())
+def test_verify_separation_with_a_memo_matches_the_reference_on_every_cut(graph, data):
+    """Each cut adds and drops a few edges of the last, as greedy's cuts
+    do from round to round."""
+    keys = sorted(graph.edges)
+    toggles = st.frozensets(st.sampled_from(keys), max_size=3)
+    memo = {}
+    cut = frozenset()
+    for toggled in data.draw(st.lists(toggles, min_size=1, max_size=6)):
+        cut ^= toggled
+        expected = reference_verify_separation(graph, cut, graph.negative_pairs)
+        assert verify_separation(graph, cut, graph.negative_pairs, separated=memo) == expected
+
+
+def test_a_sink_is_searched_again_once_an_edge_its_search_stopped_at_leaves_the_cut():
+    # s -> a -> t and s -> b -> t; the first cut stops the search from t at
+    # both edges into t, the second lets a -> t through again
+    graph = build_graph(
+        Corpus(traces=(Trace("n1", "negative", ("s", "a", "t")), Trace("n2", "negative", ("s", "b", "t"))))
+    )
+    memo = {}
+    both = frozenset({("a", "t"), ("b", "t")})
+    assert verify_separation(graph, both, [("s", "t")], separated=memo) == ()
+    assert verify_separation(graph, both | {("s", "a")}, [("s", "t")], separated=memo) == ()
+    assert verify_separation(graph, frozenset({("b", "t"), ("s", "a")}), [("s", "t")], separated=memo) == ()
+    reopened = frozenset({("s", "a"), ("s", "b")})
+    assert verify_separation(graph, reopened, [("s", "t")], separated=memo) == ()
+    assert verify_separation(graph, frozenset({("s", "b")}), [("s", "t")], separated=memo) == (
+        (("s", "t"), ("s", "a", "t")),
+    )
+
+
+def gadget_ladder(gadgets, depth):
+    """The benchmark's refinement gadgets, without its random names, hub or
+    filler: the negative s -> t of a gadget takes depth + 1 rounds to
+    separate, one rung per round, and each rung is a component of its
+    own."""
+    traces = []
+    for g in range(gadgets):
+        source, sink = f"g{g}.src", f"g{g}.snk"
+        spine = (source, *(f"g{g}.up{j:02d}" for j in range(1, depth + 1)))
+        traces += [Trace(f"g{g}.spine", "positive", spine), Trace(f"g{g}.n", "negative", (source, sink))]
+        for j in range(1, depth + 1):
+            rung, drop, side = f"g{g}.rg{j:02d}", f"g{g}.dr{j:02d}", f"g{g}.sd{j:02d}"
+            traces += [
+                Trace(f"g{g}.a{j:02d}", "negative", (spine[j], rung, drop)),
+                Trace(f"g{g}.b{j:02d}", "negative", (side, rung, drop)),
+                Trace(f"g{g}.r{j:02d}", "positive", (rung, sink)),
+            ]
+    return Corpus(traces=tuple(traces))
+
+
+def test_a_round_re_solves_the_touched_components_and_searches_the_open_sinks(monkeypatch):
+    graph = build_graph(gadget_ladder(3, 4))
+    rounds = []  # per round: component solves, sinks searched, leftover
+
+    def solve_component(family, numbers, _original=cut_module._component_cover):
+        rounds[-1]["solves"] += 1
+        return _original(family, numbers)
+
+    def search(graph, goal, *args, _original=cut_module._distances_to):
+        rounds[-1]["searched"].append(goal)
+        return _original(graph, goal, *args)
+
+    def greedy(sets, forbidden=frozenset(), _original=cut_module.min_hitting_set_greedy):
+        rounds.append({"solves": 0, "searched": []})
+        return _original(sets, forbidden)
+
+    def verify(graph, cut, pairs, *, separated=None, _original=cut_module.verify_separation):
+        rounds[-1]["leftover"] = leftover = _original(graph, cut, pairs, separated=separated)
+        rounds[-1]["cut"] = cut
+        return leftover
+
+    for name, spy in [("_component_cover", solve_component), ("_distances_to", search),
+                      ("min_hitting_set_greedy", greedy), ("verify_separation", verify)]:
+        monkeypatch.setattr(cut_module, name, spy)
+    cut = solve_synthesis_cut(graph, config=SolverConfig("greedy"))
+    assert isinstance(cut, CutSet) and cut.iterations == 5 == len(rounds)
+    assert cut == reference_solve_synthesis_cut(graph, "separation", SolverConfig("greedy"))
+
+    sets = [constraint.cuttable for constraint in cut.constraints]
+    sinks = {sink for _, sink in graph.negative_pairs}
+    models = sink_searches(graph, [r["cut"] for r in rounds])
+    solved = len(graph.negative_paths)
+    assert rounds[0]["solves"] == len(components(sets[:solved])) == 15
+    assert sorted(rounds[0]["searched"]) == sorted(sinks)
+    for before, now, (_, reopened) in zip(rounds, rounds[1:], models[1:]):
+        added = solved + len(before["leftover"])
+        touched = [group for group in components(sets[:added]) if group[-1] >= solved]
+        assert now["solves"] == len(touched) == 3
+        unseparated = {sink for (_, sink), _ in before["leftover"]}
+        assert set(now["searched"]) <= unseparated | reopened
+        assert len(now["searched"]) <= len(unseparated) + len(reopened)
+        solved = added
+    assert sum(len(r["searched"]) for r in rounds) < len(rounds) * len(sinks)
+
+
+def test_each_separation_round_logs_one_debug_line(caplog):
+    graph = build_graph(gadget_ladder(2, 3))
+    with caplog.at_level(logging.DEBUG, logger="flowsynth.cut"):
+        cut = solve_synthesis_cut(graph, config=SolverConfig("greedy"))
+    assert isinstance(cut, CutSet)
+    lines = [record.getMessage() for record in caplog.records]
+    assert {record.levelno for record in caplog.records} == {logging.DEBUG}
+    assert lines == [
+        "round 1: 14 constraints, 8 of 8 components re-solved, greedy solver, "
+        "cut 8 edges, 2 pairs unseparated, 8 of 8 sinks searched",
+        "round 2: 16 constraints, 2 of 8 components re-solved, greedy solver, "
+        "cut 10 edges, 2 pairs unseparated, 2 of 8 sinks searched",
+        "round 3: 18 constraints, 2 of 8 components re-solved, greedy solver, "
+        "cut 12 edges, 2 pairs unseparated, 2 of 8 sinks searched",
+        "round 4: 20 constraints, 2 of 8 components re-solved, greedy solver, "
+        "cut 14 edges, 0 pairs unseparated, 2 of 8 sinks searched",
+    ]
+    assert len(lines) == cut.iterations
