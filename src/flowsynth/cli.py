@@ -12,6 +12,14 @@ metadata `explain` reads; 4 check found misses or false alarms.
 A command runs with the cyclic garbage collector paused: what it builds
 is acyclic, so reference counting frees it, and the collector would only
 rescan the decoded corpus and the traces and verdicts made from it.
+
+Log records of the `flowsynth` loggers go to stderr as `LEVEL: message`,
+warnings and above; `-v` adds the DEBUG line of each refinement round.
+
+In effect mode, `synth` draws the join completion in lattice.dot only up
+to DRAW_LIMIT elements.  Above it, it stops completing once past the
+limit, draws the spec's order (the generators and the bottom), logs one
+warning, and the summary line counts what was drawn.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .errors import (
 )
 from .expand import EndpointSpec, enumerate_candidate_paths, parse_static_graph
 from .graph import build_graph
+from .lattice import QualifierOrder
 from .pipeline import SynthesisResult, synthesize
 from .traces import (
     EFFECT,
@@ -65,7 +74,30 @@ EXIT_INPUT = 2
 EXIT_INVALID_ANALYSIS = 3
 EXIT_CHECK_FAILED = 4
 
+# lattice.dot draws an effect order's join completion only up to this many
+# elements: k independent two-element chains complete to 3**k of them.
+DRAW_LIMIT = 4096
+
 log = logging.getLogger("flowsynth")
+
+
+class _StderrHandler(logging.Handler):
+    """Writes each record as `LEVEL: message` to sys.stderr as it is at
+    that moment, so that a caller that swaps sys.stderr between commands
+    still gets the lines."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            print(self.format(record), file=sys.stderr)
+        except Exception:
+            self.handleError(record)
+
+
+_STDERR = _StderrHandler()
 
 
 @functools.cache
@@ -75,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="flowsynth",
         description="Synthesize and apply program-specific flow analyses from trace corpora.",
     )
+    parser.add_argument("-v", "--verbose", action="store_true", help="also log one line per refinement round")
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="synthesize an analysis from a corpus")
@@ -108,8 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
+    log.addHandler(_STDERR)  # once: a handler already there is not added again
+    log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     handlers = {
         "synth": run_synth,
         "check": run_check,
@@ -174,11 +208,12 @@ def run_synth(args) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     (out / "analysis.json").write_text(dump_analysis(result.spec), encoding="utf-8")
-    (out / "lattice.dot").write_text(lattice_dot(result.lattice), encoding="utf-8")
+    drawn = _drawn(result)
+    (out / "lattice.dot").write_text(lattice_dot(drawn), encoding="utf-8")
     # the digest make_analysis_spec already took of this corpus
     report = _report_json(result.report, result.spec.metadata["corpus_sha256"], result.spec)
     (out / "report.json").write_text(report, encoding="utf-8")
-    _print_summary(result, out)
+    _print_summary(result, drawn, out)
 
     if result.violations:
         print("internal consistency violations:", file=sys.stderr)
@@ -186,6 +221,22 @@ def run_synth(args) -> int:
             print(f"  {violation}", file=sys.stderr)
         return EXIT_INVALID_ANALYSIS
     return EXIT_OK
+
+
+def _drawn(result: SynthesisResult) -> QualifierOrder:
+    """What lattice.dot draws: the synthesized order, or in effect mode its
+    join completion, unless that has more than DRAW_LIMIT elements; then
+    the spec's order, the generators and the bottom, with one warning."""
+    if result.corpus.mode != EFFECT:
+        return result.order
+    completion = result.completion(DRAW_LIMIT)
+    if completion is None:
+        log.warning(
+            "the join completion has more than %d elements; lattice.dot draws only the generators and the bottom",
+            DRAW_LIMIT,
+        )
+        return result.spec
+    return completion
 
 
 def run_check(args) -> int:
@@ -279,11 +330,11 @@ def _print_conflict(conflict: Conflict, corpus: Corpus) -> None:
         print(f"  required edge(s): {edges}", file=sys.stderr)
 
 
-def _print_summary(result: SynthesisResult, out: Path) -> None:
+def _print_summary(result: SynthesisResult, drawn: QualifierOrder, out: Path) -> None:
     graph = result.graph
     protected = sum(1 for edge in graph.edges.values() if edge.protected)
     cut_edges = ", ".join(f"{s} -> {d}" for s, d in sorted(result.cut.edges)) or "(none)"
-    synthetic = sum(1 for element in result.lattice.elements if element.synthetic)
+    synthetic = sum(1 for element in drawn.elements if element.synthetic)
     report = result.report
     print(f"mode: {result.corpus.mode}")
     print(f"graph: {len(graph.nodes)} node(s), {len(graph.edges)} edge(s), {protected} protected")
@@ -291,7 +342,7 @@ def _print_summary(result: SynthesisResult, out: Path) -> None:
         f"cut: {len(result.cut.edges)} edge(s) [{cut_edges}] "
         f"iterations={result.cut.iterations} optimal={str(result.cut.optimal).lower()}"
     )
-    print(f"lattice: {len(result.lattice.elements)} element(s), {synthetic} synthetic")
+    print(f"lattice: {len(drawn.elements)} element(s), {synthetic} synthetic")
     print(
         f"report: {report.negatives_rejected}/{report.negatives_rejected + report.negatives_accepted} "
         f"negative(s) rejected, "

@@ -144,7 +144,8 @@ class _Family:
     maps each component's root to its set numbers and `covers` to its
     greedy cover, and `dirty` holds the roots whose cover is missing.
     `named` counts the edges some set holds, and `empty` is the first set
-    with no edge at all, if any.
+    with no edge at all, if any.  `last` is the last cover mask that
+    `edge_set` turned into edges, with those edges.
     """
 
     def __init__(self, edges):
@@ -159,6 +160,7 @@ class _Family:
         self.sets: dict[int, list[int]] = {}
         self.covers: dict[int, int] = {}
         self.dirty: set[int] = set()
+        self.last: tuple[int, frozenset[Edge]] = (0, frozenset())
 
     def append(self, constraint) -> None:
         """Add a set and merge every component it touches into the one with
@@ -196,7 +198,16 @@ class _Family:
         self.dirty.add(top)
 
     def edge_set(self, mask: int) -> frozenset[Edge]:
-        return frozenset(self.edges[index] for index in _bits(mask))
+        """The edges of `mask`: the last call's, with the edges of the bits
+        that differ taken out or put in.  A round's cover differs from the
+        last one only in the components that were solved again."""
+        last, edges = self.last
+        changed = mask ^ last
+        if changed:
+            edges = edges.difference([self.edges[index] for index in _bits(changed & last)])
+            edges = edges.union([self.edges[index] for index in _bits(changed & mask)])
+            self.last = (mask, edges)
+        return edges
 
 
 def _family_of(sets: Sequence[frozenset[Edge]], forbidden: frozenset[Edge]) -> _Family:

@@ -10,19 +10,22 @@ An order holds one up-set bitset per element, in name order, so `leq` is
 a bit test (Aït-Kaci et al., "Efficient implementation of lattice
 operations", TOPLAS 1989); its relation as name pairs is built on demand.
 
-Effect mode completes the order to a join semilattice by representing each
-element as the down-set of component elements at or below it: joins are
-down-set unions, a bottom (the pure, empty effect) is always added, and
-missing unions become synthetic elements named after their maximal
-generators ("A∨B").  A down-set is a Python-int bitset over the
-generators, so a union is a bitwise OR and a subset test a mask.
+An effect order's join completion represents each element as the
+down-set of component elements at or below it: joins are down-set unions,
+a bottom (the pure, empty effect) is always added, and missing unions
+become synthetic elements named after their maximal generators ("A∨B").
+A down-set is a Python-int bitset over the generators, so a union is a
+bitwise OR and a subset test a mask.  No verdict reads a join, so
+synthesis does not complete; `complete_join_semilattice` runs on demand
+(for lattice.dot and `SynthesisResult.semilattice`) and can give up past
+an element limit, since k independent two-element chains have 3**k joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
+from math import inf
 
 from .errors import UnknownElement
 from .graph import FlowGraph, _bits, _covers, _upset_pairs, _upsets, scc_condense
@@ -191,76 +194,101 @@ def check_consistency(
 # ---------------------------------------------------------------------------
 # Join-semilattice completion
 
-def complete_join_semilattice(order: QualifierOrder) -> EffectSemilattice:
-    """Close the order under binary joins via generator down-sets.
+def complete_join_semilattice(order: QualifierOrder, limit: int | None = None) -> EffectSemilattice | None:
+    """Close the order under binary joins via generator down-sets; None if
+    the closure has more than `limit` elements.
 
     Every original element maps to the bitset of generators at or below it,
-    bit i standing for the i-th generator by name.  A worklist ORs each new
-    down-set with each generator's, and the empty set is bottom.  Original
-    elements embed order-faithfully: x leq y iff downset(x) is a subset of
-    downset(y).
+    bit i standing for the i-th generator by name.  Original elements embed
+    order-faithfully: x leq y iff downset(x) is a subset of downset(y).  The
+    unions of those down-sets are the down-sets of the generator order
+    (Birkhoff), ordered by inclusion, with the empty set as bottom; each
+    covers exactly the down-sets it holds with one maximal generator fewer.
+    So `_downsets` walks them up from the empty set, and names, up-sets and
+    covers are read off that walk.
     """
     generators = sorted((e for e in order.elements if not e.synthetic), key=lambda e: e.name)
     names = [g.name for g in generators]
     at = [order.index[name] for name in names]
     down = [sum(1 << i for i, q in enumerate(at) if order.up[q] >> p & 1) for p in at]
+    levels, twin, top, upper = _downsets(down, limit)
+    if limit is not None and len(twin) > limit:
+        return None
 
-    closed = {0, *down}
-    work = list(closed)
-    while work:
-        mask = work.pop()
-        for generated in down:
-            union = mask | generated
-            if union not in closed:
-                closed.add(union)
-                work.append(union)
-
+    # a new down-set is named after its maximal generators, in the order of
+    # size, then of its generator lists: one size's bit-reversed twins, descending
     taken = set(names)
     name_for = dict(zip(down, names))
-    for mask in sorted(closed, key=_naming_key(len(names))):
-        if mask in name_for:
-            continue
-        if not mask:
-            name = BOTTOM_NAME
-        else:
-            # a member strictly below another member is not maximal
-            below = 0
-            for i in _bits(mask):
-                below |= down[i] & ~(1 << i)
-            name = "∨".join(names[i] for i in _bits(mask & ~below))
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        name_for[mask] = name
+    for level in levels:
+        for mask in sorted(level, key=twin.__getitem__, reverse=True):
+            if mask in name_for:
+                continue
+            name = "∨".join([names[i] for i in _bits(top[mask])]) if mask else BOTTOM_NAME
+            while name in taken:
+                name += "'"
+            taken.add(name)
+            name_for[mask] = name
 
     members_of = {mask: g.members for mask, g in zip(down, generators)}
     ordered = sorted(name_for, key=name_for.__getitem__)
     elements = tuple(
         Element(name_for[mask], members_of.get(mask, frozenset()), mask not in members_of) for mask in ordered
     )
-    # Up-sets and cover candidates as bitsets, bit p standing for the p-th
-    # element by name.  An element is below every element that holds all
-    # of its generators, and it is covered by some of its joins with one
-    # more generator's down-set.
-    bit = {mask: 1 << p for p, mask in enumerate(ordered)}
-    holding = [sum(bit[mask] for mask in ordered if mask >> i & 1) for i in range(len(names))]
-    up = [reduce(and_, [holding[i] for i in _bits(mask)], (1 << len(ordered)) - 1) for mask in ordered]
-    joins = [sum({bit[mask | generated] for generated in down if generated & ~mask}) for mask in ordered]
+    # up-sets with bit p for the p-th element by name, each the union of
+    # its covers' up-sets, so built from the largest down-sets down
+    up_of = {mask: 1 << p for p, mask in enumerate(ordered)}
+    for level in reversed(levels):
+        for mask in level:
+            above = up_of[mask]
+            for grown in upper[mask]:
+                above |= up_of[grown]
+            up_of[mask] = above
+    covers = frozenset((name_for[mask], name_for[grown]) for mask in ordered for grown in upper[mask])
     return EffectSemilattice(
         elements=elements,
-        up=tuple(up),
+        up=tuple(up_of[mask] for mask in ordered),
         assignment=dict(order.assignment),
-        covers=_covers([element.name for element in elements], up, joins),
+        covers=covers,
         bottom=name_for[0],
         down=tuple(ordered),
     )
 
 
-def _naming_key(width: int):
-    """Completion names new down-sets of `width` generators by size, then
-    as the ascending lists of their generators compare; for sets of one
-    size, that is the bit-reversed mask, descending."""
-    return lambda mask: (mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2))
+def _downsets(down: list[int], limit: int | None):
+    """The down-sets of the generator order whose principal down-sets are
+    `down`, walked up from the empty set one size at a time: a down-set
+    grows by each generator outside it whose strict down-set it holds, and
+    each such growth is a cover, whose generator is maximal in the larger
+    set.  Returns the levels (lists of down-sets by size) and, per
+    down-set, its bit-reversed twin, its maximal generators and the
+    down-sets covering it.  The walk stops as soon as it holds more than
+    `limit` down-sets."""
+    width = len(down)
+    steps = [(1 << i, mask & ~(1 << i), 1 << (width - 1 - i)) for i, mask in enumerate(down)]
+    bound = inf if limit is None else limit
+    levels = [[0]]
+    twin = {0: 0}
+    top = {0: 0}
+    upper: dict[int, list[int]] = {}
+    while levels[-1] and len(twin) <= bound:
+        level = []
+        levels.append(level)
+        for mask in levels[-2]:
+            covers = upper[mask] = []
+            flipped = twin[mask]
+            for bit, strict, reversed_bit in steps:
+                if not mask & bit and strict & mask == strict:
+                    grown = mask | bit
+                    covers.append(grown)
+                    if grown in top:
+                        top[grown] |= bit
+                        continue
+                    top[grown] = bit
+                    twin[grown] = flipped | reversed_bit
+                    level.append(grown)
+                    if len(twin) > bound:
+                        return levels, twin, top, upper
+    return levels, twin, top, upper
 
 
 def order_query(lattice: QualifierOrder, a: str, b: str) -> str:

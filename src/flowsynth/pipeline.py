@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from . import __version__
@@ -35,15 +35,29 @@ from .traces import (
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """What a synthesis made.  In effect mode, the join completion of
+    `order` is made only when it is asked for: `semilattice` builds it on
+    first read, and `completion` on every call, up to a size limit."""
+
     corpus: Corpus
     diagnostics: tuple[Diagnostic, ...]
     graph: FlowGraph
     cut: CutSet
     order: QualifierOrder
-    semilattice: EffectSemilattice | None
     violations: tuple[Violation, ...]
     spec: AnalysisSpec
     report: CheckReport
+
+    def completion(self, limit: int | None = None) -> EffectSemilattice | None:
+        """The join completion of an effect order; None in qualifier mode
+        or when it has more than `limit` elements."""
+        if self.corpus.mode != EFFECT:
+            return None
+        return complete_join_semilattice(self.order, limit)
+
+    @cached_property
+    def semilattice(self) -> EffectSemilattice | None:
+        return self.completion()
 
     @property
     def lattice(self) -> QualifierOrder:
@@ -71,8 +85,9 @@ def synthesize(
         return outcome
 
     order = build_order(graph, outcome.edges)
-    semilattice = complete_join_semilattice(order) if corpus.mode == EFFECT else None
-    violations = check_consistency(semilattice or order, outcome.edges, graph.negative_pairs)
+    # the cut's endpoints map to generators, which embed order-faithfully
+    # in the completion: the order gives the same violations
+    violations = check_consistency(order, outcome.edges, graph.negative_pairs)
     spec = make_analysis_spec(corpus, outcome, order, config, semantics)
     report = check_corpus(spec, corpus)
     return SynthesisResult(
@@ -81,7 +96,6 @@ def synthesize(
         graph=graph,
         cut=outcome,
         order=order,
-        semilattice=semilattice,
         violations=violations,
         spec=spec,
         report=report,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -162,7 +163,9 @@ def parse_file(parse, path: str | Path, *args):
     that are not UTF-8, and any ParseError of `parse`, raise a ParseError
     that names the file."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"), *args)
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+        return parse(text, *args)
     except (UnicodeDecodeError, ParseError) as exc:
         raise ParseError(f"{exc} (file {path})") from None
 
@@ -503,16 +506,18 @@ def parse_stack_trace(text: str, polarity: str, trace_id: str) -> Trace:
 def stack_traces_from_dir(directory: str | Path) -> tuple[Trace, ...]:
     """Read every *.neg.txt / *.pos.txt file under `directory` (sorted by
     name); the trace id is the filename with the polarity suffix removed.
-    A parse error names the file."""
-    directory = Path(directory)
+    A parse error names the file as `Path(directory) / name` prints."""
+    directory = str(Path(directory))
+    prefix = "" if directory == "." else os.path.join(directory, "")
     suffixes = ((".neg.txt", NEGATIVE), (".pos.txt", POSITIVE))
     traces = []
-    for path in sorted(directory.iterdir()):
+    for name in sorted(os.listdir(directory)):
         for suffix, polarity in suffixes:
-            if path.name.endswith(suffix):
-                trace_id = path.name[: -len(suffix)]
+            if name.endswith(suffix):
+                trace_id = name[: -len(suffix)]
+                path = prefix + name
                 if _SURROGATE.search(trace_id):
-                    raise ParseError(f"file name is not UTF-8 (file {str(path)!r})")
+                    raise ParseError(f"file name is not UTF-8 (file {path!r})")
                 traces.append(parse_file(parse_stack_trace, path, polarity, trace_id))
                 break
     return tuple(traces)

@@ -11,7 +11,8 @@ bound that enumerates tied optima), a reverse-delete pass that makes a
 cover irredundant, the two-way breadth-first witness search, the
 refinement loop that rebuilds its hitting-set family every round and
 checks separation with one search per negative pair, the
-pairwise-fixpoint join completion over frozensets, and the writers and
+pairwise-fixpoint join completion over frozensets and the mask completion
+that followed it, and the writers and
 checks as first written (the corpus, report and analysis documents through
 `json.dumps` with `indent`, the node-id predicate as a per-character scan,
 the string-list predicate as a generator over the items, the trace check
@@ -19,11 +20,14 @@ as a walk over the `trace_edges` tuple that looks each edge up in the
 closure of the spec's pairs, the corpus check that counts in a second walk
 over the traces, the corpus parser that checks the traces array one entry
 at a time), and the spec builder that read the completed semilattice in
-effect mode.  None of it shares code with the implementations under test;
+effect mode (which also builds an effect spec from the generator order
+alone).  None of it shares code with the implementations under test;
 the references only build the package's own data types (the corpus
 parser also reads the document with the package's JSON decoder and
-predicates, and the spec builder takes its digest with `corpus_digest`
-and its covers with `_covers`, which are not what their oracle tests).
+predicates, the spec builder takes its digest with `corpus_digest`
+and its covers with `_covers`, and the mask completion reads bits with
+`_bits` and reduces covers with `_covers`, which are not what their
+oracle tests).
 """
 
 from __future__ import annotations
@@ -31,16 +35,19 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import deque
+from functools import reduce
 from itertools import combinations
+from operator import and_
 from typing import NamedTuple
 
 from flowsynth import __version__
 from flowsynth.checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, Verdict
 from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint, SolverConfig
 from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode, ValidationError
-from flowsynth.graph import _covers
+from flowsynth.graph import _bits, _covers
 from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element, QualifierOrder
 from flowsynth.traces import (
+    EFFECT,
     QUALIFIER,
     Corpus,
     Edge,
@@ -471,6 +478,83 @@ def reference_complete_join_semilattice(elements, relation, assignment):
     return ReferenceSemilattice(elements, relation, dict(assignment), name_for[frozenset()], downsets)
 
 
+def reference_mask_completion(order: QualifierOrder) -> EffectSemilattice:
+    """The join completion as it was before it read covers off the
+    generators: a worklist that ORs each new down-set with every
+    generator's, names sorted by a reversed-bit key formatted per mask,
+    up-sets as the AND of the generators' holder masks, and covers reduced
+    by `_covers` from the joins with one more generator.
+
+    Every original element maps to the bitset of generators at or below it,
+    bit i standing for the i-th generator by name.  A worklist ORs each new
+    down-set with each generator's, and the empty set is bottom.  Original
+    elements embed order-faithfully: x leq y iff downset(x) is a subset of
+    downset(y).
+    """
+    generators = sorted((e for e in order.elements if not e.synthetic), key=lambda e: e.name)
+    names = [g.name for g in generators]
+    at = [order.index[name] for name in names]
+    down = [sum(1 << i for i, q in enumerate(at) if order.up[q] >> p & 1) for p in at]
+
+    closed = {0, *down}
+    work = list(closed)
+    while work:
+        mask = work.pop()
+        for generated in down:
+            union = mask | generated
+            if union not in closed:
+                closed.add(union)
+                work.append(union)
+
+    taken = set(names)
+    name_for = dict(zip(down, names))
+    for mask in sorted(closed, key=naming_key(len(names))):
+        if mask in name_for:
+            continue
+        if not mask:
+            name = BOTTOM_NAME
+        else:
+            # a member strictly below another member is not maximal
+            below = 0
+            for i in _bits(mask):
+                below |= down[i] & ~(1 << i)
+            name = "∨".join(names[i] for i in _bits(mask & ~below))
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        name_for[mask] = name
+
+    members_of = {mask: g.members for mask, g in zip(down, generators)}
+    ordered = sorted(name_for, key=name_for.__getitem__)
+    elements = tuple(
+        Element(name_for[mask], members_of.get(mask, frozenset()), mask not in members_of) for mask in ordered
+    )
+    # Up-sets and cover candidates as bitsets, bit p standing for the p-th
+    # element by name.  An element is below every element that holds all
+    # of its generators, and it is covered by some of its joins with one
+    # more generator's down-set.
+    bit = {mask: 1 << p for p, mask in enumerate(ordered)}
+    holding = [sum(bit[mask] for mask in ordered if mask >> i & 1) for i in range(len(names))]
+    up = [reduce(and_, [holding[i] for i in _bits(mask)], (1 << len(ordered)) - 1) for mask in ordered]
+    joins = [sum({bit[mask | generated] for generated in down if generated & ~mask}) for mask in ordered]
+    return EffectSemilattice(
+        elements=elements,
+        up=tuple(up),
+        assignment=dict(order.assignment),
+        covers=_covers([element.name for element in elements], up, joins),
+        bottom=name_for[0],
+        down=tuple(ordered),
+    )
+
+
+def naming_key(width: int):
+    """Completion names new down-sets of `width` generators by size, then
+    as the ascending lists of their generators compare; for sets of one
+    size, that is the bit-reversed mask, descending."""
+    return lambda mask: (mask.bit_count(), -int(f"{mask:0{width}b}"[::-1], 2))
+
+
+
 def reference_is_valid_node_id(name: object) -> bool:
     """A node id is a non-empty token with no whitespace or newlines."""
     return isinstance(name, str) and bool(name) and not any(ch.isspace() for ch in name)
@@ -517,7 +601,9 @@ def reference_make_analysis_spec(
     generators and the bottom, and the order among them: a node maps to a
     generator or to the default, so no verdict reads a synthetic join.
     Either way the spec's elements stay in name order, so its up-sets
-    are the lattice's, renumbered.
+    are the lattice's, renumbered.  Handed an effect order that is not
+    completed, it builds that spec from the order alone: the generators,
+    related as `leq` says, and a bottom below them all.
     """
     if isinstance(lattice, EffectSemilattice):
         default = lattice.bottom
@@ -526,6 +612,19 @@ def reference_make_analysis_spec(
         # each kept element's up-set among the kept ones
         up = [sum(1 << k for k, q in enumerate(kept) if lattice.up[p] >> q & 1) for p in kept]
         covers = _covers([e.name for e in elements], up)
+    elif corpus.mode == EFFECT:
+        # the generators and a bottom below them all, from the order alone
+        default = BOTTOM_NAME
+        while default in lattice.index:
+            default += "'"
+        bottom = Element(default, frozenset(), synthetic=True)
+        elements = sorted([*lattice.elements, bottom], key=lambda element: element.name)
+        names = [element.name for element in elements]
+        up = [
+            sum(1 << q for q, b in enumerate(names) if a == default or (b != default and lattice.leq(a, b)))
+            for a in names
+        ]
+        covers = _covers(names, up)
     else:
         default = QUALIFIER_DEFAULT
         names = lattice.names

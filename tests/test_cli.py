@@ -5,10 +5,12 @@ from __future__ import annotations
 import gc
 import importlib
 import json
+import logging
 import os
 import pkgutil
 import subprocess
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -31,10 +33,20 @@ from flowsynth import (
     serialize_corpus,
     stack_traces_from_dir,
 )
+from flowsynth import lattice as lattice_module
+from flowsynth import pipeline
 from flowsynth.cli import main
-from flowsynth.cut import SolverConfig
+from flowsynth.cut import SEPARATION, SolverConfig
+from flowsynth.dot import lattice_dot
+from flowsynth.pipeline import synthesize
+from flowsynth.traces import corpus_digest, parse_corpus, parse_file
 
-from oracles import reference_report_json
+from oracles import (
+    reference_check_corpus,
+    reference_dump_analysis,
+    reference_make_analysis_spec,
+    reference_report_json,
+)
 
 try:
     import resource
@@ -820,6 +832,140 @@ def test_effect_synthesis_writes_the_join_fixture(tmp_path):
     assert main(["synth", "--stack-traces", str(folder / "traces"), "--mode", "effect", "--out", str(out)]) == 0
     for name in ("analysis.json", "lattice.dot"):
         assert (out / name).read_bytes() == (folder / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# effect orders with more joins than lattice.dot draws
+
+def _effect_chains(chains: int) -> dict:
+    """`chains` two-node chains a_i -> b_i, each with the reversed flow as
+    its negative: the join completion has 3**chains elements."""
+    traces = []
+    for i in range(chains):
+        traces.append({"id": f"ok{i:02d}", "polarity": "positive", "nodes": [f"a{i:02d}", f"b{i:02d}"]})
+        traces.append({"id": f"bad{i:02d}", "polarity": "negative", "nodes": [f"b{i:02d}", f"a{i:02d}"]})
+    return {"mode": "effect", "traces": traces}
+
+
+def test_synthesis_completes_only_when_the_semilattice_is_read(monkeypatch):
+    calls = []
+    complete = pipeline.complete_join_semilattice
+
+    def spy(order, limit=None):
+        calls.append(limit)
+        return complete(order, limit)
+
+    monkeypatch.setattr(pipeline, "complete_join_semilattice", spy)
+    large = synthesize(parse_corpus(json.dumps(_effect_chains(12))))
+    assert len(large.spec.elements) == 25
+    small = synthesize(parse_corpus(json.dumps(_effect_chains(3))))
+    assert calls == []
+    assert len(small.semilattice.elements) == 27
+    assert small.lattice is small.semilattice
+    assert calls == [None]
+    assert small.completion(26) is None
+    assert calls == [None, 26]
+
+
+def test_synth_draws_twelve_effect_chains_without_their_completion(tmp_path, capsys, caplog, monkeypatch):
+    """3**12 joins are past the limit: the walk stops one down-set past
+    it, one warning names it, and lattice.dot draws the generators and
+    the bottom.  analysis.json and report.json are what an oracle builds
+    from the generator order alone."""
+    walked = []
+    walk = lattice_module._downsets
+
+    def counted(down, limit):
+        levels, twin, top, upper = walk(down, limit)
+        walked.append(sum(map(len, levels)))
+        return levels, twin, top, upper
+
+    monkeypatch.setattr(lattice_module, "_downsets", counted)
+    corpus_file = write_json(tmp_path / "chains.json", _effect_chains(12))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    with caplog.at_level(logging.WARNING, logger="flowsynth"):
+        code = main(["synth", "--corpus", str(corpus_file), "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 1.0
+    assert walked == [cli.DRAW_LIMIT + 1]
+    assert [(record.levelno, record.getMessage()) for record in caplog.records] == [
+        (
+            logging.WARNING,
+            f"the join completion has more than {cli.DRAW_LIMIT} elements; "
+            "lattice.dot draws only the generators and the bottom",
+        )
+    ]
+    assert "lattice: 25 element(s), 1 synthetic\n" in capsys.readouterr().out
+
+    corpus = parse_file(parse_corpus, corpus_file)
+    result = synthesize(corpus)
+    assert (out / "lattice.dot").read_text(encoding="utf-8") == lattice_dot(result.spec)
+    spec = reference_make_analysis_spec(corpus, result.cut, result.order, SolverConfig(), SEPARATION)
+    assert (out / "analysis.json").read_text(encoding="utf-8") == reference_dump_analysis(spec)
+    report = reference_report_json(reference_check_corpus(spec, corpus), corpus_digest(corpus), spec)
+    assert (out / "report.json").read_text(encoding="utf-8") == report
+
+
+def test_synth_draws_seven_effect_chains_complete(tmp_path, capsys):
+    """3**7 = 2,187 elements are within the limit: drawn as completed."""
+    corpus_file = write_json(tmp_path / "chains.json", _effect_chains(7))
+    out = tmp_path / "out"
+    assert main(["synth", "--corpus", str(corpus_file), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "lattice: 2187 element(s), 2173 synthetic\n" in captured.out
+    result = synthesize(parse_file(parse_corpus, corpus_file))
+    assert (out / "lattice.dot").read_text(encoding="utf-8") == lattice_dot(result.semilattice)
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_synth_of_twelve_effect_chains_fits_a_300_mib_address_space(tmp_path):
+    """The completion would hold 531,441 elements, each with an up-set of
+    as many bits; the child process lowers its own address-space limit to
+    300 MiB first."""
+    corpus = write_json(tmp_path / "chains.json", _effect_chains(12))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))\n"
+        "from flowsynth.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(flowsynth.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script, "synth", "--corpus", str(corpus), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == (
+        f"WARNING: the join completion has more than {cli.DRAW_LIMIT} elements; "
+        "lattice.dot draws only the generators and the bottom\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# -v
+
+def test_verbose_adds_one_line_per_round_and_quiet_stays_as_it_was(tmp_path, capsys):
+    """-v logs each refinement round at DEBUG; the level is set on every
+    call, so a later call without -v writes what it always wrote."""
+    corpus = write_json(tmp_path / "corpus.json", REFINE_CORPUS)
+    runs = []
+    for flags in ([], ["-v"], []):
+        out = tmp_path / f"out{len(runs)}"
+        assert main([*flags, "synth", "--corpus", str(corpus), "--out", str(out)]) == 0
+        runs.append(capsys.readouterr())
+    quiet, loud, again = runs
+    assert quiet.err == again.err == ""
+    assert loud.out.replace("out1", "out0") == quiet.out == again.out.replace("out2", "out0")
+    rounds = loud.err.splitlines()
+    iterations = json.loads((tmp_path / "out1" / "analysis.json").read_text(encoding="utf-8"))["metadata"]["iterations"]
+    assert len(rounds) == iterations == 2
+    assert all(line.startswith(f"DEBUG: round {i}: ") for i, line in enumerate(rounds, 1))
 
 
 _text = st.text(max_size=6)

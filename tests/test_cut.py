@@ -31,7 +31,7 @@ from flowsynth import (
 )
 from flowsynth import cut as cut_module
 from flowsynth.cut import _Family, _greedy_cover, path_cuttable_edges
-from flowsynth.graph import shortest_path
+from flowsynth.graph import _bits, shortest_path
 
 from corpusgen import random_corpus
 from oracles import (
@@ -806,6 +806,24 @@ def test_growing_family_covers_match_the_whole_family_greedy(family, solve_after
     if sets:
         assert min_hitting_set_exact(batched) == reference_exact_hitting_set(sets, forbidden)
         assert min_hitting_set_greedy(batched) == whole_family_greedy(sets, forbidden)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.data())
+def test_edge_set_matches_a_fresh_set_over_a_sequence_of_covers(width, data):
+    """Each cover flips a few bits of the last, or is drawn afresh, as the
+    exact solver's covers can be."""
+    edges = [(f"u{i:02d}", f"v{i:02d}") for i in range(width)]
+    family = _Family(edges)
+    full = (1 << width) - 1
+    mask = 0
+    for fresh in data.draw(st.lists(st.booleans(), min_size=1, max_size=8)):
+        if fresh:
+            mask = data.draw(st.integers(0, full))
+        else:
+            for index in data.draw(st.lists(st.integers(0, max(width - 1, 0)), max_size=3) if width else st.just([])):
+                mask ^= 1 << index
+        assert family.edge_set(mask) == frozenset(family.edges[i] for i in _bits(mask))
 
 
 @settings(max_examples=200, deadline=None)

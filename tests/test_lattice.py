@@ -36,10 +36,10 @@ from flowsynth import (
 import flowsynth
 from flowsynth import lattice as lattice_module
 from flowsynth.graph import _bits
-from flowsynth.lattice import EQUAL, GREATER, INCOMPARABLE, LESS, _naming_key
+from flowsynth.lattice import EQUAL, GREATER, INCOMPARABLE, LESS
 
 from corpusgen import random_corpus
-from oracles import reachability_closure, reference_complete_join_semilattice
+from oracles import naming_key, reachability_closure, reference_complete_join_semilattice, reference_mask_completion
 
 
 def order_from(corpus, cut_edges):
@@ -275,12 +275,89 @@ def test_completion_names_colliding_joins_in_reference_order():
     assert lattice.downsets == reference_complete_join_semilattice(order.elements, relation, {}).downsets
 
 
+@st.composite
+def effect_orders(draw):
+    """A generator order of up to 8 elements, each owning one or two nodes:
+    a chain, an antichain, disjoint diamonds, or random pairs oriented up a
+    random ranking.  Names are drawn apart from the ranks, so name order is
+    not the order's."""
+    shape = draw(st.sampled_from(["chain", "antichain", "diamonds", "random"]))
+    if shape == "diamonds":
+        size = 4 * draw(st.integers(1, 2))
+        edges = {(d + a, d + b) for d in range(0, size, 4) for a, b in ((0, 1), (0, 2), (1, 3), (2, 3))}
+    else:
+        size = draw(st.integers(0, 8))
+        if shape == "chain":
+            edges = {(i, i + 1) for i in range(size - 1)}
+        elif shape == "antichain":
+            edges = set()
+        else:
+            pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=14))
+            edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) < size}
+    names = draw(st.permutations([f"Q_g{i}" for i in range(size)]))
+    relation = frozenset(reachability_closure(names, {(names[a], names[b]) for a, b in edges}))
+    members = {name: frozenset({f"m{i}", f"m{i}b"} if i % 3 else {f"m{i}"}) for i, name in enumerate(names)}
+    elements = [Element(name, members[name]) for name in sorted(names)]
+    assignment = {node: name for name in names for node in members[name]}
+    return hand_built(elements, relation, assignment)
+
+
+@settings(max_examples=300, deadline=None)
+@given(effect_orders())
+def test_completion_matches_the_mask_completion(order):
+    lattice = complete_join_semilattice(order)
+    reference = reference_mask_completion(order)
+    assert lattice.elements == reference.elements
+    assert lattice.up == reference.up
+    assert lattice.covers == reference.covers
+    assert lattice.bottom == reference.bottom
+    assert lattice.down == reference.down
+    assert complete_join_semilattice(order, len(reference.elements)) == lattice
+    assert complete_join_semilattice(order, len(reference.elements) - 1) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(effect_orders(), st.data())
+def test_consistency_on_the_order_matches_the_completion(order, data):
+    """Cut edges and negative pairs join nodes, which map to generators,
+    and generators embed order-faithfully: the order gives the violations
+    its completion gives."""
+    nodes = sorted(order.assignment)
+    assume(nodes)
+    pairs = st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=12)
+    cut = frozenset(data.draw(pairs))
+    negative_pairs = data.draw(pairs)
+    completed = complete_join_semilattice(order)
+    assert check_consistency(order, cut, negative_pairs) == check_consistency(completed, cut, negative_pairs)
+
+
+def test_the_completion_walk_stops_one_past_the_limit(monkeypatch):
+    # 6 independent two-element chains: 3**6 = 729 down-sets
+    names = [f"Q_{side}{i}" for i in range(6) for side in "ab"]
+    relation = {(name, name) for name in names} | {(f"Q_a{i}", f"Q_b{i}") for i in range(6)}
+    order = hand_built([Element(name, frozenset({name})) for name in sorted(names)], relation, {})
+    walked = []
+    walk = lattice_module._downsets
+
+    def counted(down, limit):
+        levels, twin, top, upper = walk(down, limit)
+        walked.append(sum(map(len, levels)))
+        return levels, twin, top, upper
+
+    monkeypatch.setattr(lattice_module, "_downsets", counted)
+    assert len(complete_join_semilattice(order).elements) == 729
+    assert complete_join_semilattice(order, 729) is not None
+    for limit in (0, 1, 100, 728):
+        assert complete_join_semilattice(order, limit) is None
+    assert walked == [729, 729, 1, 2, 101, 729]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 70), st.data())
 def test_naming_key_orders_masks_as_their_sorted_bit_lists(width, data):
     masks = data.draw(st.lists(st.integers(0, (1 << width) - 1), unique=True, max_size=40))
     old = sorted(masks, key=lambda mask: (mask.bit_count(), list(_bits(mask))))
-    assert sorted(masks, key=_naming_key(width)) == old
+    assert sorted(masks, key=naming_key(width)) == old
 
 
 @settings(max_examples=150, deadline=None)

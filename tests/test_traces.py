@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,27 @@ def test_stack_traces_from_dir(tmp_path):
     (tmp_path / "ignored.txt").write_text("not a trace", encoding="utf-8")
     traces = stack_traces_from_dir(tmp_path)
     assert [(t.id, t.polarity) for t in traces] == [("boom", "negative"), ("fine", "positive")]
+
+
+@pytest.mark.parametrize("cwd, spelling", [("..", "stacks"), ("..", "./stacks/"), ("..", "stacks//"), (".", "."), (".", "./"), ("..", None)])
+def test_stack_traces_from_dir_names_a_file_as_pathlib_does(tmp_path, monkeypatch, cwd, spelling):
+    """However the directory is spelled, a parse error names the file as
+    `Path(directory) / name` prints it, and so does the file-name check."""
+    stacks = tmp_path / "stacks"
+    stacks.mkdir()
+    (stacks / "ok.pos.txt").write_text(SIMPLE_TRACE, encoding="utf-8")
+    (stacks / "zz.neg.txt").write_text("no header\n", encoding="utf-8")
+    monkeypatch.chdir(stacks / cwd)
+    directory = str(stacks) if spelling is None else spelling
+    with pytest.raises(ParseError) as error:
+        stack_traces_from_dir(directory)
+    assert str(error.value).endswith(f"(file {Path(directory) / 'zz.neg.txt'})")
+    (stacks / "zz.neg.txt").unlink()
+    bad = "bad\udcff.neg.txt"
+    (stacks / bad).write_bytes(b"")
+    with pytest.raises(ParseError) as error:
+        stack_traces_from_dir(directory)
+    assert str(error.value) == f"file name is not UTF-8 (file {str(Path(directory) / bad)!r})"
 
 
 # ---------------------------------------------------------------------------
