@@ -45,10 +45,11 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
-from .errors import InfeasibleSet, RefinementLimitError, UnknownNode
-from .graph import FlowGraph, _bits, _distances_to, _nearest_walk
+from .errors import InfeasibleSet, RefinementLimitError
+from .graph import FlowGraph, _bits, _distances_to, _nearest_walk, sink_groups
 from .graph import shortest_path  # noqa: F401  (bench/tracing.py wraps cut.shortest_path)
 from .traces import Edge
 
@@ -98,11 +99,6 @@ class Conflict:
     pair: Edge
     witness: tuple[str, ...]
     negative_ids: tuple[str, ...] = ()
-
-
-def path_cuttable_edges(graph: FlowGraph, nodes: Sequence[str]) -> frozenset[Edge]:
-    """Cuttable edges along a node path of the graph."""
-    return frozenset(edge for edge in zip(nodes, nodes[1:]) if graph.edges[edge].cuttable)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +354,15 @@ def verify_separation(
     path (breadth-first shortest, lexicographic), in `negative_pairs`
     order.  Empty means separated.
 
-    One backward search runs from each distinct sink until all of that
-    sink's sources are labelled; its distances are exact, so each witness
-    is the one `shortest_path` gives for its pair.
+    The pairs are grouped by sink, each sink with its sources and the
+    positions of its pairs (`sink_groups`).  The grouping of
+    `graph.negative_pairs` itself is cached on the graph, like its
+    adjacency, so a round of the refinement loop costs what it searches;
+    any other sequence is grouped afresh on each call.  One backward
+    search runs from each sink until all of that sink's sources are
+    labelled; its distances are exact, so each witness is the one
+    `shortest_path` gives for its pair.  The leftover is read off the
+    searched sinks only.
 
     `separated` is a memo the caller keeps across calls on one graph, at
     first empty.  A search that reaches none of its sink's sources leaves
@@ -368,34 +370,32 @@ def verify_separation(
     only shrink what reaches the sink, so while all of those edges are
     still in `cut` the sink is not searched again.  The answer is the same
     with or without the memo."""
-    nodes = graph.nodes
-    sources: dict[str, set[str]] = {}
-    for source, sink in negative_pairs:
-        if source not in nodes:
-            raise UnknownNode(source)
-        if sink not in nodes:
-            raise UnknownNode(sink)
-        sources.setdefault(sink, set()).add(source)
+    if negative_pairs is graph.negative_pairs:
+        groups = graph.negative_sinks
+    else:
+        groups = sink_groups(graph.nodes, negative_pairs)
     memo = {} if separated is None else separated
-    distances = {}
-    for sink, starts in sources.items():
+    found = []
+    for sink, (starts, positions) in groups.items():
         known = memo.get(sink)
         if known is not None and known[0] == starts and known[1] <= cut:
             continue
         stopped: list[Edge] = []
-        dist = distances[sink] = _distances_to(graph, sink, starts, cut, stopped)
+        dist = _distances_to(graph, sink, starts, cut, stopped)
         if starts.isdisjoint(dist):
             # the search ran dry, so every stopped edge whose tail it never
             # labelled is an edge into what reaches the sink
             memo[sink] = (starts, frozenset(edge for edge in stopped if edge[0] not in dist))
-        else:
-            memo.pop(sink, None)
-    leftover = []
-    for source, sink in negative_pairs:
-        dist = distances.get(sink, ())
-        if source in dist:
-            leftover.append(((source, sink), _nearest_walk(graph, source, dist, cut)))
-    return tuple(leftover)
+            continue
+        memo.pop(sink, None)
+        for position in positions:
+            source = negative_pairs[position][0]
+            if source in dist:
+                found.append((position, source, sink, dist))
+    found.sort(key=itemgetter(0))
+    return tuple(
+        ((source, sink), _nearest_walk(graph, source, dist, cut)) for _, source, sink, dist in found
+    )
 
 
 def solve_synthesis_cut(
@@ -416,14 +416,18 @@ def solve_synthesis_cut(
         raise ValueError(f"unknown semantics {semantics!r}")
     if config.solver not in (AUTO, EXACT, GREEDY):
         raise ValueError(f"unknown solver {config.solver!r}")
+    allowed = graph.cuttable_edges()
+
+    def cuttable_on(nodes):  # the cuttable edges along a path of the graph
+        return allowed.intersection(zip(nodes, nodes[1:]))
+
     constraints = [
-        PathConstraint(trace_id, nodes, path_cuttable_edges(graph, nodes))
-        for trace_id, nodes in graph.negative_paths
+        PathConstraint(trace_id, nodes, cuttable_on(nodes)) for trace_id, nodes in graph.negative_paths
     ]
     for constraint in constraints:
         if not constraint.cuttable:
             return _conflict(graph, (constraint.nodes[0], constraint.nodes[-1]), constraint.nodes)
-    family = _Family(graph.cuttable_edges())
+    family = _Family(allowed)
     for constraint in constraints:
         family.append(constraint.cuttable)
     separated: dict = {}
@@ -477,7 +481,7 @@ def solve_synthesis_cut(
         if not leftover:
             return CutSet(cut, iterations, use_exact, tuple(constraints))
         for pair, witness in leftover:
-            cuttable = path_cuttable_edges(graph, witness)
+            cuttable = cuttable_on(witness)
             if not cuttable:
                 return _conflict(graph, pair, witness)
             refined += 1

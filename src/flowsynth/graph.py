@@ -9,7 +9,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import CycleError, UnknownNode
-from .traces import Corpus, Edge, trace_edges
+from .traces import POSITIVE, Corpus, Edge
 from .traces import validate_corpus  # noqa: F401  (bench/tracing.py wraps graph.validate_corpus)
 
 
@@ -53,6 +53,11 @@ class FlowGraph:
     min_positive_support: int = 1
 
     @cached_property
+    def negative_sinks(self) -> dict[str, tuple[frozenset[str], tuple[int, ...]]]:
+        """`negative_pairs` grouped by sink: see `sink_groups`."""
+        return sink_groups(self.nodes, self.negative_pairs)
+
+    @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {node: [] for node in self.nodes}
         for src, dst in self.edges:
@@ -76,32 +81,61 @@ class FlowGraph:
 def build_graph(corpus: Corpus) -> FlowGraph:
     """Union the corpus into a FlowGraph.  A pure union: the corpus is not
     validated here; `pipeline.synthesize`, the entry point, validates it
-    first."""
+    first.  One pass per trace; an edge's positive support is how many of
+    its witnesses are positive trace ids, which counts traces since ids
+    are unique in a Corpus."""
     witnesses: dict[Edge, set[str]] = {}
-    positive_ids: dict[Edge, set[str]] = {}
+    positives: list[str] = []
     nodes: set[str] = set()
-    for trace in corpus.traces:
-        nodes.update(trace.nodes)
-        for edge in set(trace_edges(trace)):
-            witnesses.setdefault(edge, set()).add(trace.id)
-            if trace.is_positive:
-                positive_ids.setdefault(edge, set()).add(trace.id)
+    for trace_id, polarity, path, _ in corpus.traces:
+        nodes.update(path)
+        if polarity == POSITIVE:
+            positives.append(trace_id)
+        for edge in zip(path, path[1:]):
+            ids = witnesses.get(edge)
+            if ids is None:
+                witnesses[edge] = {trace_id}
+            else:
+                ids.add(trace_id)
     for edge in corpus.required_edges:
         nodes.update(edge)
         witnesses.setdefault(edge, set())
 
+    positive = set(positives)
+    least = corpus.min_positive_support
+    required = corpus.required_edges
     edges: dict[Edge, FlowEdge] = {}
     for key in sorted(witnesses):
-        support = len(positive_ids.get(key, ()))
-        protected = (
-            support >= corpus.min_positive_support and support >= 1
-        ) or key in corpus.required_edges
-        edges[key] = FlowEdge(key[0], key[1], frozenset(witnesses[key]), support, protected)
+        ids = witnesses[key]
+        support = len(positive.intersection(ids))
+        protected = (support >= least and support >= 1) or key in required
+        edges[key] = FlowEdge(key[0], key[1], frozenset(ids), support, protected)
 
     negatives = corpus.negatives
     pairs = tuple(dict.fromkeys(trace.endpoints for trace in negatives))
     paths = tuple((trace.id, trace.nodes) for trace in negatives)
     return FlowGraph(frozenset(nodes), edges, pairs, paths, corpus.min_positive_support)
+
+
+def sink_groups(
+    nodes: frozenset[str], pairs: Iterable[Edge]
+) -> dict[str, tuple[frozenset[str], tuple[int, ...]]]:
+    """Each sink of `pairs` with its sources and the positions of its
+    pairs in `pairs`, sinks in order of first appearance.  Raises
+    UnknownNode for the first node, source before sink, not in `nodes`."""
+    groups: dict[str, tuple[set[str], list[int]]] = {}
+    for position, (source, sink) in enumerate(pairs):
+        if source not in nodes:
+            raise UnknownNode(source)
+        if sink not in nodes:
+            raise UnknownNode(sink)
+        group = groups.get(sink)
+        if group is None:
+            groups[sink] = ({source}, [position])
+        else:
+            group[0].add(source)
+            group[1].append(position)
+    return {sink: (frozenset(sources), tuple(positions)) for sink, (sources, positions) in groups.items()}
 
 
 def reachable(graph: FlowGraph, start: str, excluded: frozenset[Edge] = frozenset()) -> frozenset[str]:
@@ -174,9 +208,13 @@ def _nearest_walk(
     path = [start]
     node = start
     adjacency = graph.adjacency
-    while dist[node]:
-        step = dist[node] - 1
-        node = next(s for s in adjacency[node] if dist.get(s) == step and (node, s) not in excluded)
+    step = dist[start]
+    while step:
+        step -= 1
+        for succ in adjacency[node]:  # sorted, so the first found is the smallest
+            if dist.get(succ) == step and (node, succ) not in excluded:
+                break
+        node = succ
         path.append(node)
     return tuple(path)
 

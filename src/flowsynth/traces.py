@@ -19,10 +19,11 @@ import json
 import os
 import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from json.encoder import encode_basestring as _str
-from operator import itemgetter
+from operator import add, eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -155,7 +156,6 @@ _CORPUS_KEYS = {"mode", "traces", "required_edges", "options", "metadata"}
 _TRACE_KEYS = {"id", "polarity", "nodes", "origin"}
 _TRACE_REQUIRED = {"id", "polarity", "nodes"}
 _OPTION_KEYS = {"min_positive_support"}
-_ENTRY_KEY_SETS = {frozenset(_TRACE_REQUIRED), frozenset(_TRACE_KEYS)}
 
 
 def parse_file(parse, path: str | Path, *args):
@@ -282,11 +282,17 @@ def _bulk_traces(entries: list) -> tuple[Trace, ...] | None:
     and the traces are built without calling `Trace.__new__`."""
     if not set(map(type, entries)) <= {dict}:
         return None
-    if not all(frozenset(keys) in _ENTRY_KEY_SETS for keys in set(map(tuple, entries))):
+    try:
+        ids = list(map(itemgetter("id"), entries))
+        polarities = list(map(itemgetter("polarity"), entries))
+        paths = list(map(itemgetter("nodes"), entries))
+    except KeyError:
         return None
-    ids = list(map(itemgetter("id"), entries))
-    polarities = list(map(itemgetter("polarity"), entries))
-    paths = list(map(itemgetter("nodes"), entries))
+    # each entry holds the three required keys, so it holds no other key
+    # than "origin" iff the key counts add up
+    holding = sum(map(dict.__contains__, entries, repeat("origin")))
+    if sum(map(len, entries)) != 3 * len(entries) + holding:
+        return None
     origins = list(map(dict.get, entries, repeat("origin")))
     try:
         if not (
@@ -547,9 +553,25 @@ def validate_corpus(corpus: Corpus) -> tuple[Diagnostic, ...]:
     candidates) and nodes that appear only in required_edges.  Whether a
     negative can be broken at all is the solver's to decide, from the
     protection `build_graph` computes.
+
+    The traces with something to report are found in passes that run in
+    C: closed paths by comparing first and last nodes, self-loops by
+    comparing a column of every path's nodes with itself shifted by one.
+    Each path ends in a None in that column, so no comparison straddles
+    two paths.  Only the traces found are then walked one by one.
     """
+    traces = corpus.traces
+    paths = list(map(itemgetter(2), traces))
+    column = list(chain.from_iterable(chain.from_iterable(zip(paths, repeat((None,))))))
+    flagged = set(compress(count(), map(eq, map(itemgetter(0), paths), map(itemgetter(-1), paths))))
+    loops = list(compress(count(), map(eq, column, column[1:])))
+    if loops:
+        # ends[k]: where the path after trace k starts in the column
+        ends = list(accumulate(map(add, map(len, paths), repeat(1))))
+        flagged.update(bisect_right(ends, at) for at in loops)
     diagnostics: list[Diagnostic] = []
-    for trace in corpus.traces:
+    for index in sorted(flagged):
+        trace = traces[index]
         if trace.is_negative and trace.nodes[0] == trace.nodes[-1]:
             diagnostics.append(
                 Diagnostic(
@@ -580,11 +602,8 @@ def validate_corpus(corpus: Corpus) -> tuple[Diagnostic, ...]:
                     f"self-loop edge ({src}, {dst}) imposes no constraint",
                 )
             )
-    trace_nodes = {node for trace in corpus.traces for node in trace.nodes}
-    required_only = sorted(
-        {node for pair in corpus.required_edges for node in pair} - trace_nodes
-    )
-    for node in required_only:
+    required_nodes = {node for pair in corpus.required_edges for node in pair}
+    for node in sorted(required_nodes.difference(column) if required_nodes else ()):
         diagnostics.append(
             Diagnostic(
                 WARNING,

@@ -7,11 +7,16 @@ so every emitted corpus is synthesizable or honestly infeasible (conflict),
 never malformed.  A negative equal to a prefix of a positive is a certain
 conflict, which the cut solver reports; such corpora are left out so that
 each seed keeps drawing the batch the acceptance criteria were set on.
+
+`front_end_corpora` is a Hypothesis strategy for the front end instead
+(graph building and validation), with none of those bounds or filters.
 """
 
 from __future__ import annotations
 
 import random
+
+from hypothesis import strategies as st
 
 from flowsynth import Corpus, Trace, corpus_errors, trace_edges, validate_corpus
 
@@ -89,3 +94,26 @@ def add_random_negative(rng: random.Random, corpus: Corpus) -> Corpus | None:
         )
         return extended
     return None
+
+
+@st.composite
+def front_end_corpora(draw):
+    """A corpus of up to 8 short traces over four nodes, so self-loops (at a
+    path's start, its end or inside it), closed paths and edges repeated
+    within a trace come up often.  A trace may start at the node the one
+    before it ends at.  Required edges may be self-loops or name nodes no
+    trace holds, and the positive support threshold goes up to 3.  Trace
+    ids are unique, so `Corpus` accepts every draw."""
+    alphabet = ["a", "b", "c", "d"]
+    traces = []
+    for number in range(draw(st.integers(0, 8))):
+        path = draw(st.lists(st.sampled_from(alphabet), min_size=2, max_size=6))
+        if traces and draw(st.booleans()):
+            path[0] = traces[-1].nodes[-1]
+        traces.append(Trace(f"t{number}", draw(st.sampled_from(["positive", "negative"])), tuple(path)))
+    node = st.sampled_from(alphabet + ["x", "y"])
+    return Corpus(
+        traces=tuple(traces),
+        required_edges=draw(st.frozensets(st.tuples(node, node), max_size=3)),
+        min_positive_support=draw(st.integers(1, 3)),
+    )

@@ -19,15 +19,20 @@ the string-list predicate as a generator over the items, the trace check
 as a walk over the `trace_edges` tuple that looks each edge up in the
 closure of the spec's pairs, the corpus check that counts in a second walk
 over the traces, the corpus parser that checks the traces array one entry
-at a time), and the spec builder that read the completed semilattice in
-effect mode (which also builds an effect spec from the generator order
-alone).  None of it shares code with the implementations under test;
-the references only build the package's own data types (the corpus
-parser also reads the document with the package's JSON decoder and
-predicates, the spec builder takes its digest with `corpus_digest`
-and its covers with `_covers`, and the mask completion reads bits with
-`_bits` and reduces covers with `_covers`, which are not what their
-oracle tests).
+at a time, the DOT writer that escapes each name twice), the graph builder
+that keeps a set of witness ids and one of positive ids per edge, the
+corpus validation that walks every edge of every trace, the nearest walk
+that takes each step from a generator expression, and the spec builder
+that read the completed semilattice in effect mode (which also builds an
+effect spec from the generator order alone).  None of it shares code
+with the implementations under test; the references only build the
+package's own data types (the corpus parser also reads the document
+with the package's JSON decoder and predicates, the spec builder takes
+its digest with `corpus_digest` and its covers with `_covers`, the mask
+completion reads bits with `_bits` and reduces covers with `_covers`,
+the DOT writer takes its covers from `covering_pairs` and the graph
+builder and validation their edges from `trace_edges`, which are not
+what their oracle tests).
 """
 
 from __future__ import annotations
@@ -44,12 +49,15 @@ from flowsynth import __version__
 from flowsynth.checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, Verdict
 from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint, SolverConfig
 from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode, ValidationError
-from flowsynth.graph import _bits, _covers
-from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element, QualifierOrder
+from flowsynth.graph import FlowEdge, FlowGraph, _bits, _covers
+from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element, QualifierOrder, covering_pairs
 from flowsynth.traces import (
     EFFECT,
+    ERROR,
     QUALIFIER,
+    WARNING,
     Corpus,
+    Diagnostic,
     Edge,
     Trace,
     corpus_digest,
@@ -844,3 +852,127 @@ def reference_parse_corpus(text: str) -> Corpus:
         min_positive_support=min_support,
         metadata=metadata,
     )
+
+
+def reference_build_graph(corpus: Corpus) -> FlowGraph:
+    """The graph builder as first written: each trace's distinct edges,
+    with a set of witness ids and a set of positive ids per edge."""
+    witnesses: dict[Edge, set[str]] = {}
+    positive_ids: dict[Edge, set[str]] = {}
+    nodes: set[str] = set()
+    for trace in corpus.traces:
+        nodes.update(trace.nodes)
+        for edge in set(trace_edges(trace)):
+            witnesses.setdefault(edge, set()).add(trace.id)
+            if trace.is_positive:
+                positive_ids.setdefault(edge, set()).add(trace.id)
+    for edge in corpus.required_edges:
+        nodes.update(edge)
+        witnesses.setdefault(edge, set())
+
+    edges: dict[Edge, FlowEdge] = {}
+    for key in sorted(witnesses):
+        support = len(positive_ids.get(key, ()))
+        protected = (
+            support >= corpus.min_positive_support and support >= 1
+        ) or key in corpus.required_edges
+        edges[key] = FlowEdge(key[0], key[1], frozenset(witnesses[key]), support, protected)
+
+    negatives = corpus.negatives
+    pairs = tuple(dict.fromkeys(trace.endpoints for trace in negatives))
+    paths = tuple((trace.id, trace.nodes) for trace in negatives)
+    return FlowGraph(frozenset(nodes), edges, pairs, paths, corpus.min_positive_support)
+
+
+def reference_validate_corpus(corpus: Corpus) -> tuple[Diagnostic, ...]:
+    """Corpus validation as first written: every edge of every trace
+    walked in Python."""
+    diagnostics: list[Diagnostic] = []
+    for trace in corpus.traces:
+        if trace.is_negative and trace.nodes[0] == trace.nodes[-1]:
+            diagnostics.append(
+                Diagnostic(
+                    ERROR,
+                    "negative-endpoints-equal",
+                    f"negative endpoints equal: {trace.nodes[0]}",
+                    (trace.id,),
+                )
+            )
+        warned: set[Edge] = set()
+        for src, dst in trace_edges(trace):
+            if src == dst and (src, dst) not in warned:
+                warned.add((src, dst))
+                diagnostics.append(
+                    Diagnostic(
+                        WARNING,
+                        "self-loop",
+                        f"self-loop edge ({src}, {dst}) imposes no constraint",
+                        (trace.id,),
+                    )
+                )
+    for src, dst in sorted(corpus.required_edges):
+        if src == dst:
+            diagnostics.append(
+                Diagnostic(
+                    WARNING,
+                    "self-loop",
+                    f"self-loop edge ({src}, {dst}) imposes no constraint",
+                )
+            )
+    trace_nodes = {node for trace in corpus.traces for node in trace.nodes}
+    required_only = sorted(
+        {node for pair in corpus.required_edges for node in pair} - trace_nodes
+    )
+    for node in required_only:
+        diagnostics.append(
+            Diagnostic(
+                WARNING,
+                "required-edge-only-node",
+                f"node {node} appears only in required_edges",
+            )
+        )
+    return tuple(diagnostics)
+
+
+def reference_nearest_walk(graph, start, dist, excluded):
+    """The nearest walk as first written: a generator expression per step
+    picks the smallest successor one step nearer to the goal."""
+    path = [start]
+    node = start
+    adjacency = graph.adjacency
+    while dist[node]:
+        step = dist[node] - 1
+        node = next(s for s in adjacency[node] if dist.get(s) == step and (node, s) not in excluded)
+        path.append(node)
+    return tuple(path)
+
+
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _quote(name: str) -> str:
+    return '"' + _escape(name) + '"'
+
+
+def _label(name: str, members: frozenset[str]) -> str:
+    text = _escape(name)
+    if members:
+        text += "\\n{" + ", ".join(_escape(m) for m in sorted(members)) + "}"
+    return '"' + text + '"'
+
+
+def reference_lattice_dot(order: QualifierOrder) -> str:
+    """The DOT writer as first written: each name escaped once quoted and
+    once more in its label."""
+    quoted = {element.name: _quote(element.name) for element in order.elements}
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
+    for element in sorted(order.elements, key=lambda e: e.name):
+        attrs = f"label={_label(element.name, element.members)}"
+        if element.synthetic:
+            attrs += ", style=dashed"
+        lines.append(f"  {quoted[element.name]} [{attrs}];")
+    for a, b in sorted(covering_pairs(order)):
+        lines.append(f"  {quoted[a]} -> {quoted[b]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ from flowsynth import (
     verify_separation,
 )
 from flowsynth import cut as cut_module
-from flowsynth.cut import _Family, _greedy_cover, path_cuttable_edges
+from flowsynth.cut import _Family, _greedy_cover
 from flowsynth.graph import _bits, shortest_path
 
 from corpusgen import random_corpus
@@ -719,7 +719,8 @@ def _reopens_a_sink(graph):
 def _auto_switches_to_greedy(graph):
     """auto, with the first round's candidate count as its limit, starts
     exact and ends greedy."""
-    first = len(frozenset().union(*(path_cuttable_edges(graph, nodes) for _, nodes in graph.negative_paths)))
+    on_paths = {edge for _, nodes in graph.negative_paths for edge in zip(nodes, nodes[1:])}
+    first = len(graph.cuttable_edges() & on_paths)
     cut = solve_synthesis_cut(graph, config=SolverConfig("auto", first))
     return first <= 8 and isinstance(cut, CutSet) and not cut.optimal
 
@@ -738,7 +739,11 @@ REACHED = {
 @pytest.mark.parametrize("shape", sorted(REACHED))
 def test_graph_strategy_reaches(shape):
     """The generator makes every case the tests around it are for."""
-    find(flow_graphs(), REACHED[shape], settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+    find(
+        flow_graphs(),
+        REACHED[shape],
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate], derandomize=True),
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -754,12 +759,41 @@ def test_verify_separation_matches_per_pair_search(graph, data):
     assert leftover == tuple((pair, witness) for pair, witness in per_pair if witness is not None)
 
 
+@settings(max_examples=200, deadline=None)
+@given(flow_graphs(), st.data())
+def test_verify_separation_on_an_equal_list_of_the_graph_pairs_matches(graph, data):
+    """The graph's own pairs are grouped once and cached on the graph; an
+    equal list that is not the same object is grouped per call, and both
+    give the same leftover and leave the same memo."""
+    keys = sorted(graph.edges)
+    toggles = st.frozensets(st.sampled_from(keys), max_size=3)
+    pairs = list(graph.negative_pairs)
+    assert pairs is not graph.negative_pairs
+    cached, fresh = {}, {}
+    cut = frozenset()
+    for toggled in data.draw(st.lists(toggles, min_size=1, max_size=4)):
+        cut ^= toggled
+        leftover = verify_separation(graph, cut, graph.negative_pairs, separated=cached)
+        assert leftover == verify_separation(graph, cut, pairs, separated=fresh)
+        assert leftover == verify_separation(graph, cut, pairs)
+        assert leftover == reference_verify_separation(graph, cut, pairs)
+        assert cached == fresh
+
+
 def test_verify_separation_names_the_first_unknown_node():
     graph = build_graph(Corpus(traces=(Trace("n", "negative", ("a", "b")),)))
     for pairs, missing in [([("a", "b"), ("x", "b")], "x"), ([("a", "y"), ("z", "b")], "y")]:
         with pytest.raises(UnknownNode) as excinfo:
             verify_separation(graph, frozenset(), pairs)
         assert str(excinfo.value) == missing
+
+
+def test_verify_separation_names_an_unknown_node_of_the_graph_pairs():
+    graph = FlowGraph(frozenset({"a", "b"}), {}, (("a", "b"), ("a", "q")), ())
+    for pairs in (graph.negative_pairs, list(graph.negative_pairs)):
+        with pytest.raises(UnknownNode) as excinfo:
+            verify_separation(graph, frozenset(), pairs)
+        assert str(excinfo.value) == "q"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from flowsynth import (
@@ -20,9 +20,16 @@ from flowsynth import (
     reachable,
     scc_condense,
 )
-from flowsynth.graph import shortest_path
+from flowsynth.graph import _distances_to, _nearest_walk, shortest_path
 
-from oracles import brute_simple_paths, reachability_closure, reference_shortest_path
+from corpusgen import front_end_corpora
+from oracles import (
+    brute_simple_paths,
+    reachability_closure,
+    reference_build_graph,
+    reference_nearest_walk,
+    reference_shortest_path,
+)
 
 
 def corpus_of(*traces, required=(), min_support=1):
@@ -99,6 +106,70 @@ def test_build_graph_self_loops_not_cuttable():
     graph = build_graph(corpus_of(Trace("p", "positive", ("a", "a", "b"))))
     assert graph.edges[("a", "a")].is_self_loop
     assert not graph.edges[("a", "a")].cuttable
+
+
+def _has_edge(corpus, test):
+    return any(test(trace.nodes) for trace in corpus.traces)
+
+
+# what the front-end corpora must reach, for the graph builder here and for
+# corpus validation in test_traces.py
+FRONT_END_REACHED = {
+    "self-loop-at-start": lambda c: _has_edge(c, lambda nodes: nodes[0] == nodes[1]),
+    "self-loop-at-end": lambda c: _has_edge(c, lambda nodes: nodes[-2] == nodes[-1]),
+    "edge-repeated-in-a-trace": lambda c: _has_edge(c, lambda nodes: len(set(zip(nodes, nodes[1:]))) < len(nodes) - 1),
+    "closed-negative": lambda c: any(t.is_negative and t.nodes[0] == t.nodes[-1] for t in c.traces),
+    # a path starts where the one before ends, and neither has a self-loop
+    "straddle": lambda c: any(
+        a.nodes[-1] == b.nodes[0] and all(x != y for t in (a, b) for x, y in zip(t.nodes, t.nodes[1:]))
+        for a, b in zip(c.traces, c.traces[1:])
+    ),
+    # an edge with positive support under the threshold, so not protected
+    "support-above-one": lambda c: any(
+        0 < edge.positive_support < c.min_positive_support for edge in build_graph(c).edges.values()
+    ),
+    "required-only-node": lambda c: bool(
+        {n for pair in c.required_edges for n in pair} - {n for t in c.traces for n in t.nodes}
+    ),
+    "required-self-loop": lambda c: any(src == dst for src, dst in c.required_edges),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FRONT_END_REACHED))
+def test_front_end_strategy_reaches(shape):
+    find(
+        front_end_corpora(),
+        FRONT_END_REACHED[shape],
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate], derandomize=True),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_end_corpora())
+@example(corpus_of(Trace("p", "positive", ("a", "b", "a", "b")), Trace("q", "positive", ("b", "a")), min_support=2))
+@example(corpus_of(Trace("n", "negative", ("a", "a", "b", "b")), required=[("x", "a"), ("y", "y")]))
+def test_build_graph_matches_the_reference(corpus):
+    graph = build_graph(corpus)
+    reference = reference_build_graph(corpus)
+    assert graph == reference
+    assert list(graph.edges.items()) == list(reference.edges.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_end_corpora(), st.data())
+def test_nearest_walk_matches_the_reference(corpus, data):
+    """From every node a search labels, the walk is the reference's."""
+    graph = build_graph(corpus)
+    nodes = sorted(graph.nodes)
+    if not nodes:
+        return
+    keys = sorted(graph.edges)
+    goal = data.draw(st.sampled_from(nodes))
+    starts = data.draw(st.sets(st.sampled_from(nodes), max_size=3))
+    cut = frozenset(data.draw(st.sets(st.sampled_from(keys)))) if keys else frozenset()
+    dist = _distances_to(graph, goal, starts, cut)
+    for node in sorted(dist):
+        assert _nearest_walk(graph, node, dist, cut) == reference_nearest_walk(graph, node, dist, cut)
 
 
 def test_reachable_examples():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import pkgutil
 import random
@@ -9,7 +10,7 @@ from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowsynth import (
@@ -36,10 +37,16 @@ from flowsynth import (
 import flowsynth
 from flowsynth import lattice as lattice_module
 from flowsynth.graph import _bits
-from flowsynth.lattice import EQUAL, GREATER, INCOMPARABLE, LESS
+from flowsynth.lattice import EQUAL, GREATER, INCOMPARABLE, LESS, covering_pairs
 
 from corpusgen import random_corpus
-from oracles import naming_key, reachability_closure, reference_complete_join_semilattice, reference_mask_completion
+from oracles import (
+    naming_key,
+    reachability_closure,
+    reference_complete_join_semilattice,
+    reference_lattice_dot,
+    reference_mask_completion,
+)
 
 
 def order_from(corpus, cut_edges):
@@ -314,6 +321,40 @@ def test_completion_matches_the_mask_completion(order):
     assert lattice.down == reference.down
     assert complete_join_semilattice(order, len(reference.elements)) == lattice
     assert complete_join_semilattice(order, len(reference.elements) - 1) is None
+
+
+_dot_names = st.text(st.sampled_from('ab"\\{} '), min_size=1, max_size=4)
+
+
+@st.composite
+def drawn_orders(draw):
+    """A random order whose element and member names hold quotes,
+    backslashes and braces; some elements are synthetic, and some orders
+    carry covers while the rest have them reduced from the up-sets."""
+    names = draw(st.lists(_dot_names, max_size=6, unique=True))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10))
+    edges = {(names[min(a, b)], names[max(a, b)]) for a, b in pairs if a != b and max(a, b) < len(names)}
+    relation = frozenset(reachability_closure(names, edges))
+    elements = [
+        Element(name, draw(st.frozensets(_dot_names, max_size=3)), draw(st.booleans())) for name in names
+    ]
+    order = hand_built(elements, relation, {})
+    if draw(st.booleans()):
+        order = dataclasses.replace(order, covers=covering_pairs(order))
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_orders())
+@example(
+    hand_built(
+        [Element('a"\\', frozenset({'"', "\\"})), Element("b", frozenset(), True)],
+        {('a"\\', 'a"\\'), ("b", "b"), ('a"\\', "b")},
+        {},
+    )
+)
+def test_lattice_dot_matches_the_reference(order):
+    assert lattice_dot(order) == reference_lattice_dot(order)
 
 
 @settings(max_examples=300, deadline=None)

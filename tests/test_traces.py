@@ -9,7 +9,7 @@ import string
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsynth import (
@@ -28,11 +28,13 @@ from flowsynth import (
 
 from flowsynth.traces import _bulk_traces, is_string_list, is_valid_node_id, load_json
 
+from corpusgen import front_end_corpora
 from oracles import (
     reference_is_string_list,
     reference_is_valid_node_id,
     reference_parse_corpus,
     reference_serialize_corpus,
+    reference_validate_corpus,
 )
 
 
@@ -303,6 +305,16 @@ def test_validate_is_pure():
     assert validate_corpus(corpus) == validate_corpus(corpus)
 
 
+@settings(max_examples=300, deadline=None)
+@given(front_end_corpora())
+# the second path starts where the first ends, which is not a self-loop
+@example(Corpus(traces=(Trace("p", "positive", ("a", "b")), Trace("q", "positive", ("b", "c", "b")))))
+@example(Corpus(traces=(Trace("n", "negative", ("a", "a", "b", "a", "a")), Trace("p", "positive", ("a", "b", "b")))))
+@example(Corpus(traces=(Trace("p", "positive", ("a", "b")),), required_edges=frozenset({("a", "x"), ("y", "y")})))
+def test_validate_corpus_matches_the_reference(corpus):
+    assert validate_corpus(corpus) == reference_validate_corpus(corpus)
+
+
 # ---------------------------------------------------------------------------
 # the row-template writer against json.dumps, and the node-id predicate
 
@@ -555,6 +567,35 @@ def _entry(i: int = 0, **changes) -> dict:
 
 
 _TEN = [_entry(i) for i in range(10)]
+
+_ORIGINS = st.sampled_from([_DROP, None, "static-expansion"])
+
+
+@st.composite
+def keyed_entries(draw: st.DrawFn) -> list:
+    """Trace entries that are valid but for their keys: a required key may
+    be missing, an unknown key may be added, and "origin" is absent, null
+    or a string."""
+    entries = []
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        entry = _entry(i, origin=draw(_ORIGINS))
+        if draw(st.integers(0, 4)) == 0:
+            del entry[draw(st.sampled_from(["id", "polarity", "nodes"]))]
+        if draw(st.integers(0, 4)) == 0:
+            entry[draw(st.sampled_from(["extra", "Origin", "node"]))] = draw(_ORIGINS.filter(lambda v: v is not _DROP))
+        entries.append(entry)
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_entries())
+@example([_entry(origin=None), _entry(1, extra=1)])  # an extra key where an origin could be
+@example([_entry(polarity=_DROP, extra=None, origin="o")])  # as many keys as a valid entry with origin
+def test_bulk_trace_key_check_returns_none_exactly_when_the_entry_loop_raises(entries):
+    bulk = _bulk_traces(entries)
+    assert (bulk is None) == _entry_error(entries)
+    if bulk is not None:
+        assert bulk == reference_parse_corpus(json.dumps({"traces": entries})).traces
 
 
 @pytest.mark.parametrize(
