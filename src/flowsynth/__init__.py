@@ -36,11 +36,9 @@ from .traces import (
 )
 from .graph import (
     Condensation,
-    FlowEdge,
     FlowGraph,
     build_graph,
     hasse_reduce,
-    reachable,
     scc_condense,
 )
 from .cut import (
@@ -100,7 +98,6 @@ __all__ = [
     "EndpointSpec",
     "ExpansionResult",
     "Explanation",
-    "FlowEdge",
     "FlowGraph",
     "FlowSynthError",
     "InfeasibleSet",
@@ -141,7 +138,6 @@ __all__ = [
     "parse_corpus",
     "parse_stack_trace",
     "parse_static_graph",
-    "reachable",
     "scc_condense",
     "serialize_corpus",
     "solve_synthesis_cut",

@@ -52,7 +52,6 @@ from .errors import (
     ValidationError,
 )
 from .expand import EndpointSpec, enumerate_candidate_paths, parse_static_graph
-from .graph import build_graph
 from .lattice import QualifierOrder
 from .pipeline import SynthesisResult, synthesize
 from .traces import (
@@ -313,15 +312,16 @@ def _print_conflict(conflict: Conflict, corpus: Corpus) -> None:
     if conflict.negative_ids:
         print(f"  negative trace(s): {', '.join(conflict.negative_ids)}", file=sys.stderr)
     print(f"  protected witness path: {' -> '.join(conflict.witness)}", file=sys.stderr)
-    # each witness edge as build_graph judged it: enough positives, else required
-    graph = build_graph(corpus)
-    positive_ids = {trace.id for trace in corpus.positives}
+    # each witness edge as build_graph judges it: enough positives, else required
+    holders = {key: [] for key in zip(conflict.witness, conflict.witness[1:])}
+    for trace in corpus.positives:
+        for key in holders.keys() & zip(trace.nodes, trace.nodes[1:]):
+            holders[key].append(trace.id)
     supported, required = set(), []
-    for key in zip(conflict.witness, conflict.witness[1:]):
-        edge = graph.edges[key]
-        if edge.positive_support >= graph.min_positive_support:
-            supported |= edge.witnesses & positive_ids
-        elif edge.protected and key not in required:
+    for key, ids in holders.items():
+        if len(ids) >= corpus.min_positive_support:
+            supported.update(ids)
+        elif key in corpus.required_edges:
             required.append(key)
     if supported:
         print(f"  protected by positive trace(s): {', '.join(sorted(supported))}", file=sys.stderr)
@@ -332,7 +332,7 @@ def _print_conflict(conflict: Conflict, corpus: Corpus) -> None:
 
 def _print_summary(result: SynthesisResult, drawn: QualifierOrder, out: Path) -> None:
     graph = result.graph
-    protected = sum(1 for edge in graph.edges.values() if edge.protected)
+    protected = len(graph.protected)
     cut_edges = ", ".join(f"{s} -> {d}" for s, d in sorted(result.cut.edges)) or "(none)"
     synthetic = sum(1 for element in drawn.elements if element.synthetic)
     report = result.report

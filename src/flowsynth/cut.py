@@ -1,7 +1,8 @@
 """Minimum-cut synthesis over negative flows.
 
 The flow graph is the problem: each negative path contributes a
-hitting-set constraint over its edges that `FlowEdge.cuttable` allows.
+hitting-set constraint over its edges that `FlowGraph.cuttable_edges`
+allows: those neither protected nor a self-loop.
 Under the default separation semantics the returned cut must leave every
 negative trace's sink unreachable from its source, not merely break the
 observed paths, so constraints are generated lazily: solve the hitting
@@ -49,7 +50,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import InfeasibleSet, RefinementLimitError
-from .graph import FlowGraph, _bits, _distances_to, _nearest_walk, sink_groups
+from .graph import FlowGraph, _bits, _distances_to, _nearest_walk
 from .graph import shortest_path  # noqa: F401  (bench/tracing.py wraps cut.shortest_path)
 from .traces import Edge
 
@@ -344,25 +345,19 @@ def _packing_bound(sets: list[int]) -> int:
 # Separation checking and the refinement loop
 
 def verify_separation(
-    graph: FlowGraph,
-    cut: frozenset[Edge],
-    negative_pairs: Sequence[Edge],
-    *,
-    separated: dict | None = None,
+    graph: FlowGraph, cut: frozenset[Edge], *, separated: dict | None = None
 ) -> tuple[tuple[Edge, tuple[str, ...]], ...]:
-    """For every negative pair still connected after the cut, one witness
-    path (breadth-first shortest, lexicographic), in `negative_pairs`
-    order.  Empty means separated.
+    """For every pair of `graph.negative_pairs` still connected after the
+    cut, one witness path (breadth-first shortest, lexicographic), in
+    pair order.  Empty means separated.
 
     The pairs are grouped by sink, each sink with its sources and the
-    positions of its pairs (`sink_groups`).  The grouping of
-    `graph.negative_pairs` itself is cached on the graph, like its
-    adjacency, so a round of the refinement loop costs what it searches;
-    any other sequence is grouped afresh on each call.  One backward
-    search runs from each sink until all of that sink's sources are
-    labelled; its distances are exact, so each witness is the one
-    `shortest_path` gives for its pair.  The leftover is read off the
-    searched sinks only.
+    positions of its pairs (`graph.negative_sinks`, cached on the graph
+    like its adjacency), so a round of the refinement loop costs what it
+    searches.  One backward search runs from each sink until all of that
+    sink's sources are labelled; its distances are exact, so each witness
+    is the one `shortest_path` gives for its pair.  The leftover is read
+    off the searched sinks only.
 
     `separated` is a memo the caller keeps across calls on one graph, at
     first empty.  A search that reaches none of its sink's sources leaves
@@ -370,13 +365,10 @@ def verify_separation(
     only shrink what reaches the sink, so while all of those edges are
     still in `cut` the sink is not searched again.  The answer is the same
     with or without the memo."""
-    if negative_pairs is graph.negative_pairs:
-        groups = graph.negative_sinks
-    else:
-        groups = sink_groups(graph.nodes, negative_pairs)
+    pairs = graph.negative_pairs
     memo = {} if separated is None else separated
     found = []
-    for sink, (starts, positions) in groups.items():
+    for sink, (starts, positions) in graph.negative_sinks.items():
         known = memo.get(sink)
         if known is not None and known[0] == starts and known[1] <= cut:
             continue
@@ -389,7 +381,7 @@ def verify_separation(
             continue
         memo.pop(sink, None)
         for position in positions:
-            source = negative_pairs[position][0]
+            source = pairs[position][0]
             if source in dist:
                 found.append((position, source, sink, dist))
     found.sort(key=itemgetter(0))
@@ -463,7 +455,7 @@ def solve_synthesis_cut(
 
         # a memo entry the call leaves as it was is a sink it did not search
         kept = dict(separated) if log.isEnabledFor(logging.DEBUG) else None
-        leftover = verify_separation(graph, cut, graph.negative_pairs, separated=separated)
+        leftover = verify_separation(graph, cut, separated=separated)
         if kept is not None:
             log.debug(
                 "round %d: %d constraints, %d of %d components re-solved, %s solver, "

@@ -14,48 +14,38 @@ from .traces import validate_corpus  # noqa: F401  (bench/tracing.py wraps graph
 
 
 @dataclass(frozen=True)
-class FlowEdge:
-    """One directed flow edge with provenance and a protection flag.
-
-    An edge is protected when enough distinct positive traces witness it
-    (at least min_positive_support, and at least one) or when it is listed
-    in required_edges; protected edges are never cut candidates.
-    """
-
-    src: str
-    dst: str
-    witnesses: frozenset[str]
-    positive_support: int
-    protected: bool
-
-    @property
-    def is_self_loop(self) -> bool:
-        return self.src == self.dst
-
-    @property
-    def cuttable(self) -> bool:
-        return not self.protected and not self.is_self_loop
-
-
-@dataclass(frozen=True)
 class FlowGraph:
-    """The union of all trace edges and required edges.
-
-    negative_pairs are the (source, sink) endpoints of the negative traces,
-    deduplicated in corpus order; negative_paths keeps each negative
-    trace's full node path for constraint generation and conflict witnesses.
+    """The union of all trace edges and required edges.  Protected edges
+    and self-loops are never cut; negative_pairs are the (source, sink)
+    endpoints of the negative traces, deduplicated in corpus order;
+    negative_paths keeps each negative trace's full node path for
+    constraint generation and conflict witnesses.
     """
 
     nodes: frozenset[str]
-    edges: dict[Edge, FlowEdge]
+    edges: frozenset[Edge]
+    protected: frozenset[Edge]
     negative_pairs: tuple[Edge, ...]
     negative_paths: tuple[tuple[str, tuple[str, ...]], ...]
-    min_positive_support: int = 1
 
     @cached_property
     def negative_sinks(self) -> dict[str, tuple[frozenset[str], tuple[int, ...]]]:
-        """`negative_pairs` grouped by sink: see `sink_groups`."""
-        return sink_groups(self.nodes, self.negative_pairs)
+        """Each sink of `negative_pairs` with its sources and the positions
+        of its pairs there, sinks in order of first appearance.  Raises
+        UnknownNode for the first node, source before sink, not in `nodes`."""
+        groups: dict[str, tuple[set[str], list[int]]] = {}
+        for position, (source, sink) in enumerate(self.negative_pairs):
+            if source not in self.nodes:
+                raise UnknownNode(source)
+            if sink not in self.nodes:
+                raise UnknownNode(sink)
+            group = groups.get(sink)
+            if group is None:
+                groups[sink] = ({source}, [position])
+            else:
+                group[0].add(source)
+                group[1].append(position)
+        return {sink: (frozenset(sources), tuple(positions)) for sink, (sources, positions) in groups.items()}
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
@@ -75,83 +65,38 @@ class FlowGraph:
         return tuple(sorted(self.edges))
 
     def cuttable_edges(self) -> frozenset[Edge]:
-        return frozenset(key for key, edge in self.edges.items() if edge.cuttable)
+        return frozenset(edge for edge in self.edges - self.protected if edge[0] != edge[1])
 
 
 def build_graph(corpus: Corpus) -> FlowGraph:
     """Union the corpus into a FlowGraph.  A pure union: the corpus is not
     validated here; `pipeline.synthesize`, the entry point, validates it
-    first.  One pass per trace; an edge's positive support is how many of
-    its witnesses are positive trace ids, which counts traces since ids
-    are unique in a Corpus."""
-    witnesses: dict[Edge, set[str]] = {}
-    positives: list[str] = []
-    nodes: set[str] = set()
-    for trace_id, polarity, path, _ in corpus.traces:
+    first.  An edge is protected when it is required or when at least
+    min_positive_support distinct positive traces hold it.  One pass per
+    trace; `last` keeps the index of the last positive trace that counted
+    an edge, so each trace counts an edge once."""
+    edges: set[Edge] = set(corpus.required_edges)
+    nodes: set[str] = set().union(*corpus.required_edges)
+    support: dict[Edge, int] = {}
+    last: dict[Edge, int] = {}
+    for index, (_, polarity, path, _) in enumerate(corpus.traces):
         nodes.update(path)
-        if polarity == POSITIVE:
-            positives.append(trace_id)
+        if polarity != POSITIVE:
+            edges.update(zip(path, path[1:]))
+            continue
         for edge in zip(path, path[1:]):
-            ids = witnesses.get(edge)
-            if ids is None:
-                witnesses[edge] = {trace_id}
-            else:
-                ids.add(trace_id)
-    for edge in corpus.required_edges:
-        nodes.update(edge)
-        witnesses.setdefault(edge, set())
-
-    positive = set(positives)
+            if last.get(edge) != index:
+                last[edge] = index
+                support[edge] = support.get(edge, 0) + 1
+    edges.update(support)
+    # a counted edge has support >= 1, so "and at least one" needs no test
     least = corpus.min_positive_support
-    required = corpus.required_edges
-    edges: dict[Edge, FlowEdge] = {}
-    for key in sorted(witnesses):
-        ids = witnesses[key]
-        support = len(positive.intersection(ids))
-        protected = (support >= least and support >= 1) or key in required
-        edges[key] = FlowEdge(key[0], key[1], frozenset(ids), support, protected)
+    protected = corpus.required_edges.union(edge for edge, count in support.items() if count >= least)
 
     negatives = corpus.negatives
     pairs = tuple(dict.fromkeys(trace.endpoints for trace in negatives))
     paths = tuple((trace.id, trace.nodes) for trace in negatives)
-    return FlowGraph(frozenset(nodes), edges, pairs, paths, corpus.min_positive_support)
-
-
-def sink_groups(
-    nodes: frozenset[str], pairs: Iterable[Edge]
-) -> dict[str, tuple[frozenset[str], tuple[int, ...]]]:
-    """Each sink of `pairs` with its sources and the positions of its
-    pairs in `pairs`, sinks in order of first appearance.  Raises
-    UnknownNode for the first node, source before sink, not in `nodes`."""
-    groups: dict[str, tuple[set[str], list[int]]] = {}
-    for position, (source, sink) in enumerate(pairs):
-        if source not in nodes:
-            raise UnknownNode(source)
-        if sink not in nodes:
-            raise UnknownNode(sink)
-        group = groups.get(sink)
-        if group is None:
-            groups[sink] = ({source}, [position])
-        else:
-            group[0].add(source)
-            group[1].append(position)
-    return {sink: (frozenset(sources), tuple(positions)) for sink, (sources, positions) in groups.items()}
-
-
-def reachable(graph: FlowGraph, start: str, excluded: frozenset[Edge] = frozenset()) -> frozenset[str]:
-    """Nodes reachable from start over edges not in `excluded`; always
-    contains start."""
-    if start not in graph.nodes:
-        raise UnknownNode(start)
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for succ in graph.adjacency[node]:
-            if succ not in seen and (node, succ) not in excluded:
-                seen.add(succ)
-                stack.append(succ)
-    return frozenset(seen)
+    return FlowGraph(frozenset(nodes), frozenset(edges), protected, pairs, paths)
 
 
 def shortest_path(

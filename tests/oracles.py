@@ -49,7 +49,7 @@ from flowsynth import __version__
 from flowsynth.checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, Verdict
 from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint, SolverConfig
 from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode, ValidationError
-from flowsynth.graph import FlowEdge, FlowGraph, _bits, _covers
+from flowsynth.graph import FlowGraph, _bits, _covers
 from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element, QualifierOrder, covering_pairs
 from flowsynth.traces import (
     EFFECT,
@@ -352,8 +352,8 @@ def reference_solve_synthesis_cut(graph, semantics, config):
     warning: every round rebuilds the family of cuttable-edge sets and its
     candidate edges, solves it from scratch with the reference solvers (the
     greedy cover then made irredundant), and checks separation pair by
-    pair.  Every edge that is not `FlowEdge.cuttable` is forbidden."""
-    forbidden = frozenset(key for key, edge in graph.edges.items() if not edge.cuttable)
+    pair.  Every edge that is protected or a self-loop is forbidden."""
+    forbidden = frozenset(key for key in graph.edges if key in graph.protected or key[0] == key[1])
     constraints = [
         PathConstraint(
             trace_id,
@@ -397,7 +397,7 @@ def reference_solve_synthesis_cut(graph, semantics, config):
             cuttable = frozenset(
                 edge
                 for edge in zip(witness, witness[1:])
-                if edge in graph.edges and graph.edges[edge].cuttable
+                if edge in graph.edges and edge not in forbidden
             )
             if not cuttable:
                 return _reference_conflict(graph, pair, witness)
@@ -870,18 +870,16 @@ def reference_build_graph(corpus: Corpus) -> FlowGraph:
         nodes.update(edge)
         witnesses.setdefault(edge, set())
 
-    edges: dict[Edge, FlowEdge] = {}
+    protected = set()
     for key in sorted(witnesses):
         support = len(positive_ids.get(key, ()))
-        protected = (
-            support >= corpus.min_positive_support and support >= 1
-        ) or key in corpus.required_edges
-        edges[key] = FlowEdge(key[0], key[1], frozenset(witnesses[key]), support, protected)
+        if (support >= corpus.min_positive_support and support >= 1) or key in corpus.required_edges:
+            protected.add(key)
 
     negatives = corpus.negatives
     pairs = tuple(dict.fromkeys(trace.endpoints for trace in negatives))
     paths = tuple((trace.id, trace.nodes) for trace in negatives)
-    return FlowGraph(frozenset(nodes), edges, pairs, paths, corpus.min_positive_support)
+    return FlowGraph(frozenset(nodes), frozenset(witnesses), frozenset(protected), pairs, paths)
 
 
 def reference_validate_corpus(corpus: Corpus) -> tuple[Diagnostic, ...]:

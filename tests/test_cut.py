@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -14,7 +15,6 @@ from flowsynth import (
     Conflict,
     Corpus,
     CutSet,
-    FlowEdge,
     FlowGraph,
     FlowSynthError,
     InfeasibleSet,
@@ -240,7 +240,7 @@ def test_exact_takes_every_disjoint_singleton_without_recursion():
 
 def test_verify_separation_examples():
     graph = build_graph(Corpus(traces=(Trace("n", "negative", ("a", "b", "c")),)))
-    assert verify_separation(graph, frozenset({("b", "c")}), [("a", "c")]) == ()
+    assert verify_separation(graph, frozenset({("b", "c")})) == ()
 
     graph2 = build_graph(
         Corpus(
@@ -250,7 +250,7 @@ def test_verify_separation_examples():
             )
         )
     )
-    leftover = verify_separation(graph2, frozenset({("a", "b")}), [("a", "c")])
+    leftover = verify_separation(graph2, frozenset({("a", "b")}))
     assert leftover == ((("a", "c"), ("a", "c")),)
 
     # vacuous separation: no path at all
@@ -262,7 +262,7 @@ def test_verify_separation_examples():
             )
         )
     )
-    assert verify_separation(graph3, frozenset(), [("a", "d")]) == ()
+    assert verify_separation(replace(graph3, negative_pairs=(("a", "d"),)), frozenset()) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +513,7 @@ def test_path_semantics_hits_observed_paths_only():
     assert cut.edges == {("a", "b")}
     assert cut.iterations == 1
     # the a->c shortcut is untouched, so the endpoints are not separated
-    assert verify_separation(graph, cut.edges, graph.negative_pairs) != ()
+    assert verify_separation(graph, cut.edges) != ()
 
 
 def test_solver_determinism():
@@ -536,9 +536,9 @@ def test_separation_postcondition_and_greedy_feasibility():
         if isinstance(exact, Conflict):
             assert isinstance(greedy, Conflict)
             continue
-        assert verify_separation(graph, exact.edges, graph.negative_pairs) == ()
+        assert verify_separation(graph, exact.edges) == ()
         assert isinstance(greedy, CutSet)
-        assert verify_separation(graph, greedy.edges, graph.negative_pairs) == ()
+        assert verify_separation(graph, greedy.edges) == ()
         assert len(greedy.edges) >= len(exact.edges)
         assert not greedy.optimal or greedy.edges == exact.edges
 
@@ -595,7 +595,6 @@ def flow_graphs(draw):
     node = st.sampled_from(nodes)
     keys = sorted(draw(st.sets(st.tuples(node, node), min_size=1, max_size=14)))
     protected = draw(st.sets(st.sampled_from(keys), max_size=3))
-    edges = {key: FlowEdge(key[0], key[1], frozenset(), 0, key in protected) for key in keys}
     paths = []
     for number in range(draw(st.integers(1, 5))):
         walk = [draw(node)]
@@ -607,7 +606,7 @@ def flow_graphs(draw):
         paths.append((f"n{number}", tuple(walk)))
     pairs = [(walk[0], walk[-1]) for _, walk in paths]
     pairs += draw(st.lists(st.tuples(node, node), max_size=3))
-    return FlowGraph(frozenset(nodes), edges, tuple(dict.fromkeys(pairs)), tuple(paths))
+    return FlowGraph(frozenset(nodes), frozenset(keys), frozenset(protected), tuple(dict.fromkeys(pairs)), tuple(paths))
 
 
 def outcome(solve, *args):
@@ -640,7 +639,7 @@ def _solved(graph):
 
 
 def _connected_sinks(graph):
-    return [sink for (_, sink), _ in verify_separation(graph, frozenset(), graph.negative_pairs)]
+    return [sink for (_, sink), _ in verify_separation(graph, frozenset())]
 
 
 def components(sets):
@@ -673,9 +672,9 @@ def round_cuts(graph, config):
     """The loop's result and the cut each of its rounds verified."""
     cuts = []
 
-    def spy(graph, cut, pairs, **kwargs):
+    def spy(graph, cut, **kwargs):
         cuts.append(cut)
-        return verify_separation(graph, cut, pairs, **kwargs)
+        return verify_separation(graph, cut, **kwargs)
 
     with mock.patch.object(cut_module, "verify_separation", spy):
         return solve_synthesis_cut(graph, config=config), cuts
@@ -753,47 +752,21 @@ def test_verify_separation_matches_per_pair_search(graph, data):
     cut = frozenset(data.draw(st.sets(st.sampled_from(keys), max_size=len(keys))))
     pairs = list(graph.negative_pairs)
     pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=3))  # repeated pairs
-    leftover = verify_separation(graph, cut, pairs)
+    leftover = verify_separation(replace(graph, negative_pairs=tuple(pairs)), cut)
     assert leftover == reference_verify_separation(graph, cut, pairs)
     per_pair = [(pair, shortest_path(graph, *pair, cut)) for pair in pairs]
     assert leftover == tuple((pair, witness) for pair, witness in per_pair if witness is not None)
 
 
-@settings(max_examples=200, deadline=None)
-@given(flow_graphs(), st.data())
-def test_verify_separation_on_an_equal_list_of_the_graph_pairs_matches(graph, data):
-    """The graph's own pairs are grouped once and cached on the graph; an
-    equal list that is not the same object is grouped per call, and both
-    give the same leftover and leave the same memo."""
-    keys = sorted(graph.edges)
-    toggles = st.frozensets(st.sampled_from(keys), max_size=3)
-    pairs = list(graph.negative_pairs)
-    assert pairs is not graph.negative_pairs
-    cached, fresh = {}, {}
-    cut = frozenset()
-    for toggled in data.draw(st.lists(toggles, min_size=1, max_size=4)):
-        cut ^= toggled
-        leftover = verify_separation(graph, cut, graph.negative_pairs, separated=cached)
-        assert leftover == verify_separation(graph, cut, pairs, separated=fresh)
-        assert leftover == verify_separation(graph, cut, pairs)
-        assert leftover == reference_verify_separation(graph, cut, pairs)
-        assert cached == fresh
-
-
 def test_verify_separation_names_the_first_unknown_node():
-    graph = build_graph(Corpus(traces=(Trace("n", "negative", ("a", "b")),)))
-    for pairs, missing in [([("a", "b"), ("x", "b")], "x"), ([("a", "y"), ("z", "b")], "y")]:
+    """A graph built by hand can name nodes it lacks in its pairs: the
+    first such node, source before sink, is the error."""
+    cases = [((("a", "b"), ("x", "b")), "x"), ((("a", "y"), ("z", "b")), "y"), ((("a", "b"), ("a", "q")), "q")]
+    for pairs, missing in cases:
+        graph = FlowGraph(frozenset({"a", "b"}), frozenset({("a", "b")}), frozenset(), pairs, ())
         with pytest.raises(UnknownNode) as excinfo:
-            verify_separation(graph, frozenset(), pairs)
+            verify_separation(graph, frozenset())
         assert str(excinfo.value) == missing
-
-
-def test_verify_separation_names_an_unknown_node_of_the_graph_pairs():
-    graph = FlowGraph(frozenset({"a", "b"}), {}, (("a", "b"), ("a", "q")), ())
-    for pairs in (graph.negative_pairs, list(graph.negative_pairs)):
-        with pytest.raises(UnknownNode) as excinfo:
-            verify_separation(graph, frozenset(), pairs)
-        assert str(excinfo.value) == "q"
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +845,7 @@ def test_verify_separation_with_a_memo_matches_the_reference_on_every_cut(graph,
     for toggled in data.draw(st.lists(toggles, min_size=1, max_size=6)):
         cut ^= toggled
         expected = reference_verify_separation(graph, cut, graph.negative_pairs)
-        assert verify_separation(graph, cut, graph.negative_pairs, separated=memo) == expected
+        assert verify_separation(graph, cut, separated=memo) == expected
 
 
 def test_a_sink_is_searched_again_once_an_edge_its_search_stopped_at_leaves_the_cut():
@@ -883,12 +856,12 @@ def test_a_sink_is_searched_again_once_an_edge_its_search_stopped_at_leaves_the_
     )
     memo = {}
     both = frozenset({("a", "t"), ("b", "t")})
-    assert verify_separation(graph, both, [("s", "t")], separated=memo) == ()
-    assert verify_separation(graph, both | {("s", "a")}, [("s", "t")], separated=memo) == ()
-    assert verify_separation(graph, frozenset({("b", "t"), ("s", "a")}), [("s", "t")], separated=memo) == ()
+    assert verify_separation(graph, both, separated=memo) == ()
+    assert verify_separation(graph, both | {("s", "a")}, separated=memo) == ()
+    assert verify_separation(graph, frozenset({("b", "t"), ("s", "a")}), separated=memo) == ()
     reopened = frozenset({("s", "a"), ("s", "b")})
-    assert verify_separation(graph, reopened, [("s", "t")], separated=memo) == ()
-    assert verify_separation(graph, frozenset({("s", "b")}), [("s", "t")], separated=memo) == (
+    assert verify_separation(graph, reopened, separated=memo) == ()
+    assert verify_separation(graph, frozenset({("s", "b")}), separated=memo) == (
         (("s", "t"), ("s", "a", "t")),
     )
 
@@ -929,8 +902,8 @@ def test_a_round_re_solves_the_touched_components_and_searches_the_open_sinks(mo
         rounds.append({"solves": 0, "searched": []})
         return _original(sets, forbidden)
 
-    def verify(graph, cut, pairs, *, separated=None, _original=cut_module.verify_separation):
-        rounds[-1]["leftover"] = leftover = _original(graph, cut, pairs, separated=separated)
+    def verify(graph, cut, *, separated=None, _original=cut_module.verify_separation):
+        rounds[-1]["leftover"] = leftover = _original(graph, cut, separated=separated)
         rounds[-1]["cut"] = cut
         return leftover
 

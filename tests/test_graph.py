@@ -1,7 +1,8 @@
-"""Flow-graph construction, reachability, condensation, Hasse reduction."""
+"""Flow-graph construction, shortest paths, condensation, Hasse reduction."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -11,13 +12,10 @@ from hypothesis import strategies as st
 from flowsynth import (
     Corpus,
     CycleError,
-    FlowEdge,
     FlowGraph,
     Trace,
-    UnknownNode,
     build_graph,
     hasse_reduce,
-    reachable,
     scc_condense,
 )
 from flowsynth.graph import _distances_to, _nearest_walk, shortest_path
@@ -48,12 +46,9 @@ def test_build_graph_union_and_protection():
         )
     )
     assert graph.nodes == {"a", "b", "c"}
-    assert set(graph.edges) == {("a", "b"), ("b", "c")}
-    ab = graph.edges[("a", "b")]
-    bc = graph.edges[("b", "c")]
-    assert ab.protected and ab.positive_support == 1
-    assert ab.witnesses == {"pos", "neg"}
-    assert not bc.protected
+    assert graph.edges == {("a", "b"), ("b", "c")}
+    assert graph.protected == {("a", "b")}
+    assert graph.cuttable_edges() == {("b", "c")}
     assert graph.negative_pairs == (("a", "c"),)
 
 
@@ -74,23 +69,20 @@ def test_negative_pairs_are_distinct_in_first_seen_order():
 
 
 def test_build_graph_support_threshold():
-    two = corpus_of(
-        Trace("p1", "positive", ("a", "b")),
-        Trace("p2", "positive", ("x", "a", "b")),
-        min_support=2,
-    )
-    assert build_graph(two).edges[("a", "b")].positive_support == 2
-    assert build_graph(two).edges[("a", "b")].protected
+    traces = (Trace("p1", "positive", ("a", "b")), Trace("p2", "positive", ("x", "a", "b", "a", "b")))
+    # two positives hold a -> b, the second one twice
+    assert ("a", "b") in build_graph(corpus_of(*traces, min_support=2)).protected
+    assert ("a", "b") not in build_graph(corpus_of(*traces, min_support=3)).protected
 
     one = corpus_of(Trace("p1", "positive", ("a", "b")), min_support=2)
-    assert not build_graph(one).edges[("a", "b")].protected
+    assert ("a", "b") in build_graph(one).edges
+    assert not build_graph(one).protected
 
 
 def test_build_graph_required_edges_add_nodes():
     graph = build_graph(corpus_of(Trace("t", "positive", ("a", "b")), required=[("m", "n")]))
     assert {"m", "n"} <= graph.nodes
-    edge = graph.edges[("m", "n")]
-    assert edge.protected and edge.witnesses == frozenset()
+    assert ("m", "n") in graph.edges and ("m", "n") in graph.protected
 
 
 def test_build_graph_order_independent():
@@ -100,16 +92,26 @@ def test_build_graph_order_independent():
     g2 = build_graph(corpus_of(t2, t1))
     assert g1.nodes == g2.nodes
     assert g1.edges == g2.edges
+    assert g1.protected == g2.protected
 
 
 def test_build_graph_self_loops_not_cuttable():
-    graph = build_graph(corpus_of(Trace("p", "positive", ("a", "a", "b"))))
-    assert graph.edges[("a", "a")].is_self_loop
-    assert not graph.edges[("a", "a")].cuttable
+    graph = build_graph(corpus_of(Trace("p", "positive", ("a", "a", "b")), min_support=2))
+    assert ("a", "a") in graph.edges and ("a", "a") not in graph.protected
+    assert graph.cuttable_edges() == {("a", "b")}
 
 
 def _has_edge(corpus, test):
     return any(test(trace.nodes) for trace in corpus.traces)
+
+
+def _positive_support(corpus):
+    """How many positive traces hold each edge."""
+    support = {}
+    for trace in corpus.positives:
+        for edge in set(zip(trace.nodes, trace.nodes[1:])):
+            support[edge] = support.get(edge, 0) + 1
+    return support
 
 
 # what the front-end corpora must reach, for the graph builder here and for
@@ -125,8 +127,9 @@ FRONT_END_REACHED = {
         for a, b in zip(c.traces, c.traces[1:])
     ),
     # an edge with positive support under the threshold, so not protected
-    "support-above-one": lambda c: any(
-        0 < edge.positive_support < c.min_positive_support for edge in build_graph(c).edges.values()
+    "support-above-one": lambda c: any(0 < n < c.min_positive_support for n in _positive_support(c).values()),
+    "negative-shares-a-positive-edge": lambda c: not _positive_support(c).keys().isdisjoint(
+        edge for t in c.negatives for edge in zip(t.nodes, t.nodes[1:])
     ),
     "required-only-node": lambda c: bool(
         {n for pair in c.required_edges for n in pair} - {n for t in c.traces for n in t.nodes}
@@ -148,11 +151,17 @@ def test_front_end_strategy_reaches(shape):
 @given(front_end_corpora())
 @example(corpus_of(Trace("p", "positive", ("a", "b", "a", "b")), Trace("q", "positive", ("b", "a")), min_support=2))
 @example(corpus_of(Trace("n", "negative", ("a", "a", "b", "b")), required=[("x", "a"), ("y", "y")]))
+@example(
+    corpus_of(
+        Trace("p", "positive", ("a", "b", "c")),
+        Trace("q", "positive", ("b", "c", "b", "c")),
+        Trace("n", "negative", ("a", "b", "c", "d")),
+        required=[("c", "c"), ("d", "a")],
+        min_support=2,
+    )
+)
 def test_build_graph_matches_the_reference(corpus):
-    graph = build_graph(corpus)
-    reference = reference_build_graph(corpus)
-    assert graph == reference
-    assert list(graph.edges.items()) == list(reference.edges.items())
+    assert build_graph(corpus) == reference_build_graph(corpus)
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,15 +181,6 @@ def test_nearest_walk_matches_the_reference(corpus, data):
         assert _nearest_walk(graph, node, dist, cut) == reference_nearest_walk(graph, node, dist, cut)
 
 
-def test_reachable_examples():
-    graph = build_graph(corpus_of(Trace("t", "positive", ("a", "b", "c"))))
-    assert reachable(graph, "a") == {"a", "b", "c"}
-    assert reachable(graph, "a", frozenset({("b", "c")})) == {"a", "b"}
-    assert reachable(graph, "c") == {"c"}
-    with pytest.raises(UnknownNode):
-        reachable(graph, "zz")
-
-
 _edges = st.lists(
     st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")),
     max_size=18,
@@ -195,26 +195,6 @@ def _graph_from_edges(edges):
         traces = (Trace("seed", "positive", ("a", "b")),)
         nodes |= {"a", "b"}
     return build_graph(Corpus(traces=traces))
-
-
-@settings(max_examples=60, deadline=None)
-@given(_edges, st.data())
-def test_reachable_monotone_in_exclusions(edges, data):
-    graph = _graph_from_edges(edges)
-    keys = sorted(graph.edges)
-    small = frozenset(data.draw(st.sets(st.sampled_from(keys), max_size=len(keys))) if keys else set())
-    extra = frozenset(data.draw(st.sets(st.sampled_from(keys), max_size=len(keys))) if keys else set())
-    start = data.draw(st.sampled_from(sorted(graph.nodes)))
-    assert reachable(graph, start, small | extra) <= reachable(graph, start, small)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_edges)
-def test_reachable_matches_oracle(edges):
-    graph = _graph_from_edges(edges)
-    closure = reachability_closure(graph.nodes, set(graph.edges))
-    for node in sorted(graph.nodes):
-        assert reachable(graph, node) == {b for a, b in closure if a == node}
 
 
 def test_shortest_path_is_lexicographic_bfs():
@@ -233,12 +213,7 @@ def test_shortest_path_matches_reference_and_brute_force(pairs, data):
     # built directly, so that self-loops and a lone node can occur
     nodes = sorted({n for pair in pairs for n in pair} | {"a"})
     edges = sorted(set(pairs))
-    graph = FlowGraph(
-        frozenset(nodes),
-        {edge: FlowEdge(edge[0], edge[1], frozenset(), 0, False) for edge in edges},
-        (),
-        (),
-    )
+    graph = FlowGraph(frozenset(nodes), frozenset(edges), frozenset(), (), ())
     excluded = frozenset(data.draw(st.sets(st.sampled_from(edges))) if edges else ())
     kept = [edge for edge in edges if edge not in excluded]
     for start in nodes:
@@ -352,3 +327,42 @@ def test_hasse_reduce_preserves_reachability(pairs):
     # minimality: no kept edge is implied by the other kept edges
     for edge in reduced:
         assert edge not in reachability_closure(nodes, reduced - {edge})
+
+
+# ---------------------------------------------------------------------------
+# the conflict message reads the corpus, not a second graph
+
+def test_a_conflicting_synth_builds_the_graph_once(tmp_path, capsys, monkeypatch):
+    import flowsynth
+    from flowsynth import cli, graph, pipeline
+
+    calls, original = [], graph.build_graph
+
+    def spy(corpus):
+        calls.append(corpus)
+        return original(corpus)
+
+    for module in (flowsynth, cli, graph, pipeline):
+        if getattr(module, "build_graph", None) is original:
+            monkeypatch.setattr(module, "build_graph", spy)
+    doc = {
+        "traces": [
+            {"id": "p1", "polarity": "positive", "nodes": ["a", "b", "c"]},
+            {"id": "p2", "polarity": "positive", "nodes": ["x", "a", "b", "a", "b"]},
+            {"id": "p3", "polarity": "positive", "nodes": ["c", "d"]},
+            {"id": "n", "polarity": "negative", "nodes": ["a", "b", "c", "d"]},
+        ],
+        "required_edges": [["c", "d"], ["b", "c"]],
+        "options": {"min_positive_support": 2},
+    }
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["synth", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 1
+    assert len(calls) == 1
+    assert capsys.readouterr().err == (
+        "conflict: cannot separate a -> d\n"
+        "  negative trace(s): n\n"
+        "  protected witness path: a -> b -> c -> d\n"
+        "  protected by positive trace(s): p1, p2\n"
+        "  required edge(s): b -> c, c -> d\n"
+    )
