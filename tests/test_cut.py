@@ -761,12 +761,19 @@ def test_verify_separation_matches_per_pair_search(graph, data):
 def test_verify_separation_names_the_first_unknown_node():
     """A graph built by hand can name nodes it lacks in its pairs: the
     first such node, source before sink, is the error."""
-    cases = [((("a", "b"), ("x", "b")), "x"), ((("a", "y"), ("z", "b")), "y"), ((("a", "b"), ("a", "q")), "q")]
-    for pairs, missing in cases:
+    for pairs, missing in [((("a", "b"), ("x", "b")), "x"), ((("a", "y"), ("z", "b")), "y")]:
         graph = FlowGraph(frozenset({"a", "b"}), frozenset({("a", "b")}), frozenset(), pairs, ())
         with pytest.raises(UnknownNode) as excinfo:
             verify_separation(graph, frozenset())
         assert str(excinfo.value) == missing
+
+
+def test_verify_separation_names_an_unknown_node_of_the_graph_pairs():
+    graph = FlowGraph(frozenset({"a", "b"}), frozenset({("a", "b")}), frozenset(), (("a", "b"), ("a", "q")), ())
+    for pairs in (graph.negative_pairs, list(graph.negative_pairs)):
+        with pytest.raises(UnknownNode) as excinfo:
+            verify_separation(replace(graph, negative_pairs=pairs), frozenset())
+        assert str(excinfo.value) == "q"
 
 
 # ---------------------------------------------------------------------------
