@@ -46,7 +46,7 @@ print(f"  tainted -> untainted: {'accepted' if bad.accepted else 'rejected'}"
       f" (violates at edge {bad.violation_index}: {bad.source_element} not leq {bad.target_element})")
 
 print("\n== Hasse diagram (DOT) ==")
-print(lattice_dot(result.order))
+print(lattice_dot(result.order).decode("utf-8"))
 
 print("== serialized analysis ==")
 print(dump_analysis(result.spec))

@@ -57,4 +57,4 @@ print("\n== checking the corpus against its own analysis ==")
 print(f"  negatives rejected: {report.negatives_rejected}, positives accepted: {report.positives_accepted}")
 
 print("\n== Hasse diagram (DOT) ==")
-print(lattice_dot(lattice))
+print(lattice_dot(lattice).decode("utf-8"))

@@ -29,7 +29,7 @@ from typing import Any, NamedTuple
 
 from .errors import CycleError, InvalidAnalysisError, NotRejected, UnknownElement
 from .graph import _upsets, scc_condense
-from .lattice import Element, QualifierOrder, covering_pairs
+from .lattice import Element, QualifierOrder, _cover_indices
 from .traces import NEGATIVE, POSITIVE, Corpus, Edge, Trace, dump_json, is_string_list, is_string_pair, load_json
 
 QUALIFIER_DEFAULT = "Q_unknown"
@@ -41,8 +41,8 @@ class AnalysisSpec(QualifierOrder):
     """The synthesized analysis as a self-contained, serializable value:
     an order, as `QualifierOrder` holds it, with the default element that
     unknown nodes map to, the cut and the synthesis metadata.  covers are
-    the covering pairs analysis.json stores; a loaded spec has none, and
-    `covering_pairs` reads them off `up`.
+    the covering pairs analysis.json stores, as element-index pairs; a
+    loaded spec has none, and they are read off `up` when needed.
     """
 
     mode: str
@@ -242,8 +242,12 @@ def dump_analysis(spec: AnalysisSpec) -> str:
     `make_analysis_spec` writes) are rendered row by row from templates and
     the rest by json.dumps (see `dump_json`); the bytes are those of one
     `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`.
+    Each element name is escaped once; the elements, in name order, and
+    the covering pairs, ascending by index, are written as the spec holds
+    them, so no row is sorted by name.
     """
     metadata = dict(spec.metadata)
+    quoted = list(map(_str, spec.names))
     doc = {
         "format_version": FORMAT_VERSION,
         "mode": spec.mode,
@@ -255,8 +259,8 @@ def dump_analysis(spec: AnalysisSpec) -> str:
         "metadata": metadata,
     }
     rows = {
-        "elements": [_element_row(e) for e in sorted(spec.elements, key=lambda e: e.name)],
-        "leq": [_PAIR_ROW % (_str(a), _str(b)) for a, b in sorted(covering_pairs(spec))],
+        "elements": list(map(_element_row, spec.elements, quoted)),
+        "leq": [_PAIR_ROW % (quoted[p], quoted[q]) for p, q in _cover_indices(spec)],
         "assignment": [_ENTRY_ROW % (_str(n), _str(e)) for n, e in sorted(spec.assignment.items())],
         "cut": [_PAIR_ROW % (_str(src), _str(dst)) for src, dst in sorted(spec.cut)],
     }
@@ -286,9 +290,9 @@ def _strings(items: list, indent: str) -> str:
     return "[\n" + indent + (",\n" + indent).join(map(_str, items)) + "\n" + indent[:-2] + "]"
 
 
-def _element_row(element: Element) -> str:
+def _element_row(element: Element, quoted: str) -> str:
     synthetic = "true" if element.synthetic else "false"
-    return _ELEMENT_ROW % (_strings(sorted(element.members), " " * 8), _str(element.name), synthetic)
+    return _ELEMENT_ROW % (_strings(sorted(element.members), " " * 8), quoted, synthetic)
 
 
 def _is_constraint_row(entry: object) -> bool:

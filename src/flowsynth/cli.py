@@ -208,7 +208,7 @@ def run_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "analysis.json").write_text(dump_analysis(result.spec), encoding="utf-8")
     drawn = _drawn(result)
-    (out / "lattice.dot").write_text(lattice_dot(drawn), encoding="utf-8")
+    (out / "lattice.dot").write_bytes(lattice_dot(drawn))
     # the digest make_analysis_spec already took of this corpus
     report = _report_json(result.report, result.spec.metadata["corpus_sha256"], result.spec)
     (out / "report.json").write_text(report, encoding="utf-8")

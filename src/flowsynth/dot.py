@@ -2,30 +2,36 @@
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 from .graph import hasse_reduce  # noqa: F401  (bench/tracing.py wraps dot.hasse_reduce)
-from .lattice import QualifierOrder, covering_pairs
+from .lattice import QualifierOrder, _cover_indices
+
+_HEADER = b"digraph lattice {\n  rankdir=BT;\n  node [shape=box];\n"
 
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def lattice_dot(order: QualifierOrder) -> str:
-    """Covering edges only, drawn bottom-up (rank-min at the bottom);
-    synthetic elements get dashed borders.  Output is byte-deterministic.
-    Each element's name is escaped once, for its node, label and edges."""
-    escaped = {element.name: _escape(element.name) for element in order.elements}
-    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    for element in sorted(order.elements, key=attrgetter("name")):
-        name = escaped[element.name]
-        label = name
+def lattice_dot(order: QualifierOrder) -> bytes:
+    """The DOT file's UTF-8 bytes: covering edges only, drawn bottom-up
+    (rank-min at the bottom); synthetic elements get dashed borders.
+    Output is byte-deterministic.
+
+    Nodes come in element order and edges in the ascending order of their
+    index pairs, which is name order, since an order's elements are in
+    name order.  Each element's name is escaped and encoded once, and each
+    edge line joins its lower element's head piece to its upper element's
+    tail piece."""
+    names = [_escape(name).encode() for name in order.names]
+    pieces = [_HEADER]
+    for element, name in zip(order.elements, names):
+        end = b'", style=dashed];\n' if element.synthetic else b'"];\n'
         if element.members:
-            label += "\\n{" + ", ".join(_escape(m) for m in sorted(element.members)) + "}"
-        dashed = ", style=dashed" if element.synthetic else ""
-        lines.append(f'  "{name}" [label="{label}"{dashed}];')
-    for a, b in sorted(covering_pairs(order)):
-        lines.append(f'  "{escaped[a]}" -> "{escaped[b]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            # escaping commutes with joining by ", ", which holds no quote or backslash
+            end = ("\\n{" + _escape(", ".join(sorted(element.members))) + "}").encode() + end
+        pieces += b'  "', name, b'" [label="', name, end
+    heads = [b'  "' + name + b'" -> "' for name in names]
+    tails = [name + b'";\n' for name in names]
+    pieces += [heads[p] + tails[q] for p, q in _cover_indices(order)]
+    pieces.append(b"}\n")
+    return b"".join(pieces)

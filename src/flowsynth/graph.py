@@ -284,20 +284,21 @@ def _upset_pairs(nodes: list, up: list) -> frozenset[tuple]:
     return frozenset((a, nodes[index]) for a, mask in zip(nodes, up) for index in _bits(mask))
 
 
-def _covers(nodes: list, up: list, candidates: list | None = None) -> frozenset[tuple]:
-    """The covering pairs of the order whose up-sets are `up` (up[i] the
-    up-set of nodes[i], bit i standing for nodes[i], each node in its own
-    up-set).  candidates[i] is a bitset that holds every node covering
-    nodes[i] and only nodes above it, by default everything above it: b
-    covers a when b is a candidate of a and above no other candidate of a."""
+def _covers(up: list, candidates: list | None = None) -> tuple[tuple[int, int], ...]:
+    """The covering pairs (i, j), ascending, of the order whose up-sets
+    are `up` (bit j of up[i] set iff node i is at or below node j, each
+    node in its own up-set).  candidates[i] is a bitset that holds every
+    node covering node i and only nodes above it, by default everything
+    above it: j covers i when j is a candidate of i and above no other
+    candidate of i."""
     strict = [mask & ~(1 << i) for i, mask in enumerate(up)]
     covers = []
     for i, above in enumerate(strict if candidates is None else candidates):
         implied = 0
         for j in _bits(above):
             implied |= strict[j]
-        covers.extend((nodes[i], nodes[j]) for j in _bits(above & ~implied))
-    return frozenset(covers)
+        covers.extend([(i, j) for j in _bits(above & ~implied)])
+    return tuple(covers)
 
 
 def hasse_reduce(edges: Iterable[tuple]) -> frozenset[tuple]:
@@ -310,4 +311,4 @@ def hasse_reduce(edges: Iterable[tuple]) -> frozenset[tuple]:
     nodes = list(successors)
     index = {node: i for i, node in enumerate(nodes)}
     direct = [sum(1 << index[dst] for dst in dsts) for dsts in successors.values()]
-    return _covers(nodes, _upsets(successors), direct)
+    return frozenset((nodes[i], nodes[j]) for i, j in _covers(_upsets(successors), direct))

@@ -53,19 +53,22 @@ class Element:
 class QualifierOrder:
     """Elements, their partial order, and the node assignment.
 
-    up[p] is elements[p]'s up-set: bit q is set iff elements[p] leq
-    elements[q].  `relation`, the full reflexive transitive relation over
-    names, is a view computed on first read.  covers are the order's
-    covering pairs, its Hasse diagram, as `build_order` and
-    `complete_join_semilattice` read them off the up-sets; None for an
-    order built by hand or loaded, whose covers `covering_pairs` reduces
-    when they are needed.
+    The elements are in name order.  up[p] is elements[p]'s up-set: bit
+    q is set iff elements[p] leq elements[q].  `relation`, the full
+    reflexive transitive relation over names, is a view computed on first
+    read.  covers are the order's covering pairs, its Hasse diagram, as
+    (p, q) element-index pairs in ascending order, which is also the
+    order of their name pairs; `build_order` and
+    `complete_join_semilattice` read them off the up-sets.  They are None
+    for an order built by hand or loaded, whose covers are reduced from
+    the up-sets when they are needed; `covering_pairs` gives them as name
+    pairs either way.
     """
 
     elements: tuple[Element, ...]
     up: tuple[int, ...]
     assignment: dict[str, str]
-    covers: frozenset[tuple[str, str]] | None = field(default=None, compare=False)
+    covers: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -120,8 +123,15 @@ class EffectSemilattice(QualifierOrder):
 
 
 def covering_pairs(order: QualifierOrder) -> frozenset[tuple[str, str]]:
-    """The order's covering pairs: those it carries, else read off its up-sets."""
-    return order.covers if order.covers is not None else _covers(order.names, order.up)
+    """The order's covering pairs as name pairs, a view of `_cover_indices`."""
+    names = order.names
+    return frozenset((names[p], names[q]) for p, q in _cover_indices(order))
+
+
+def _cover_indices(order: QualifierOrder) -> tuple[tuple[int, int], ...]:
+    """The order's covering pairs as ascending index pairs: those it
+    carries, else read off its up-sets."""
+    return order.covers if order.covers is not None else _covers(order.up)
 
 
 def build_order(graph: FlowGraph, cut_edges: frozenset[Edge]) -> QualifierOrder:
@@ -142,7 +152,7 @@ def build_order(graph: FlowGraph, cut_edges: frozenset[Edge]) -> QualifierOrder:
         successors[src].append(dst)
         direct[src] |= 1 << dst
     up = _upsets(successors)
-    return QualifierOrder(elements, tuple(up), assignment, _covers(names, up, direct))
+    return QualifierOrder(elements, tuple(up), assignment, _covers(up, direct))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +215,8 @@ def complete_join_semilattice(order: QualifierOrder, limit: int | None = None) -
     (Birkhoff), ordered by inclusion, with the empty set as bottom; each
     covers exactly the down-sets it holds with one maximal generator fewer.
     So `_downsets` walks them up from the empty set, and names, up-sets and
-    covers are read off that walk.
+    covers are read off that walk; the down-sets are then numbered in name
+    order, and the covers are those numbers' pairs, ascending.
     """
     generators = sorted((e for e in order.elements if not e.synthetic), key=lambda e: e.name)
     names = [g.name for g in generators]
@@ -236,19 +247,20 @@ def complete_join_semilattice(order: QualifierOrder, limit: int | None = None) -
     )
     # up-sets with bit p for the p-th element by name, each the union of
     # its covers' up-sets, so built from the largest down-sets down
-    up_of = {mask: 1 << p for p, mask in enumerate(ordered)}
+    position = {mask: p for p, mask in enumerate(ordered)}
+    up_of = {mask: 1 << p for mask, p in position.items()}
     for level in reversed(levels):
         for mask in level:
             above = up_of[mask]
             for grown in upper[mask]:
                 above |= up_of[grown]
             up_of[mask] = above
-    covers = frozenset((name_for[mask], name_for[grown]) for mask in ordered for grown in upper[mask])
+    covers = sorted([(position[mask], position[grown]) for mask in ordered for grown in upper[mask]])
     return EffectSemilattice(
         elements=elements,
         up=tuple(up_of[mask] for mask in ordered),
         assignment=dict(order.assignment),
-        covers=covers,
+        covers=tuple(covers),
         bottom=name_for[0],
         down=tuple(ordered),
     )

@@ -131,10 +131,15 @@ def make_analysis_spec(
     up.insert(k, (2 << len(names)) - 1 if effect else 1 << k)
     elements = (*order.elements[:k], Element(default, frozenset(), synthetic=True), *order.elements[k:])
     covers = order.covers
-    if effect and covers is not None:
-        # the bottom is covered by each element with nothing else below it
-        above = reduce(or_, [mask & ~(1 << p) for p, mask in enumerate(order.up)], 0)
-        covers |= {(default, name) for p, name in enumerate(names) if not above >> p & 1}
+    if covers is not None:
+        # the elements from k on move up one place, which keeps the pairs ascending
+        covers = [(p + (p >= k), q + (q >= k)) for p, q in covers]
+        if effect:
+            # the bottom is covered by each element with nothing else below it
+            above = reduce(or_, [mask & ~(1 << p) for p, mask in enumerate(order.up)], 0)
+            covers += [(k, p + (p >= k)) for p in range(len(names)) if not above >> p & 1]
+            covers.sort()
+        covers = tuple(covers)
 
     origins: dict[Edge, list[str]] = {edge: [] for edge in sorted(cut.edges)}
     for constraint in cut.constraints:

@@ -28,11 +28,11 @@ effect spec from the generator order alone).  None of it shares code
 with the implementations under test; the references only build the
 package's own data types (the corpus parser also reads the document
 with the package's JSON decoder and predicates, the spec builder takes
-its digest with `corpus_digest` and its covers with `_covers`, the mask
-completion reads bits with `_bits` and reduces covers with `_covers`,
-the DOT writer takes its covers from `covering_pairs` and the graph
-builder and validation their edges from `trace_edges`, which are not
-what their oracle tests).
+its digest with `corpus_digest`, the mask completion reads bits with
+`_bits`, and the graph builder and validation take their edges from
+`trace_edges`, which are not what their oracle tests).  Covers are
+reduced by `reference_covers`, the name-pair reduction as it was before
+orders carried their covers as index pairs.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from flowsynth import __version__
 from flowsynth.checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, Verdict
 from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint, SolverConfig
 from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode, ValidationError
-from flowsynth.graph import FlowGraph, _bits, _covers
-from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element, QualifierOrder, covering_pairs
+from flowsynth.graph import FlowGraph, _bits
+from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element, QualifierOrder
 from flowsynth.traces import (
     EFFECT,
     ERROR,
@@ -486,12 +486,47 @@ def reference_complete_join_semilattice(elements, relation, assignment):
     return ReferenceSemilattice(elements, relation, dict(assignment), name_for[frozenset()], downsets)
 
 
+def reference_covers(nodes: list, up: list, candidates: list | None = None) -> frozenset[tuple]:
+    """The covering pairs as name pairs, reduced as they were before orders
+    carried them by index: up[i] is the up-set of nodes[i], bit i standing
+    for nodes[i]; candidates[i] holds every node covering nodes[i] and only
+    nodes above it, by default everything above it."""
+    strict = [mask & ~(1 << i) for i, mask in enumerate(up)]
+    covers = []
+    for i, above in enumerate(strict if candidates is None else candidates):
+        implied = 0
+        for j in _bits(above):
+            implied |= strict[j]
+        covers.extend((nodes[i], nodes[j]) for j in _bits(above & ~implied))
+    return frozenset(covers)
+
+
+def index_pairs(names: list, pairs) -> tuple[tuple[int, int], ...]:
+    """Name pairs as the ascending (p, q) index pairs over `names`."""
+    index = {name: p for p, name in enumerate(names)}
+    return tuple(sorted((index[a], index[b]) for a, b in pairs))
+
+
+def reference_cover_indices(names: list, up: list, candidates: list | None = None) -> tuple[tuple[int, int], ...]:
+    """`reference_covers` as ascending index pairs, the form an order carries."""
+    return index_pairs(names, reference_covers(names, up, candidates))
+
+
+def reference_covering_pairs(order: QualifierOrder) -> frozenset[tuple[str, str]]:
+    """An order's covering pairs as name pairs: those it carries, mapped
+    through its element names, else reduced from its up-sets."""
+    names = [element.name for element in order.elements]
+    if order.covers is None:
+        return reference_covers(names, order.up)
+    return frozenset((names[p], names[q]) for p, q in order.covers)
+
+
 def reference_mask_completion(order: QualifierOrder) -> EffectSemilattice:
     """The join completion as it was before it read covers off the
     generators: a worklist that ORs each new down-set with every
     generator's, names sorted by a reversed-bit key formatted per mask,
     up-sets as the AND of the generators' holder masks, and covers reduced
-    by `_covers` from the joins with one more generator.
+    by `reference_covers` from the joins with one more generator.
 
     Every original element maps to the bitset of generators at or below it,
     bit i standing for the i-th generator by name.  A worklist ORs each new
@@ -549,7 +584,7 @@ def reference_mask_completion(order: QualifierOrder) -> EffectSemilattice:
         elements=elements,
         up=tuple(up),
         assignment=dict(order.assignment),
-        covers=_covers([element.name for element in elements], up, joins),
+        covers=reference_cover_indices([element.name for element in elements], up, joins),
         bottom=name_for[0],
         down=tuple(ordered),
     )
@@ -619,7 +654,7 @@ def reference_make_analysis_spec(
         elements = [lattice.elements[p] for p in kept]
         # each kept element's up-set among the kept ones
         up = [sum(1 << k for k, q in enumerate(kept) if lattice.up[p] >> q & 1) for p in kept]
-        covers = _covers([e.name for e in elements], up)
+        covers = reference_cover_indices([e.name for e in elements], up)
     elif corpus.mode == EFFECT:
         # the generators and a bottom below them all, from the order alone
         default = BOTTOM_NAME
@@ -632,7 +667,7 @@ def reference_make_analysis_spec(
             sum(1 << q for q, b in enumerate(names) if a == default or (b != default and lattice.leq(a, b)))
             for a in names
         ]
-        covers = _covers(names, up)
+        covers = reference_cover_indices(names, up)
     else:
         default = QUALIFIER_DEFAULT
         names = lattice.names
@@ -645,7 +680,8 @@ def reference_make_analysis_spec(
         up.insert(k, 1 << k)
         elements = list(lattice.elements)
         elements.insert(k, Element(default, frozenset(), synthetic=True))
-        covers = lattice.covers
+        # the lattice's covers, numbered among the spec's elements
+        covers = lattice.covers and index_pairs([e.name for e in elements], reference_covering_pairs(lattice))
 
     origins: dict[Edge, list[str]] = {edge: [] for edge in sorted(cut.edges)}
     for constraint in cut.constraints:
@@ -694,7 +730,7 @@ def _reference_order(spec):
     """The spec's order as name pairs: the brute-force closure of its
     covering pairs, or of its relation when it carries none."""
     names = [element.name for element in spec.elements]
-    return reachability_closure(names, spec.relation if spec.covers is None else spec.covers)
+    return reachability_closure(names, spec.relation if spec.covers is None else reference_covering_pairs(spec))
 
 
 def _reference_verdict(order, spec, trace):
@@ -970,7 +1006,7 @@ def reference_lattice_dot(order: QualifierOrder) -> str:
         if element.synthetic:
             attrs += ", style=dashed"
         lines.append(f"  {quoted[element.name]} [{attrs}];")
-    for a, b in sorted(covering_pairs(order)):
+    for a, b in sorted(reference_covering_pairs(order)):
         lines.append(f"  {quoted[a]} -> {quoted[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -218,7 +218,7 @@ def test_lattice_dot_draws_a_loaded_spec():
     spec = load_analysis((folder / "analysis.json").read_text(encoding="utf-8"))
     assert spec.covers is None
     default = '  "Q_unknown" [label="Q_unknown", style=dashed];\n'
-    drawn = lattice_dot(spec)
+    drawn = lattice_dot(spec).decode("utf-8")
     assert default in drawn
     assert drawn.replace(default, "") == (folder / "lattice.dot").read_text(encoding="utf-8")
 

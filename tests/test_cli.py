@@ -901,7 +901,7 @@ def test_synth_draws_twelve_effect_chains_without_their_completion(tmp_path, cap
 
     corpus = parse_file(parse_corpus, corpus_file)
     result = synthesize(corpus)
-    assert (out / "lattice.dot").read_text(encoding="utf-8") == lattice_dot(result.spec)
+    assert (out / "lattice.dot").read_bytes() == lattice_dot(result.spec)
     spec = reference_make_analysis_spec(corpus, result.cut, result.order, SolverConfig(), SEPARATION)
     assert (out / "analysis.json").read_text(encoding="utf-8") == reference_dump_analysis(spec)
     report = reference_report_json(reference_check_corpus(spec, corpus), corpus_digest(corpus), spec)
@@ -917,7 +917,7 @@ def test_synth_draws_seven_effect_chains_complete(tmp_path, capsys):
     assert captured.err == ""
     assert "lattice: 2187 element(s), 2173 synthetic\n" in captured.out
     result = synthesize(parse_file(parse_corpus, corpus_file))
-    assert (out / "lattice.dot").read_text(encoding="utf-8") == lattice_dot(result.semilattice)
+    assert (out / "lattice.dot").read_bytes() == lattice_dot(result.semilattice)
 
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")

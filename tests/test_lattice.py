@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from flowsynth import (
     Conflict,
     Corpus,
+    CutSet,
     Element,
     QualifierOrder,
     SolverConfig,
@@ -28,6 +29,7 @@ from flowsynth import (
     dump_analysis,
     join,
     lattice_dot,
+    make_analysis_spec,
     order_query,
     solve_synthesis_cut,
     stack_traces_from_dir,
@@ -38,12 +40,15 @@ import flowsynth
 from flowsynth import lattice as lattice_module
 from flowsynth.graph import _bits
 from flowsynth.lattice import EQUAL, GREATER, INCOMPARABLE, LESS, covering_pairs
+from flowsynth.traces import EFFECT, QUALIFIER
 
 from corpusgen import random_corpus
 from oracles import (
     naming_key,
     reachability_closure,
     reference_complete_join_semilattice,
+    reference_cover_indices,
+    reference_covers,
     reference_lattice_dot,
     reference_mask_completion,
 )
@@ -55,8 +60,10 @@ def order_from(corpus, cut_edges):
 
 
 def hand_built(elements, relation, assignment):
-    """A QualifierOrder over `elements` whose up-sets hold what the full
-    relation `relation` (name pairs) relates."""
+    """A QualifierOrder over `elements`, put in name order as every order's
+    elements are, whose up-sets hold what the full relation `relation`
+    (name pairs) relates."""
+    elements = sorted(elements, key=lambda element: element.name)
     names = [element.name for element in elements]
     up = tuple(sum(1 << q for q, b in enumerate(names) if (a, b) in relation) for a in names)
     return QualifierOrder(tuple(elements), up, assignment)
@@ -323,14 +330,15 @@ def test_completion_matches_the_mask_completion(order):
     assert complete_join_semilattice(order, len(reference.elements) - 1) is None
 
 
-_dot_names = st.text(st.sampled_from('ab"\\{} '), min_size=1, max_size=4)
+_dot_names = st.text(st.sampled_from('ab"\\{} ∨⊥é日'), min_size=1, max_size=4)
 
 
 @st.composite
 def drawn_orders(draw):
     """A random order whose element and member names hold quotes,
-    backslashes and braces; some elements are synthetic, and some orders
-    carry covers while the rest have them reduced from the up-sets."""
+    backslashes, braces, `∨`, `⊥` and other non-ASCII characters; some
+    elements are synthetic, and some orders carry covers while the rest
+    have them reduced from the up-sets."""
     names = draw(st.lists(_dot_names, max_size=6, unique=True))
     pairs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10))
     edges = {(names[min(a, b)], names[max(a, b)]) for a, b in pairs if a != b and max(a, b) < len(names)}
@@ -340,7 +348,7 @@ def drawn_orders(draw):
     ]
     order = hand_built(elements, relation, {})
     if draw(st.booleans()):
-        order = dataclasses.replace(order, covers=covering_pairs(order))
+        order = dataclasses.replace(order, covers=reference_cover_indices(list(order.names), order.up))
     return order
 
 
@@ -354,7 +362,61 @@ def drawn_orders(draw):
     )
 )
 def test_lattice_dot_matches_the_reference(order):
-    assert lattice_dot(order) == reference_lattice_dot(order)
+    assert lattice_dot(order) == reference_lattice_dot(order).encode("utf-8")
+
+
+def assert_carried_covers(order):
+    """The covers an order carries are ascending and in range, and map
+    through its names to the reference reduction of its up-sets."""
+    covers = order.covers
+    assert covers is not None
+    assert list(covers) == sorted(set(covers))
+    assert all(0 <= p < len(order.up) and 0 <= q < len(order.up) for p, q in covers)
+    names = order.names
+    reference = reference_covers(list(names), order.up)
+    assert {(names[p], names[q]) for p, q in covers} == reference
+    assert covering_pairs(order) == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([QUALIFIER, EFFECT]))
+def test_synthesis_carries_ascending_covers(seed, mode):
+    """build_order, make_analysis_spec and the completion carry their
+    covering pairs as ascending index pairs."""
+    result = synthesize(random_corpus(random.Random(seed), mode))
+    if isinstance(result, Conflict):
+        return
+    assert_carried_covers(result.order)
+    assert_carried_covers(result.spec)
+    if mode == EFFECT:
+        assert_carried_covers(result.semilattice)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([QUALIFIER, EFFECT]),
+    st.sampled_from(["start", "middle", "end"]),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10),
+    st.integers(2, 6),
+)
+def test_spec_shifts_carried_covers_past_its_default(mode, where, pairs, size):
+    """The default element goes in at its name position, at the start, in
+    the middle or at the end of the order's names; the carried covers
+    past it move up one place, and in effect mode the bottom is covered
+    by the minimal elements."""
+    default = "⊥" if mode == EFFECT else "Q_unknown"
+    low, high = ("a", "日") if mode == EFFECT else ("A", "Z")
+    prefixes = {"start": [high] * size, "middle": [low, high] * size, "end": [low] * size}[where]
+    names = sorted(prefix + str(i) for i, prefix in enumerate(prefixes[:size]))
+    edges = {(names[min(a, b)], names[max(a, b)]) for a, b in pairs if a != b and max(a, b) < size}
+    relation = frozenset(reachability_closure(names, edges))
+    order = hand_built([Element(name, frozenset({f"m{name}"})) for name in names], relation, {})
+    order = dataclasses.replace(order, covers=reference_cover_indices(names, order.up))
+    corpus = Corpus(mode=mode)
+    spec = make_analysis_spec(corpus, CutSet(frozenset(), 1, True), order, SolverConfig(), "separation")
+    k = spec.names.index(default)
+    assert k == {"start": 0, "middle": (size + 1) // 2, "end": size}[where]
+    assert_carried_covers(spec)
 
 
 @settings(max_examples=300, deadline=None)
