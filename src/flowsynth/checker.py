@@ -13,18 +13,20 @@ construction.  A version 1 file (no format_version) may list every join
 and the full relation; it still loads, and in effect mode a and b must
 then have a least upper bound, which holds iff up(a) & up(b) is itself
 some element's up-set.
+
+A check walks each path once, node by node, mapping each node to its
+element's index and testing each consecutive pair against the up-sets;
+it stops at the first unrelated pair.  `check_trace` and `check_corpus`
+share that walk, so a trace gets the same verdict alone or in a corpus.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring as _str
-from operator import and_, itemgetter, rshift
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 from .errors import CycleError, InvalidAnalysisError, NotRejected, UnknownElement
@@ -106,25 +108,27 @@ def check_trace(spec: AnalysisSpec, trace: Trace) -> Verdict:
     """Accept iff every consecutive edge relates source element to target
     element; reject at the first violating edge in path order.  Unknown
     nodes map to the spec's default element."""
-    for _, index, edge, a, b in _rejections(spec, (trace.nodes,)):
-        return Verdict(trace.id, False, index, edge, a, b)
-    return Verdict(trace.id, True)
+    violation = next(_violations(spec, (trace.nodes,)))
+    if violation is None:
+        return Verdict(trace.id, True)
+    i, a, b = violation
+    return Verdict(trace.id, False, i, (trace.nodes[i], trace.nodes[i + 1]), a, b)
 
 
 def check_corpus(spec: AnalysisSpec, corpus: Corpus) -> CheckReport:
     """Every trace's verdict, as `check_trace` gives it, and the four
-    counts.  The accepted verdicts are built in bulk; only the rejections
-    are visited one by one."""
+    counts: one walk per trace, paired with its verdict as it comes."""
     traces = corpus.traces
-    # (trace id, True, None, None, None, None) per trace, as Verdict(id, True)
-    verdicts = list(
-        map(tuple.__new__, repeat(Verdict), zip(map(itemgetter(0), traces), repeat(True), *[repeat(None)] * 4))
-    )
+    new = tuple.__new__  # a Verdict from its six fields, without the keyword-argument constructor
+    verdicts = []
     rejected = dict.fromkeys([NEGATIVE, POSITIVE], 0)
-    for t, index, edge, a, b in _rejections(spec, list(map(itemgetter(2), traces))):
-        trace_id, polarity = traces[t][:2]
-        verdicts[t] = Verdict(trace_id, False, index, edge, a, b)
-        rejected[polarity] += 1
+    for (trace_id, polarity, nodes, _), violation in zip(traces, _violations(spec, map(itemgetter(2), traces))):
+        if violation is None:
+            verdicts.append(new(Verdict, (trace_id, True, None, None, None, None)))
+        else:
+            i, a, b = violation
+            verdicts.append(new(Verdict, (trace_id, False, i, (nodes[i], nodes[i + 1]), a, b)))
+            rejected[polarity] += 1
     negatives = list(map(itemgetter(1), traces)).count(NEGATIVE)
     positives = len(traces) - negatives
     return CheckReport(
@@ -136,30 +140,26 @@ def check_corpus(spec: AnalysisSpec, corpus: Corpus) -> CheckReport:
     )
 
 
-def _rejections(spec: AnalysisSpec, paths):
-    """(path position, violation index, violating edge, source element,
-    target element) for each path that is rejected, in path order.
-
-    The paths are checked as one, in passes that run in C: every node is
-    mapped to its element index, and each consecutive pair of indices
-    (a, b) is tested with up[a] >> b & 1.  A path's last node is given the
-    up-set -1, every bit set, so the pair that straddles it and the next
-    path's first node is related; a search for the first unrelated pair
-    from a path's start then finds its violation, and `bisect` the path
-    that it falls in."""
-    nodes = list(chain.from_iterable(paths))
-    at = list(map(spec.node_index.get, nodes, repeat(spec.index[spec.default_element])))
-    ups = list(map(spec.up.__getitem__, at))
-    # lasts[t + 1] is the position of path t's last node
-    lasts = list(accumulate(map(len, paths), initial=-1))
-    deque(map(ups.__setitem__, lasts[1:], repeat(-1)), maxlen=0)
-    related = bytes(map(and_, map(rshift, ups, at[1:]), repeat(1)))
+def _violations(spec: AnalysisSpec, paths):
+    """For each path, in order: None when it is accepted, else (i, a, b),
+    its first edge i whose source element a is not below its target
+    element b, as names.  Element indices a, b relate iff up[a] >> b & 1."""
+    element = spec.node_index.get
+    default = spec.index[spec.default_element]
+    up = spec.up
     names = spec.names
-    i = related.find(0)
-    while i >= 0:
-        t = bisect_right(lasts, i) - 1
-        yield t, i - lasts[t] - 1, (nodes[i], nodes[i + 1]), names[at[i]], names[at[i + 1]]
-        i = related.find(0, lasts[t + 1] + 1)
+    for nodes in paths:
+        a = element(nodes[0], default)
+        i = 0
+        for node in nodes[1:]:
+            b = element(node, default)
+            if not up[a] >> b & 1:
+                yield i, names[a], names[b]
+                break
+            a = b
+            i += 1
+        else:
+            yield None
 
 
 @dataclass(frozen=True)

@@ -257,6 +257,9 @@ def run_check(args) -> int:
 
 def run_expand(args) -> int:
     graph = parse_file(parse_static_graph, args.static_graph)
+    for role, node in (("source", args.source), ("sink", args.sink)):
+        if node not in graph.nodes:
+            raise ValidationError(f"--{role} {node} is not a node of the static graph")
     spec = EndpointSpec(args.source, args.sink, args.max_path_len, args.max_paths)
     result = enumerate_candidate_paths(graph, spec)
     corpus = Corpus(

@@ -53,8 +53,9 @@ class Element:
 class QualifierOrder:
     """Elements, their partial order, and the node assignment.
 
-    The elements are in name order.  up[p] is elements[p]'s up-set: bit
-    q is set iff elements[p] leq elements[q].  `relation`, the full
+    The elements are in strictly ascending name order, or the order is
+    refused with ValueError.  up[p] is elements[p]'s up-set: bit q is set
+    iff elements[p] leq elements[q].  `relation`, the full
     reflexive transitive relation over names, is a view computed on first
     read.  covers are the order's covering pairs, its Hasse diagram, as
     (p, q) element-index pairs in ascending order, which is also the
@@ -69,6 +70,12 @@ class QualifierOrder:
     up: tuple[int, ...]
     assignment: dict[str, str]
     covers: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        names = self.names
+        for a, b in zip(names, names[1:]):
+            if a >= b:
+                raise ValueError(f"element names must be strictly ascending: {a!r} comes before {b!r}")
 
     @cached_property
     def index(self) -> dict[str, int]:

@@ -19,11 +19,10 @@ import json
 import os
 import re
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring as _str
-from operator import add, eq, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -554,64 +553,33 @@ def validate_corpus(corpus: Corpus) -> tuple[Diagnostic, ...]:
     negative can be broken at all is the solver's to decide, from the
     protection `build_graph` computes.
 
-    The traces with something to report are found in passes that run in
-    C: closed paths by comparing first and last nodes, self-loops by
-    comparing a column of every path's nodes with itself shifted by one.
-    Each path ends in a None in that column, so no comparison straddles
-    two paths.  Only the traces found are then walked one by one.
+    One loop over the traces: a closed negative path gives the error, a
+    path with a repeated node is walked for self-loops, and any other path
+    is skipped, since a self-loop repeats its node.
     """
-    traces = corpus.traces
-    paths = list(map(itemgetter(2), traces))
-    column = list(chain.from_iterable(chain.from_iterable(zip(paths, repeat((None,))))))
-    flagged = set(compress(count(), map(eq, map(itemgetter(0), paths), map(itemgetter(-1), paths))))
-    loops = list(compress(count(), map(eq, column, column[1:])))
-    if loops:
-        # ends[k]: where the path after trace k starts in the column
-        ends = list(accumulate(map(add, map(len, paths), repeat(1))))
-        flagged.update(bisect_right(ends, at) for at in loops)
     diagnostics: list[Diagnostic] = []
-    for index in sorted(flagged):
-        trace = traces[index]
-        if trace.is_negative and trace.nodes[0] == trace.nodes[-1]:
+    for trace_id, polarity, nodes, _ in corpus.traces:
+        if polarity == NEGATIVE and nodes[0] == nodes[-1]:
             diagnostics.append(
-                Diagnostic(
-                    ERROR,
-                    "negative-endpoints-equal",
-                    f"negative endpoints equal: {trace.nodes[0]}",
-                    (trace.id,),
-                )
+                Diagnostic(ERROR, "negative-endpoints-equal", f"negative endpoints equal: {nodes[0]}", (trace_id,))
             )
-        warned: set[Edge] = set()
-        for src, dst in trace_edges(trace):
-            if src == dst and (src, dst) not in warned:
-                warned.add((src, dst))
-                diagnostics.append(
-                    Diagnostic(
-                        WARNING,
-                        "self-loop",
-                        f"self-loop edge ({src}, {dst}) imposes no constraint",
-                        (trace.id,),
-                    )
-                )
-    for src, dst in sorted(corpus.required_edges):
-        if src == dst:
-            diagnostics.append(
-                Diagnostic(
-                    WARNING,
-                    "self-loop",
-                    f"self-loop edge ({src}, {dst}) imposes no constraint",
-                )
-            )
+        if len(set(nodes)) < len(nodes):
+            # each self-loop once, in path order
+            loops = dict.fromkeys(src for src, dst in zip(nodes, nodes[1:]) if src == dst)
+            diagnostics.extend(_self_loop(node, (trace_id,)) for node in loops)
+    diagnostics.extend(_self_loop(src) for src, dst in sorted(corpus.required_edges) if src == dst)
     required_nodes = {node for pair in corpus.required_edges for node in pair}
-    for node in sorted(required_nodes.difference(column) if required_nodes else ()):
-        diagnostics.append(
-            Diagnostic(
-                WARNING,
-                "required-edge-only-node",
-                f"node {node} appears only in required_edges",
-            )
-        )
+    if required_nodes:
+        required_nodes -= set(chain.from_iterable(map(itemgetter(2), corpus.traces)))
+    diagnostics.extend(
+        Diagnostic(WARNING, "required-edge-only-node", f"node {node} appears only in required_edges")
+        for node in sorted(required_nodes)
+    )
     return tuple(diagnostics)
+
+
+def _self_loop(node: str, trace_ids: tuple[str, ...] = ()) -> Diagnostic:
+    return Diagnostic(WARNING, "self-loop", f"self-loop edge ({node}, {node}) imposes no constraint", trace_ids)
 
 
 def corpus_errors(diagnostics: tuple[Diagnostic, ...]) -> tuple[Diagnostic, ...]:

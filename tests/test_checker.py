@@ -611,13 +611,6 @@ def checked_specs(draw):
 _PATHS = st.tuples(st.sampled_from(["positive", "negative"]), st.lists(_NODES, min_size=2, max_size=8))
 
 
-@settings(max_examples=300, deadline=None)
-@given(checked_specs(), _PATHS)
-def test_check_trace_matches_reference(spec, path):
-    trace = Trace("t", *path)
-    assert check_trace(spec, trace) == reference_check_trace(spec, trace)
-
-
 def _spec(pairs, assignment, default, names="ABCD") -> AnalysisSpec:
     elements = [Element(name, frozenset(), True) for name in names]
     return spec_of("qualifier", elements, pairs, assignment, default)
@@ -625,6 +618,32 @@ def _spec(pairs, assignment, default, names="ABCD") -> AnalysisSpec:
 
 def _corpus(*paths) -> Corpus:
     return Corpus(traces=tuple(Trace(f"t{i}", polarity, nodes) for i, (polarity, nodes) in enumerate(paths)))
+
+
+# A below B, and a, b assigned to them
+_AB = _spec([("A", "B")], {"a": "A", "b": "B"}, "A")
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_specs(), _PATHS)
+# the violation on a path's first edge, and on its last after self-loops
+@example(_AB, ("negative", ["b", "a", "b", "b"]))
+@example(_AB, ("positive", ["a", "a", "b", "b", "a"]))
+# two-node paths, rejected and accepted
+@example(_AB, ("negative", ["b", "a"]))
+@example(_AB, ("positive", ["a", "b"]))
+# unknown nodes map to the default, B here: rejected where one meets a
+@example(_spec([("A", "B")], {"a": "A"}, "B"), ("positive", ["a", "x", "y", "a"]))
+# closed paths: accepted through the default, rejected on the way back
+@example(_AB, ("positive", ["a", "x", "a", "a"]))
+@example(_AB, ("positive", ["a", "b", "a"]))
+def test_check_trace_matches_reference(spec, path):
+    """check_trace gives the reference's verdict, and the one check_corpus
+    gives the trace in a corpus of its own."""
+    trace = Trace("t", *path)
+    verdict = check_trace(spec, trace)
+    assert verdict == reference_check_trace(spec, trace)
+    assert (verdict,) == check_corpus(spec, Corpus(traces=(trace,))).verdicts
 
 
 @settings(max_examples=300, deadline=None)
@@ -649,6 +668,20 @@ def _corpus(*paths) -> Corpus:
 @example(
     _spec([("A", "B")], {"a": "A", "b": "B"}, "C"),
     _corpus(("positive", ("a", "a", "b", "b", "a")), ("negative", ("c", "c")), ("positive", ("b", "b", "a"))),
+)
+# violations on a first edge, a last edge and a two-node path's one edge,
+# around a closed positive path with repeated self-loops that is accepted
+# through unknown nodes, and a closed one rejected on the way back
+@example(
+    _AB,
+    _corpus(
+        ("negative", ("b", "a", "b", "b")),
+        ("positive", ("a", "x", "x", "a", "a")),
+        ("positive", ("a", "b", "b", "b", "a")),
+        ("negative", ("b", "a")),
+        ("positive", ("a", "b")),
+        ("positive", ("b", "b", "a", "b")),
+    ),
 )
 # B -> A is unrelated, but it only runs from one path's end to the next
 # path's start, so every path is accepted

@@ -183,7 +183,8 @@ EXPAND_CASES = {
         [],
         "'edges' must be an array of [src, dst] pairs",
     ),
-    "unknown-sink": (DIAMOND_GRAPH, ["--sink", "zz"], "zz"),
+    "unknown-source": (DIAMOND_GRAPH, ["--source", "zz"], "--source zz is not a node of the static graph"),
+    "unknown-sink": (DIAMOND_GRAPH, ["--sink", "zz"], "--sink zz is not a node of the static graph"),
 }
 
 

@@ -119,6 +119,20 @@ def test_order_query_unknown_element():
         order_query(order, "Q_a", "Q_zzz")
 
 
+def test_an_order_out_of_name_order_is_refused():
+    """Every writer and make_analysis_spec read an order's elements as
+    being in name order, so an order built with Q_b below Q_a, in that
+    element order, is refused; so is a repeated name."""
+    q_a, q_b = Element("Q_a", frozenset({"a"}), False), Element("Q_b", frozenset({"b"}), False)
+    assignment = {"a": "Q_a", "b": "Q_b"}
+    with pytest.raises(ValueError, match="'Q_b' comes before 'Q_a'"):
+        QualifierOrder((q_b, q_a), (0b11, 0b10), assignment)
+    with pytest.raises(ValueError, match="'Q_a' comes before 'Q_a'"):
+        QualifierOrder((q_a, q_a), (0b11, 0b11), {"a": "Q_a"})
+    order = QualifierOrder((q_a, q_b), (0b01, 0b11), assignment)
+    assert order.leq("Q_b", "Q_a") and not order.leq("Q_a", "Q_b")
+
+
 # ---------------------------------------------------------------------------
 # consistency
 

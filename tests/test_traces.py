@@ -311,6 +311,20 @@ def test_validate_is_pure():
 @example(Corpus(traces=(Trace("p", "positive", ("a", "b")), Trace("q", "positive", ("b", "c", "b")))))
 @example(Corpus(traces=(Trace("n", "negative", ("a", "a", "b", "a", "a")), Trace("p", "positive", ("a", "b", "b")))))
 @example(Corpus(traces=(Trace("p", "positive", ("a", "b")),), required_edges=frozenset({("a", "x"), ("y", "y")})))
+# two-node paths, closed or not, a closed positive path, a self-loop
+# repeated within one trace and one at a path's start, a required self-loop
+# on a trace node and required-only nodes
+@example(
+    Corpus(
+        traces=(
+            Trace("n", "negative", ("a", "a")),
+            Trace("p", "positive", ("b", "a", "b")),
+            Trace("q", "positive", ("c", "c", "d", "c", "c", "d", "d")),
+            Trace("r", "negative", ("d", "c")),
+        ),
+        required_edges=frozenset({("c", "c"), ("x", "a"), ("y", "y")}),
+    )
+)
 def test_validate_corpus_matches_the_reference(corpus):
     assert validate_corpus(corpus) == reference_validate_corpus(corpus)
 
