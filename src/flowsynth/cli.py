@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--stack-traces", type=Path, help="directory of *.neg.txt / *.pos.txt files")
     synth.add_argument("--mode", choices=[QUALIFIER, EFFECT], help="override the corpus mode")
     synth.add_argument("--semantics", choices=[SEPARATION, PATH], default=SEPARATION)
-    synth.add_argument("--solver", choices=[AUTO, EXACT, GREEDY], default=AUTO)
-    synth.add_argument("--max-exact-candidates", type=int, default=24, metavar="N")
+    synth.add_argument("--solver", choices=[AUTO, EXACT, GREEDY], default=SolverConfig.solver)
+    synth.add_argument("--max-exact-candidates", type=int, default=SolverConfig.max_exact_candidates, metavar="N")
     synth.add_argument("--out", type=Path, required=True, help="output directory")
 
     check = sub.add_parser("check", help="check a corpus against a synthesized analysis")
@@ -127,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--static-graph", type=Path, required=True)
     expand.add_argument("--source", required=True)
     expand.add_argument("--sink", required=True)
-    expand.add_argument("--max-path-len", type=int, default=12, metavar="N")
-    expand.add_argument("--max-paths", type=int, default=1000, metavar="N")
+    expand.add_argument("--max-path-len", type=int, default=EndpointSpec.max_path_len, metavar="N")
+    expand.add_argument("--max-paths", type=int, default=EndpointSpec.max_paths, metavar="N")
     expand.add_argument("--out", type=Path, required=True, help="output corpus file")
 
     explain = sub.add_parser("explain", help="explain why the analysis rejects a trace")

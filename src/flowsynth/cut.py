@@ -140,9 +140,9 @@ class _Family:
     The components live in a union-find over the edge numbers: `sets`
     maps each component's root to its set numbers and `covers` to its
     greedy cover, and `dirty` holds the roots whose cover is missing.
-    `named` counts the edges some set holds, and `empty` is the first set
-    with no edge at all, if any.  `last` is the last cover mask that
-    `edge_set` turned into edges, with those edges.
+    `named` counts the edges some set holds.  `last` is the last cover
+    mask that `edge_set` turned into edges, with those edges.  Every set
+    holds at least one edge.
     """
 
     def __init__(self, edges):
@@ -152,7 +152,6 @@ class _Family:
         self.masks: list[int] = []
         self.containing: list[list[int]] = [[] for _ in self.edges]
         self.named = 0
-        self.empty: int | None = None
         self.parent = list(range(len(self.edges)))
         self.sets: dict[int, list[int]] = {}
         self.covers: dict[int, int] = {}
@@ -173,10 +172,6 @@ class _Family:
             holders.append(set_number)
         self.indices.append(indices)
         self.masks.append(mask)
-        if not indices:
-            if self.empty is None:
-                self.empty = set_number
-            return
         parent, sets = self.parent, self.sets
         roots = set()
         for index in indices:
@@ -210,16 +205,15 @@ class _Family:
 def _family_of(sets: Sequence[frozenset[Edge]], forbidden: frozenset[Edge]) -> _Family:
     """`sets` itself when the refinement loop passes its family, else a new
     family of their allowed edges.  Raises InfeasibleSet for the first set
-    that has no allowed edge."""
+    that has no allowed edge, before any family is built."""
     if isinstance(sets, _Family):
-        family = sets
-    else:
-        allowed = [frozenset(constraint) - forbidden for constraint in sets]
-        family = _Family(frozenset().union(*allowed))
-        for constraint in allowed:
-            family.append(constraint)
-    if family.empty is not None:
-        raise InfeasibleSet(family.empty)
+        return sets
+    allowed = [frozenset(constraint) - forbidden for constraint in sets]
+    if not all(allowed):
+        raise InfeasibleSet(allowed.index(frozenset()))
+    family = _Family(frozenset().union(*allowed))
+    for constraint in allowed:
+        family.append(constraint)
     return family
 
 

@@ -71,16 +71,27 @@ def parse_static_graph(text: str) -> StaticGraph:
 def enumerate_candidate_paths(graph: StaticGraph, spec: EndpointSpec) -> ExpansionResult:
     """All simple directed source-to-sink paths with at most max_path_len
     nodes, in depth-first lexicographic order, truncated at max_paths.
-    The truncated flag is set iff more paths exist than were returned."""
+    The truncated flag is set iff more paths exist than were returned.
+    The walk enters no node whose fewest hops to the sink, from one
+    backward breadth-first search, overrun the bound: no path is lost."""
     if spec.source not in graph.nodes:
         raise UnknownNode(spec.source)
     if spec.sink not in graph.nodes:
         raise UnknownNode(spec.sink)
 
     successors: dict[str, list[str]] = {}
+    predecessors: dict[str, list[str]] = {}
     for src, dst in graph.edges:
         successors.setdefault(src, []).append(dst)
+        predecessors.setdefault(dst, []).append(src)
     adjacency = {node: sorted(dsts) for node, dsts in successors.items()}
+    hops = {spec.sink: 0}
+    frontier = [spec.sink]
+    for node in frontier:  # the list grows while it is walked: a FIFO queue
+        for pred in predecessors.get(node, ()):
+            if pred not in hops:
+                hops[pred] = hops[node] + 1
+                frontier.append(pred)
 
     # Depth-first with an explicit stack of successor iterators, one per
     # node on the current path; a path never continues past the sink.
@@ -99,7 +110,7 @@ def enumerate_candidate_paths(graph: StaticGraph, spec: EndpointSpec) -> Expansi
                 truncated = True  # one path more than the budget exists
                 break
             paths.append((*path, succ))
-        elif succ not in on_path and len(path) + 1 < spec.max_path_len:
+        elif succ not in on_path and len(path) + 1 + hops.get(succ, spec.max_path_len) <= spec.max_path_len:
             path.append(succ)
             on_path.add(succ)
             pending.append(iter(adjacency.get(succ, ())))

@@ -61,9 +61,6 @@ class FlowGraph:
             inc[dst].append(src)
         return {node: tuple(sorted(srcs)) for node, srcs in inc.items()}
 
-    def edge_keys(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
-
     def cuttable_edges(self) -> frozenset[Edge]:
         return frozenset(edge for edge in self.edges - self.protected if edge[0] != edge[1])
 
@@ -72,22 +69,18 @@ def build_graph(corpus: Corpus) -> FlowGraph:
     """Union the corpus into a FlowGraph.  A pure union: the corpus is not
     validated here; `pipeline.synthesize`, the entry point, validates it
     first.  An edge is protected when it is required or when at least
-    min_positive_support distinct positive traces hold it.  One pass per
-    trace; `last` keeps the index of the last positive trace that counted
-    an edge, so each trace counts an edge once."""
+    min_positive_support distinct positive traces hold it: each positive
+    trace counts the set of its edges, so an edge it repeats counts once."""
     edges: set[Edge] = set(corpus.required_edges)
     nodes: set[str] = set().union(*corpus.required_edges)
     support: dict[Edge, int] = {}
-    last: dict[Edge, int] = {}
-    for index, (_, polarity, path, _) in enumerate(corpus.traces):
+    for _, polarity, path, _ in corpus.traces:
         nodes.update(path)
         if polarity != POSITIVE:
             edges.update(zip(path, path[1:]))
             continue
-        for edge in zip(path, path[1:]):
-            if last.get(edge) != index:
-                last[edge] = index
-                support[edge] = support.get(edge, 0) + 1
+        for edge in set(zip(path, path[1:])):
+            support[edge] = support.get(edge, 0) + 1
     edges.update(support)
     # a counted edge has support >= 1, so "and at least one" needs no test
     least = corpus.min_positive_support
@@ -178,65 +171,55 @@ class Condensation:
 
 
 def scc_condense(nodes: Iterable[str], edges: Iterable[Edge]) -> Condensation:
-    """Strongly connected components (iterative Tarjan, deterministic
-    traversal order) and the quotient edge set between them."""
-    edge_list = sorted(set(edges))
-    node_list = sorted(set(nodes) | {n for edge in edge_list for n in edge})
-    adjacency: dict[str, list[str]] = {node: [] for node in node_list}
-    for src, dst in edge_list:
-        adjacency[src].append(dst)
+    """Strongly connected components and the quotient edge set between
+    them, by Kosaraju's two passes: a depth-first search lists the nodes as
+    they finish, then a walk of the reversed edges from each node not yet
+    placed, the last to finish first, collects exactly its component."""
+    edge_set = set(edges)
+    node_set = set(nodes).union(*edge_set)
+    successors: dict[str, list[str]] = {node: [] for node in node_set}
+    predecessors: dict[str, list[str]] = {node: [] for node in node_set}
+    for src, dst in edge_set:
+        successors[src].append(dst)
+        predecessors[dst].append(src)
 
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[frozenset[str]] = []
-    counter = 0
-
-    for root in node_list:
-        if root in index_of:
+    finished: list[str] = []
+    seen: set[str] = set()
+    for root in successors:
+        if root in seen:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            descended = False
-            children = adjacency[node]
-            while child_index < len(children):
-                child = children[child_index]
-                child_index += 1
-                if child not in index_of:
-                    work[-1] = (node, child_index)
-                    work.append((child, 0))
-                    descended = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index_of[child])
-            if descended:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+        seen.add(root)
+        path = [root]
+        pending = [iter(successors[root])]
+        while pending:
+            succ = next(pending[-1], None)
+            if succ is None:
+                pending.pop()
+                finished.append(path.pop())
+            elif succ not in seen:
+                seen.add(succ)
+                path.append(succ)
+                pending.append(iter(successors[succ]))
+
+    components: list[frozenset[str]] = []
+    placed: set[str] = set()
+    for root in reversed(finished):
+        if root in placed:
+            continue
+        placed.add(root)
+        component = [root]
+        for node in component:  # the list grows while it is walked
+            for pred in predecessors[node]:
+                if pred not in placed:
+                    placed.add(pred)
+                    component.append(pred)
+        components.append(frozenset(component))
 
     components.sort(key=min)
     membership = {node: i for i, comp in enumerate(components) for node in comp}
     quotient = frozenset(
         (membership[src], membership[dst])
-        for src, dst in edge_list
+        for src, dst in edge_set
         if membership[src] != membership[dst]
     )
     return Condensation(tuple(components), membership, quotient)

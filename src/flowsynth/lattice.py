@@ -145,8 +145,7 @@ def build_order(graph: FlowGraph, cut_edges: frozenset[Edge]) -> QualifierOrder:
     """Condense the retained graph (every edge not in `cut_edges`) into
     elements and take the reachability order on the condensation.  Element
     names: "Q_" + smallest member."""
-    retained = [edge for edge in graph.edge_keys() if edge not in cut_edges]
-    condensation = scc_condense(graph.nodes, retained)
+    condensation = scc_condense(graph.nodes, graph.edges - cut_edges)
 
     # components come ordered by smallest member, so already in name order
     names = ["Q_" + min(component) for component in condensation.components]

@@ -59,8 +59,9 @@ class Trace(_TraceFields):
 
     An immutable named tuple.  Every way of making one validates: the
     constructor, `_make`, `_replace` (which calls `_make`) and unpickling
-    (which calls the constructor).  `parse_corpus` builds traces directly,
-    after checking the same rules over the whole "traces" array."""
+    (which calls the constructor), and each names the first invalid node.
+    `parse_corpus` builds traces directly, after checking the same rules
+    over the whole "traces" array."""
 
     __slots__ = ()
 
@@ -72,16 +73,9 @@ class Trace(_TraceFields):
         nodes = tuple(nodes)
         if len(nodes) < 2:
             raise ValidationError(f"trace {id}: a path needs at least 2 nodes, got {len(nodes)}")
-        # all node ids at once: the joined path splits back into the nodes
-        # iff each is a valid id (a node that is not a string fails the join)
-        try:
-            valid = " ".join(nodes).split() == list(nodes)
-        except TypeError:
-            valid = False
-        if not valid:
-            for node in nodes:
-                if not is_valid_node_id(node):
-                    raise ValidationError(f"trace {id}: invalid node id {node!r}")
+        for node in nodes:
+            if not is_valid_node_id(node):
+                raise ValidationError(f"trace {id}: invalid node id {node!r}")
         return tuple.__new__(cls, (id, polarity, nodes, origin))
 
     @classmethod
@@ -304,7 +298,7 @@ def _bulk_traces(entries: list) -> tuple[Trace, ...] | None:
         ):
             return None
         # every node is a valid id iff the joined nodes split back into
-        # them, as in Trace.__new__ (a node that is not a string fails the join)
+        # them (a node that is not a string fails the join)
         nodes = list(chain.from_iterable(paths))
         if " ".join(nodes).split() != nodes:
             return None
@@ -437,35 +431,32 @@ _ELISION_RE = re.compile(r"^\s*\.\.\. (?P<count>\d+) more\s*$")
 _CAUSED_BY = "Caused by:"
 
 
-class _Section:
-    def __init__(self) -> None:
-        self.frames: list[str] = []
-        self.elision: int | None = None
-        self.saw_header = False
-
-
 def parse_stack_trace(text: str, polarity: str, trace_id: str) -> Trace:
     """Parse a JVM-style stack trace into a Trace.
 
     Only the final ("Caused by:" root-cause) section contributes frames; a
     trailing "... N more" line is expanded by copying the last N frames of
-    the immediately enclosing section.  Frames are kept innermost first, so
-    the first node is the offending operation.
+    the immediately enclosing section, as expanded.  Frames are kept
+    innermost first, so the first node is the offending operation.  A
+    frame needs a header line before it; a "Caused by:" line is one.
     """
-    sections = [_Section()]
+    sections: list[list[str]] = [[]]
+    elisions: list[int | None] = [None]
+    saw_header = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith(_CAUSED_BY):
-            sections.append(_Section())
+            sections.append([])
+            elisions.append(None)
+            saw_header = True
             continue
-        section = sections[-1]
         elision = _ELISION_RE.match(line)
         if elision:
-            if not section.frames:
+            if not sections[-1]:
                 raise ParseError("elision line before any stack frame", line=lineno)
-            if section.elision is not None:
+            if elisions[-1] is not None:
                 raise ParseError("multiple elision lines in one section", line=lineno)
             try:
-                section.elision = int(elision.group("count"))
+                elisions[-1] = int(elision.group("count"))
             except ValueError:  # int()'s limit on digits
                 raise ParseError(
                     f"elision count longer than {sys.get_int_max_str_digits()} digits", line=lineno
@@ -478,34 +469,28 @@ def parse_stack_trace(text: str, polarity: str, trace_id: str) -> Trace:
             fqn = frame.group("fqn").strip()
             if not is_valid_node_id(fqn):
                 raise ParseError(f"invalid frame name {fqn!r}", line=lineno)
-            if section.elision is not None:
+            if elisions[-1] is not None:
                 raise ParseError("frame line after elision line", line=lineno)
-            if len(sections) == 1 and not section.saw_header:
+            if not saw_header:
                 raise ParseError("missing header line before first frame", line=lineno)
-            section.frames.append(fqn)
+            sections[-1].append(fqn)
             continue
-        section.saw_header = True
+        saw_header = True
 
-    if not sections[-1].frames:
+    if not sections[-1]:
         raise ParseError("no stack frames found")
-
-    expanded: list[list[str]] = []
-    for i, section in enumerate(sections):
-        if not section.frames:
+    enclosing: list[str] = []
+    for i, (frames, n) in enumerate(zip(sections, elisions)):
+        if not frames:
             raise ParseError(f"section {i} has no stack frames")
-        frames = list(section.frames)
-        if section.elision is not None:
-            enclosing = expanded[i - 1] if i > 0 else []
-            n = section.elision
+        if n:
             if n > len(enclosing):
                 raise ParseError(
                     f"'... {n} more' references more frames than the enclosing section supplies"
                 )
-            if n:
-                frames.extend(enclosing[-n:])
-        expanded.append(frames)
-
-    return Trace(trace_id, polarity, tuple(expanded[-1]))
+            frames += enclosing[-n:]
+        enclosing = frames
+    return Trace(trace_id, polarity, tuple(enclosing))
 
 
 def stack_traces_from_dir(directory: str | Path) -> tuple[Trace, ...]:

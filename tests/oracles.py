@@ -22,9 +22,11 @@ over the traces, the corpus parser that checks the traces array one entry
 at a time, the DOT writer that escapes each name twice), the graph builder
 that keeps a set of witness ids and one of positive ids per edge, the
 corpus validation that walks every edge of every trace, the nearest walk
-that takes each step from a generator expression, and the spec builder
-that read the completed semilattice in effect mode (which also builds an
-effect spec from the generator order alone).  None of it shares code
+that takes each step from a generator expression, the spec builder that
+read the completed semilattice in effect mode (which also builds an
+effect spec from the generator order alone), the condensation by
+iterative Tarjan, and the stack-trace parser that kept one object per
+section.  None of it shares code
 with the implementations under test; the references only build the
 package's own data types (the corpus parser also reads the document
 with the package's JSON decoder and predicates, the spec builder takes
@@ -38,6 +40,8 @@ orders carried their covers as index pairs.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from bisect import bisect_left
 from collections import deque
 from functools import reduce
@@ -48,8 +52,8 @@ from typing import NamedTuple
 from flowsynth import __version__
 from flowsynth.checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, Verdict
 from flowsynth.cut import AUTO, EXACT, GREEDY, PATH, Conflict, CutSet, PathConstraint, SolverConfig
-from flowsynth.errors import InfeasibleSet, RefinementLimitError, UnknownNode, ValidationError
-from flowsynth.graph import FlowGraph, _bits
+from flowsynth.errors import InfeasibleSet, ParseError, RefinementLimitError, UnknownNode, ValidationError
+from flowsynth.graph import Condensation, FlowGraph, _bits
 from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element, QualifierOrder
 from flowsynth.traces import (
     EFFECT,
@@ -63,6 +67,7 @@ from flowsynth.traces import (
     corpus_digest,
     is_string_list,
     is_string_pair,
+    is_valid_node_id,
     load_json,
     trace_edges,
 )
@@ -1010,3 +1015,138 @@ def reference_lattice_dot(order: QualifierOrder) -> str:
         lines.append(f"  {quoted[a]} -> {quoted[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def reference_scc_condense(nodes, edges) -> Condensation:
+    """The condensation as first written: iterative Tarjan in sorted
+    traversal order, with low links and an on-stack set."""
+    edge_list = sorted(set(edges))
+    node_list = sorted(set(nodes) | {n for edge in edge_list for n in edge})
+    adjacency: dict[str, list[str]] = {node: [] for node in node_list}
+    for src, dst in edge_list:
+        adjacency[src].append(dst)
+
+    index_of: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[frozenset[str]] = []
+    counter = 0
+
+    for root in node_list:
+        if root in index_of:
+            continue
+        work: list[tuple[str, int]] = [(root, 0)]
+        while work:
+            node, child_index = work[-1]
+            if child_index == 0:
+                index_of[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            descended = False
+            children = adjacency[node]
+            while child_index < len(children):
+                child = children[child_index]
+                child_index += 1
+                if child not in index_of:
+                    work[-1] = (node, child_index)
+                    work.append((child, 0))
+                    descended = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index_of[child])
+            if descended:
+                continue
+            work.pop()
+            if low[node] == index_of[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(frozenset(component))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+
+    components.sort(key=min)
+    membership = {node: i for i, comp in enumerate(components) for node in comp}
+    quotient = frozenset(
+        (membership[src], membership[dst])
+        for src, dst in edge_list
+        if membership[src] != membership[dst]
+    )
+    return Condensation(tuple(components), membership, quotient)
+
+
+_FRAME_RE = re.compile(r"^\s*at (?P<fqn>[^(]+)\(.*\)\s*$")
+_ELISION_RE = re.compile(r"^\s*\.\.\. (?P<count>\d+) more\s*$")
+
+
+class _Section:
+    def __init__(self) -> None:
+        self.frames: list[str] = []
+        self.elision: int | None = None
+        self.saw_header = False
+
+
+def reference_parse_stack_trace(text: str, polarity: str, trace_id: str) -> Trace:
+    """The stack-trace parser as first written: one object per section,
+    each with its own header flag, and the expansion of every section kept."""
+    sections = [_Section()]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("Caused by:"):
+            sections.append(_Section())
+            continue
+        section = sections[-1]
+        elision = _ELISION_RE.match(line)
+        if elision:
+            if not section.frames:
+                raise ParseError("elision line before any stack frame", line=lineno)
+            if section.elision is not None:
+                raise ParseError("multiple elision lines in one section", line=lineno)
+            try:
+                section.elision = int(elision.group("count"))
+            except ValueError:  # int()'s limit on digits
+                raise ParseError(
+                    f"elision count longer than {sys.get_int_max_str_digits()} digits", line=lineno
+                ) from None
+            continue
+        if line.lstrip().startswith("at "):
+            frame = _FRAME_RE.match(line)
+            if not frame:
+                raise ParseError(f"malformed frame line: {line.strip()!r}", line=lineno)
+            fqn = frame.group("fqn").strip()
+            if not is_valid_node_id(fqn):
+                raise ParseError(f"invalid frame name {fqn!r}", line=lineno)
+            if section.elision is not None:
+                raise ParseError("frame line after elision line", line=lineno)
+            if len(sections) == 1 and not section.saw_header:
+                raise ParseError("missing header line before first frame", line=lineno)
+            section.frames.append(fqn)
+            continue
+        section.saw_header = True
+
+    if not sections[-1].frames:
+        raise ParseError("no stack frames found")
+
+    expanded: list[list[str]] = []
+    for i, section in enumerate(sections):
+        if not section.frames:
+            raise ParseError(f"section {i} has no stack frames")
+        frames = list(section.frames)
+        if section.elision is not None:
+            enclosing = expanded[i - 1] if i > 0 else []
+            n = section.elision
+            if n > len(enclosing):
+                raise ParseError(
+                    f"'... {n} more' references more frames than the enclosing section supplies"
+                )
+            if n:
+                frames.extend(enclosing[-n:])
+        expanded.append(frames)
+
+    return Trace(trace_id, polarity, tuple(expanded[-1]))

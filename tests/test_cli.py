@@ -35,8 +35,9 @@ from flowsynth import (
 )
 from flowsynth import lattice as lattice_module
 from flowsynth import pipeline
-from flowsynth.cli import main
+from flowsynth.cli import build_parser, main
 from flowsynth.cut import SEPARATION, SolverConfig
+from flowsynth.expand import EndpointSpec
 from flowsynth.dot import lattice_dot
 from flowsynth.pipeline import synthesize
 from flowsynth.traces import corpus_digest, parse_corpus, parse_file
@@ -680,6 +681,40 @@ def test_expand_long_chain_without_recursion(tmp_path):
     assert main(argv) == 0
     corpus = json.loads(out_file.read_text(encoding="utf-8"))
     assert [t["nodes"] for t in corpus["traces"]] == [names]
+
+
+def test_expand_of_a_sink_out_of_reach_ends_at_once(tmp_path):
+    """A 14-node clique that the source feeds and the sink only leaves: no
+    path reaches the sink, and under the default bounds the walk enters
+    no node of the clique, where walking every simple path through it
+    would run for minutes."""
+    clique = [f"v{i}" for i in range(14)]
+    edges = [[a, b] for a in clique for b in clique if a != b] + [["src", "v0"], ["snk", "v0"]]
+    graph_file = write_json(tmp_path / "dense.json", {"nodes": [*clique, "src", "snk"], "edges": edges})
+    out_file = tmp_path / "expanded.json"
+    src = str(Path(flowsynth.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "flowsynth.cli", "expand", "--static-graph", str(graph_file)]
+        + ["--source", "src", "--sink", "snk", "--out", str(out_file)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=10,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    corpus = json.loads(out_file.read_text(encoding="utf-8"))
+    assert corpus["traces"] == []
+    assert corpus["metadata"]["truncated"] is False
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    parser = build_parser()
+    synth_args = parser.parse_args(["synth", "--out", "out"])
+    assert synth_args.solver == SolverConfig.solver
+    assert synth_args.max_exact_candidates == SolverConfig.max_exact_candidates
+    expand_args = parser.parse_args(["expand", "--static-graph", "g.json", "--source", "a", "--sink", "b", "--out", "o"])
+    assert expand_args.max_path_len == EndpointSpec.max_path_len
+    assert expand_args.max_paths == EndpointSpec.max_paths
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from oracles import (
     reachability_closure,
     reference_build_graph,
     reference_nearest_walk,
+    reference_scc_condense,
     reference_shortest_path,
 )
 
@@ -291,6 +292,35 @@ def test_scc_mutual_reachability_oracle():
                 same = cond.membership[x] == cond.membership[y]
                 mutual = (x, y) in closure and (y, x) in closure
                 assert same == mutual
+
+
+_digraphs = st.tuples(
+    st.sets(st.sampled_from("abcdefgh"), max_size=4),
+    st.lists(st.tuples(st.sampled_from("abcdefgh"), st.sampled_from("abcdefgh")), max_size=24),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs)
+@example((set(), []))
+@example(({"h"}, [("a", "a"), ("a", "b"), ("b", "a"), ("c", "c")]))
+def test_scc_condense_matches_tarjan(graph):
+    """Random digraphs with self-loops and isolated nodes: the two-pass
+    condensation equals iterative Tarjan's, components, membership and
+    quotient edges."""
+    nodes, edges = graph
+    assert scc_condense(nodes, edges) == reference_scc_condense(nodes, edges)
+
+
+def test_scc_condense_of_a_deep_path_and_a_deep_cycle():
+    names = [f"n{i:06d}" for i in range(100_000)]
+    path = list(zip(names, names[1:]))
+    condensation = scc_condense(names, path)
+    assert len(condensation.components) == 100_000
+    assert len(condensation.quotient_edges) == 99_999
+    cycle = scc_condense(names, [*path, (names[-1], names[0])])
+    assert cycle.components == (frozenset(names),)
+    assert cycle.quotient_edges == frozenset()
 
 
 # ---------------------------------------------------------------------------

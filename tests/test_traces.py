@@ -33,9 +33,11 @@ from oracles import (
     reference_is_string_list,
     reference_is_valid_node_id,
     reference_parse_corpus,
+    reference_parse_stack_trace,
     reference_serialize_corpus,
     reference_validate_corpus,
 )
+from test_input_rules import _FRAMES, _STACK_LINES, _STACK_TEXT
 
 
 def test_parse_minimal_negative_trace():
@@ -235,6 +237,32 @@ def test_parse_stack_trace_malformed_frame():
 def test_parse_stack_trace_requires_header():
     with pytest.raises(ParseError, match="missing header line"):
         parse_stack_trace("\tat a.B.c(D.java:1)\n", "negative", "t")
+
+
+def _trace_or_error(parse, text):
+    """The trace, or the type and text of the error (a one-frame trace is
+    a ValidationError of `Trace`), and its line if it has one."""
+    try:
+        return parse(text, "negative", "t")
+    except (ParseError, ValidationError) as error:
+        return type(error), str(error), getattr(error, "line", None)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_STACK_LINES), max_size=10), _STACK_TEXT))
+@example(["boom", _FRAMES[0], "Caused by: x", _FRAMES[1], "\t... 1 more"])
+@example(["boom", _FRAMES[0], "Caused by:", "Caused by: x", _FRAMES[1]])
+@example(["Caused by: x", _FRAMES[0]])
+@example([_FRAMES[0], "boom"])
+@example(["boom", _FRAMES[0], _FRAMES[1], "Caused by:", _FRAMES[2], "\t... 2 more", "Caused by:", _FRAMES[3], "\t... 3 more"])
+@example(["boom", _FRAMES[0], "\t... 0 more", "\t... 0 more"])
+def test_parse_stack_trace_matches_the_section_parser(lines):
+    """Any mix of headers, "Caused by:" lines, frames good and bad,
+    elisions and blank lines, any of them first, or a header and frames
+    before them: the same trace, or an error with the same text and line,
+    as the parser that kept one object per section."""
+    text = "\n".join(lines)
+    assert _trace_or_error(parse_stack_trace, text) == _trace_or_error(reference_parse_stack_trace, text)
 
 
 def test_stack_traces_from_dir(tmp_path):
