@@ -36,9 +36,9 @@ Separation is checked with one backward breadth-first search per distinct
 sink, serving every negative pair that ends there; each witness is the
 walk `shortest_path` takes for its pair alone.  A cut only ever removes
 edges from the search, so a sink whose search reached none of its
-sources stays separated for as long as every cut edge that search
-stopped at stays cut; the refinement loop passes a memo of those edges
-and such sinks are not searched again.
+sources stays separated for as long as every cut edge into what that
+search reached stays cut; the refinement loop passes a memo of those
+edges and such sinks are not searched again.
 """
 
 from __future__ import annotations
@@ -355,23 +355,24 @@ def verify_separation(
 
     `separated` is a memo the caller keeps across calls on one graph, at
     first empty.  A search that reaches none of its sink's sources leaves
-    there the sources and the cut edges it stopped at.  Cutting more can
-    only shrink what reaches the sink, so while all of those edges are
-    still in `cut` the sink is not searched again.  The answer is the same
-    with or without the memo."""
+    there the sources and the cut edges into what it reached.  Cutting
+    more can only shrink what reaches the sink, so while all of those
+    edges are still in `cut` the sink is not searched again.  The answer
+    is the same with or without the memo."""
     pairs = graph.negative_pairs
+    reverse = graph.reverse_adjacency
     memo = {} if separated is None else separated
     found = []
     for sink, (starts, positions) in graph.negative_sinks.items():
         known = memo.get(sink)
         if known is not None and known[0] == starts and known[1] <= cut:
             continue
-        stopped: list[Edge] = []
-        dist = _distances_to(graph, sink, starts, cut, stopped)
+        dist = _distances_to(graph, sink, starts, cut)
         if starts.isdisjoint(dist):
-            # the search ran dry, so every stopped edge whose tail it never
-            # labelled is an edge into what reaches the sink
-            memo[sink] = (starts, frozenset(edge for edge in stopped if edge[0] not in dist))
+            # the search ran dry, so it labelled all that reaches the sink,
+            # and every edge into that from outside is cut
+            boundary = frozenset((pred, node) for node in dist for pred in reverse[node] if pred not in dist)
+            memo[sink] = (starts, boundary)
             continue
         memo.pop(sink, None)
         for position in positions:
@@ -407,15 +408,14 @@ def solve_synthesis_cut(
     def cuttable_on(nodes):  # the cuttable edges along a path of the graph
         return allowed.intersection(zip(nodes, nodes[1:]))
 
-    constraints = [
-        PathConstraint(trace_id, nodes, cuttable_on(nodes)) for trace_id, nodes in graph.negative_paths
-    ]
-    for constraint in constraints:
-        if not constraint.cuttable:
-            return _conflict(graph, (constraint.nodes[0], constraint.nodes[-1]), constraint.nodes)
     family = _Family(allowed)
-    for constraint in constraints:
-        family.append(constraint.cuttable)
+    constraints = []
+    for trace_id, nodes in graph.negative_paths:
+        cuttable = cuttable_on(nodes)
+        if not cuttable:
+            return _conflict(graph, (nodes[0], nodes[-1]), nodes)
+        constraints.append(PathConstraint(trace_id, nodes, cuttable))
+        family.append(cuttable)
     separated: dict = {}
     sinks = len({sink for _, sink in graph.negative_pairs})
 

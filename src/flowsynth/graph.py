@@ -39,12 +39,9 @@ class FlowGraph:
                 raise UnknownNode(source)
             if sink not in self.nodes:
                 raise UnknownNode(sink)
-            group = groups.get(sink)
-            if group is None:
-                groups[sink] = ({source}, [position])
-            else:
-                group[0].add(source)
-                group[1].append(position)
+            sources, positions = groups.setdefault(sink, (set(), []))
+            sources.add(source)
+            positions.append(position)
         return {sink: (frozenset(sources), tuple(positions)) for sink, (sources, positions) in groups.items()}
 
     @cached_property
@@ -56,10 +53,11 @@ class FlowGraph:
 
     @cached_property
     def reverse_adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Each node's predecessors, unsorted: no backward search reads their order."""
         inc: dict[str, list[str]] = {node: [] for node in self.nodes}
         for src, dst in self.edges:
             inc[dst].append(src)
-        return {node: tuple(sorted(srcs)) for node, srcs in inc.items()}
+        return {node: tuple(srcs) for node, srcs in inc.items()}
 
     def cuttable_edges(self) -> frozenset[Edge]:
         return frozenset(edge for edge in self.edges - self.protected if edge[0] != edge[1])
@@ -107,18 +105,13 @@ def shortest_path(
 
 
 def _distances_to(
-    graph: FlowGraph,
-    goal: str,
-    starts: Iterable[str],
-    excluded: frozenset[Edge],
-    stopped: list[Edge] | None = None,
+    graph: FlowGraph, goal: str, starts: Iterable[str], excluded: frozenset[Edge]
 ) -> dict[str, int]:
     """Distances to goal over edges not in `excluded`, from one
     breadth-first search run backward from goal until every node of
     `starts` is labelled or nothing is left to label.  A node is labelled
     when found, with its exact distance; when the last start is labelled,
-    every node nearer to goal than it has been labelled too.  Each excluded
-    edge the search meets from a node not yet labelled goes on `stopped`."""
+    every node nearer to goal than it has been labelled too."""
     dist = {goal: 0}
     waiting = set(starts)
     waiting.discard(goal)
@@ -128,13 +121,10 @@ def _distances_to(
         node = queue.popleft()
         step = dist[node] + 1
         for pred in reverse[node]:
-            if pred not in dist:
-                if (pred, node) not in excluded:
-                    dist[pred] = step
-                    queue.append(pred)
-                    waiting.discard(pred)
-                elif stopped is not None:
-                    stopped.append((pred, node))
+            if pred not in dist and (pred, node) not in excluded:
+                dist[pred] = step
+                queue.append(pred)
+                waiting.discard(pred)
     return dist
 
 

@@ -215,29 +215,33 @@ def complete_join_semilattice(order: QualifierOrder, limit: int | None = None) -
     the closure has more than `limit` elements.
 
     Every original element maps to the bitset of generators at or below it,
-    bit i standing for the i-th generator by name.  Original elements embed
-    order-faithfully: x leq y iff downset(x) is a subset of downset(y).  The
-    unions of those down-sets are the down-sets of the generator order
-    (Birkhoff), ordered by inclusion, with the empty set as bottom; each
-    covers exactly the down-sets it holds with one maximal generator fewer.
-    So `_downsets` walks them up from the empty set, and names, up-sets and
-    covers are read off that walk; the down-sets are then numbered in name
-    order, and the covers are those numbers' pairs, ascending.
+    bit i standing for the i-th generator in element (so name) order.
+    Original elements embed order-faithfully: x leq y iff downset(x) is a
+    subset of downset(y).  The unions of those down-sets are the down-sets
+    of the generator order (Birkhoff), ordered by inclusion, with the empty
+    set as bottom; each covers exactly the down-sets it holds with one
+    maximal generator fewer.  So `_downsets` walks them up from the empty
+    set, and names, up-sets and covers are read off that walk; the
+    down-sets are then numbered in name order, and the covers are those
+    numbers' pairs, ascending.
     """
-    generators = sorted((e for e in order.elements if not e.synthetic), key=lambda e: e.name)
+    at = [p for p, element in enumerate(order.elements) if not element.synthetic]
+    generators = [order.elements[p] for p in at]
     names = [g.name for g in generators]
-    at = [order.index[name] for name in names]
     down = [sum(1 << i for i, q in enumerate(at) if order.up[q] >> p & 1) for p in at]
-    levels, twin, top, upper = _downsets(down, limit)
-    if limit is not None and len(twin) > limit:
+    levels, top, upper = _downsets(down, limit)
+    if limit is not None and len(top) > limit:
         return None
 
     # a new down-set is named after its maximal generators, in the order of
-    # size, then of its generator lists: one size's bit-reversed twins, descending
+    # size, then of its sorted generator lists: within one size, reversed
+    # binary strings, descending, first differ at the smallest generator
+    # that one set holds and the other does not
     taken = set(names)
+    generator_of = dict(zip(down, generators))
     name_for = dict(zip(down, names))
     for level in levels:
-        for mask in sorted(level, key=twin.__getitem__, reverse=True):
+        for mask in sorted(level, key=lambda mask: bin(mask)[:1:-1], reverse=True):
             if mask in name_for:
                 continue
             name = "∨".join([names[i] for i in _bits(top[mask])]) if mask else BOTTOM_NAME
@@ -246,11 +250,8 @@ def complete_join_semilattice(order: QualifierOrder, limit: int | None = None) -
             taken.add(name)
             name_for[mask] = name
 
-    members_of = {mask: g.members for mask, g in zip(down, generators)}
     ordered = sorted(name_for, key=name_for.__getitem__)
-    elements = tuple(
-        Element(name_for[mask], members_of.get(mask, frozenset()), mask not in members_of) for mask in ordered
-    )
+    elements = tuple(generator_of.get(mask) or Element(name_for[mask], frozenset(), True) for mask in ordered)
     # up-sets with bit p for the p-th element by name, each the union of
     # its covers' up-sets, so built from the largest down-sets down
     position = {mask: p for p, mask in enumerate(ordered)}
@@ -278,23 +279,19 @@ def _downsets(down: list[int], limit: int | None):
     grows by each generator outside it whose strict down-set it holds, and
     each such growth is a cover, whose generator is maximal in the larger
     set.  Returns the levels (lists of down-sets by size) and, per
-    down-set, its bit-reversed twin, its maximal generators and the
-    down-sets covering it.  The walk stops as soon as it holds more than
-    `limit` down-sets."""
-    width = len(down)
-    steps = [(1 << i, mask & ~(1 << i), 1 << (width - 1 - i)) for i, mask in enumerate(down)]
+    down-set, its maximal generators and the down-sets covering it.  The
+    walk stops as soon as it holds more than `limit` down-sets."""
+    steps = [(1 << i, mask & ~(1 << i)) for i, mask in enumerate(down)]
     bound = inf if limit is None else limit
     levels = [[0]]
-    twin = {0: 0}
     top = {0: 0}
     upper: dict[int, list[int]] = {}
-    while levels[-1] and len(twin) <= bound:
+    while levels[-1] and len(top) <= bound:
         level = []
         levels.append(level)
         for mask in levels[-2]:
             covers = upper[mask] = []
-            flipped = twin[mask]
-            for bit, strict, reversed_bit in steps:
+            for bit, strict in steps:
                 if not mask & bit and strict & mask == strict:
                     grown = mask | bit
                     covers.append(grown)
@@ -302,11 +299,10 @@ def _downsets(down: list[int], limit: int | None):
                         top[grown] |= bit
                         continue
                     top[grown] = bit
-                    twin[grown] = flipped | reversed_bit
                     level.append(grown)
-                    if len(twin) > bound:
-                        return levels, twin, top, upper
-    return levels, twin, top, upper
+                    if len(top) > bound:
+                        return levels, top, upper
+    return levels, top, upper
 
 
 def order_query(lattice: QualifierOrder, a: str, b: str) -> str:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 
 from . import __version__
 from .checker import QUALIFIER_DEFAULT, AnalysisSpec, CheckReport, check_corpus
@@ -135,9 +134,9 @@ def make_analysis_spec(
         # the elements from k on move up one place, which keeps the pairs ascending
         covers = [(p + (p >= k), q + (q >= k)) for p, q in covers]
         if effect:
-            # the bottom is covered by each element with nothing else below it
-            above = reduce(or_, [mask & ~(1 << p) for p, mask in enumerate(order.up)], 0)
-            covers += [(k, p + (p >= k)) for p in range(len(names)) if not above >> p & 1]
+            # the bottom is covered by each minimal element: the upper end of no cover
+            covered = {q for _, q in order.covers}
+            covers += [(k, p + (p >= k)) for p in range(len(names)) if p not in covered]
             covers.sort()
         covers = tuple(covers)
 

@@ -911,9 +911,9 @@ def test_synth_draws_twelve_effect_chains_without_their_completion(tmp_path, cap
     walk = lattice_module._downsets
 
     def counted(down, limit):
-        levels, twin, top, upper = walk(down, limit)
+        levels, top, upper = walk(down, limit)
         walked.append(sum(map(len, levels)))
-        return levels, twin, top, upper
+        return levels, top, upper
 
     monkeypatch.setattr(lattice_module, "_downsets", counted)
     corpus_file = write_json(tmp_path / "chains.json", _effect_chains(12))

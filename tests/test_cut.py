@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import replace
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -31,7 +32,7 @@ from flowsynth import (
 )
 from flowsynth import cut as cut_module
 from flowsynth.cut import _Family, _greedy_cover
-from flowsynth.graph import _bits, shortest_path
+from flowsynth.graph import _bits, _distances_to, shortest_path
 
 from corpusgen import random_corpus
 from oracles import (
@@ -680,15 +681,17 @@ def round_cuts(graph, config):
         return solve_synthesis_cut(graph, config=config), cuts
 
 
-def sink_searches(graph, cuts):
+def sink_searches(graph, cuts, stopped=None):
     """For each cut in turn, the sinks that need a search and those among
     them that a search had separated: a sink is skipped while every edge
-    into what its last search reached, from outside that, is still cut."""
+    into what its last search reached, from outside that, is still cut.
+    `stopped` maps each separated sink to those edges; a caller may pass
+    one in, which the model then carries on from and updates."""
     sources = {}
     for source, sink in graph.negative_pairs:
         sources.setdefault(sink, set()).add(source)
     backward = [(dst, src) for src, dst in graph.edges]
-    stopped = {}
+    stopped = {} if stopped is None else stopped
     rounds = []
     for cut in cuts:
         searched, reopened = set(), set()
@@ -853,6 +856,76 @@ def test_verify_separation_with_a_memo_matches_the_reference_on_every_cut(graph,
         cut ^= toggled
         expected = reference_verify_separation(graph, cut, graph.negative_pairs)
         assert verify_separation(graph, cut, separated=memo) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_graphs(), st.data())
+def test_the_memo_holds_each_dry_sink_with_the_cut_edges_into_what_reaches_it(graph, data):
+    """Over cuts that add and drop edges, one memo matches the model after
+    every call: each sink a search left separated, with its sources and
+    every edge into what reaches it from outside that."""
+    keys = sorted(graph.edges)
+    toggles = st.frozensets(st.sampled_from(keys), max_size=4)
+    sources = {}
+    for source, sink in graph.negative_pairs:
+        sources.setdefault(sink, set()).add(source)
+    memo, model = {}, {}
+    cut = frozenset()
+    for toggled in data.draw(st.lists(toggles, min_size=1, max_size=8)):
+        cut ^= toggled
+        expected = reference_verify_separation(graph, cut, graph.negative_pairs)
+        assert verify_separation(graph, cut, separated=memo) == expected
+        sink_searches(graph, [cut], model)
+        assert {sink: edges for sink, (_, edges) in memo.items()} == model
+        assert all(starts == sources[sink] for sink, (starts, _) in memo.items())
+
+
+def with_predecessors(graph, order):
+    """A copy of `graph` whose predecessor lists are its own, each put in
+    `order`."""
+    copy = replace(graph)
+    copy.__dict__["reverse_adjacency"] = {
+        node: tuple(order(preds)) for node, preds in graph.reverse_adjacency.items()
+    }
+    return copy
+
+
+def settled(dist, starts):
+    """What a search promises: every node when it ran dry, else the
+    starts and every node nearer the goal than the farthest of them."""
+    if not set(starts) <= dist.keys():
+        return dist
+    farthest = max((dist[start] for start in starts), default=0)
+    return {node: step for node, step in dist.items() if step < farthest or node in starts}
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_graphs(), st.data())
+def test_no_search_reads_the_order_of_the_predecessor_lists(graph, data):
+    """The graph's own predecessor lists and the same lists reversed give
+    what sorted lists give: leftovers and memo over a sequence of cuts,
+    then each shortest path and each search's distances."""
+    reference = with_predecessors(graph, sorted)
+    graphs = [graph, with_predecessors(graph, reversed)]
+    keys = sorted(graph.edges)
+    memos = [{} for _ in graphs]
+    reference_memo = {}
+    cut = frozenset()
+    for toggled in data.draw(st.lists(st.frozensets(st.sampled_from(keys), max_size=4), min_size=1, max_size=6)):
+        cut ^= toggled
+        expected = verify_separation(reference, cut, separated=reference_memo)
+        for variant, memo in zip(graphs, memos):
+            assert verify_separation(variant, cut, separated=memo) == expected
+            assert memo == reference_memo
+    nodes = sorted(graph.nodes)
+    for start, goal in product(nodes, repeat=2):
+        path = shortest_path(reference, start, goal, cut)
+        assert [shortest_path(variant, start, goal, cut) for variant in graphs] == [path, path]
+    for goal in nodes:
+        starts = data.draw(st.sets(st.sampled_from(nodes), max_size=3))
+        dist = settled(_distances_to(reference, goal, starts, cut), starts)
+        for variant in graphs:
+            assert settled(_distances_to(variant, goal, starts, cut), starts) == dist
 
 
 def test_a_sink_is_searched_again_once_an_edge_its_search_stopped_at_leaves_the_cut():
