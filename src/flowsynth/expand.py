@@ -72,26 +72,19 @@ def enumerate_candidate_paths(graph: StaticGraph, spec: EndpointSpec) -> Expansi
     """All simple directed source-to-sink paths with at most max_path_len
     nodes, in depth-first lexicographic order, truncated at max_paths.
     The truncated flag is set iff more paths exist than were returned.
-    The walk enters no node whose fewest hops to the sink, from one
-    backward breadth-first search, overrun the bound: no path is lost."""
+    The walk enters a node only if the sink is reachable from it within
+    the hops the bound leaves, through nodes not on the path: it prunes
+    exactly the branches that hold no path, so every node it enters
+    leads to one."""
     if spec.source not in graph.nodes:
         raise UnknownNode(spec.source)
     if spec.sink not in graph.nodes:
         raise UnknownNode(spec.sink)
 
     successors: dict[str, list[str]] = {}
-    predecessors: dict[str, list[str]] = {}
     for src, dst in graph.edges:
         successors.setdefault(src, []).append(dst)
-        predecessors.setdefault(dst, []).append(src)
     adjacency = {node: sorted(dsts) for node, dsts in successors.items()}
-    hops = {spec.sink: 0}
-    frontier = [spec.sink]
-    for node in frontier:  # the list grows while it is walked: a FIFO queue
-        for pred in predecessors.get(node, ()):
-            if pred not in hops:
-                hops[pred] = hops[node] + 1
-                frontier.append(pred)
 
     # Depth-first with an explicit stack of successor iterators, one per
     # node on the current path; a path never continues past the sink.
@@ -110,7 +103,7 @@ def enumerate_candidate_paths(graph: StaticGraph, spec: EndpointSpec) -> Expansi
                 truncated = True  # one path more than the budget exists
                 break
             paths.append((*path, succ))
-        elif succ not in on_path and len(path) + 1 + hops.get(succ, spec.max_path_len) <= spec.max_path_len:
+        elif succ not in on_path and _reaches(adjacency, succ, spec.sink, on_path, spec.max_path_len - len(path) - 1):
             path.append(succ)
             on_path.add(succ)
             pending.append(iter(adjacency.get(succ, ())))
@@ -125,3 +118,22 @@ def enumerate_candidate_paths(graph: StaticGraph, spec: EndpointSpec) -> Expansi
         for k, nodes in enumerate(paths)
     )
     return ExpansionResult(traces, truncated)
+
+
+def _reaches(adjacency: dict[str, list[str]], start: str, sink: str, avoid: set[str], hops: int) -> bool:
+    """Whether `sink` is at most `hops` edges from `start` along a path
+    whose other nodes are not in `avoid`: a breadth-first search, one
+    level per hop."""
+    seen = {start, *avoid}
+    frontier = [start]
+    for _ in range(hops):
+        reached = []
+        for node in frontier:
+            for succ in adjacency.get(node, ()):
+                if succ == sink:
+                    return True
+                if succ not in seen:
+                    seen.add(succ)
+                    reached.append(succ)
+        frontier = reached
+    return False

@@ -297,9 +297,11 @@ def _bulk_traces(entries: list) -> tuple[Trace, ...] | None:
             and set(map(type, origins)) <= {str, type(None)}
         ):
             return None
-        # every node is a valid id iff the joined nodes split back into
-        # them (a node that is not a string fails the join)
-        nodes = list(chain.from_iterable(paths))
+        # every node is a valid id iff the joined distinct nodes split back
+        # into them (a node that is not a string fails the join, or the set
+        # if it is not hashable); each string keeps the hash the set gives
+        # it, for the lookups that checking the corpus makes
+        nodes = list(set(chain.from_iterable(paths)))
         if " ".join(nodes).split() != nodes:
             return None
     except TypeError:  # an unhashable polarity, or a node that is not a string
@@ -382,6 +384,19 @@ def parse_corpus(text: str) -> Corpus:
 _TRACE_ROW = '    {\n      "id": %s,\n      "nodes": [\n        %s\n      ],%s\n      "polarity": %s\n    }'
 _ORIGIN_LINE = '\n      "origin": %s,'
 _NODE_SEP = ",\n        "
+# the same row for ids that need no escaping: the templates carry the quotes
+_PLAIN_ROW = '    {\n      "id": "%s",\n      "nodes": [\n        "%s"\n      ],%s\n      "polarity": "%s"\n    }'
+_PLAIN_NODE_SEP = '",\n        "'
+
+
+def _plain(text: str) -> bool:
+    """Whether `encode_basestring` leaves `text` as it is, apart from the
+    quotes around it: it escapes only quotes, backslashes and control
+    characters, and no printable character is a control character.  A
+    few characters it leaves alone, such as U+2028, are not printable, so
+    a text holding one is not called plain; it is escaped, to the same
+    bytes."""
+    return text.isprintable() and '"' not in text and "\\" not in text
 
 
 def serialize_corpus(corpus: Corpus) -> str:
@@ -391,7 +406,9 @@ def serialize_corpus(corpus: Corpus) -> str:
 
     The traces array is rendered row by row from a fixed template and the
     rest by json.dumps (see dump_json); the bytes are those of one
-    `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`.
+    `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`.  When
+    the joined trace ids and the joined node ids are both plain, one test
+    each, the rows are rendered without an escape call per id.
     """
     doc: dict = {
         "mode": corpus.mode,
@@ -402,17 +419,30 @@ def serialize_corpus(corpus: Corpus) -> str:
     if corpus.metadata:
         doc["metadata"] = corpus.metadata
     # a named tuple's fields read faster unpacked than by name, and the
-    # loop makes no call per row
-    rows = [
-        _TRACE_ROW
-        % (
-            _str(trace_id),
-            _NODE_SEP.join(map(_str, nodes)),
-            "" if origin is None else _ORIGIN_LINE % _str(origin),
-            _str(polarity),
-        )
-        for trace_id, polarity, nodes, origin in corpus.traces
-    ]
+    # loops make no call per row
+    traces = corpus.traces
+    if _plain("".join(map(itemgetter(0), traces))) and _plain("".join(map("".join, map(itemgetter(2), traces)))):
+        rows = [
+            _PLAIN_ROW
+            % (
+                trace_id,
+                _PLAIN_NODE_SEP.join(nodes),
+                "" if origin is None else _ORIGIN_LINE % _str(origin),
+                polarity,
+            )
+            for trace_id, polarity, nodes, origin in traces
+        ]
+    else:
+        rows = [
+            _TRACE_ROW
+            % (
+                _str(trace_id),
+                _NODE_SEP.join(map(_str, nodes)),
+                "" if origin is None else _ORIGIN_LINE % _str(origin),
+                _str(polarity),
+            )
+            for trace_id, polarity, nodes, origin in traces
+        ]
     return dump_json(doc, {"traces": rows})
 
 

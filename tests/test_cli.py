@@ -799,7 +799,18 @@ def test_explain_missing_trace_id_exits_2(tmp_path, capsys):
 def test_artifacts_match_golden_files(tmp_path):
     """The on-disk formats, byte for byte: a corpus with non-ASCII ids,
     an origin, nested metadata, rejected negatives and accepted positives."""
-    golden = FIXTURES / "golden"
+    _assert_artifacts_match(FIXTURES / "golden", tmp_path)
+
+
+def test_artifacts_match_golden_files_with_ids_that_need_escaping(tmp_path):
+    """As above for ids that JSON escapes or that are not printable: node
+    ids with a quote, a backslash and U+0001, trace ids with a tab and
+    U+2028.  The corpus digest renders such a corpus with an escape per
+    id; its bytes and the digest are those json.dumps gives."""
+    _assert_artifacts_match(FIXTURES / "escaped", tmp_path)
+
+
+def _assert_artifacts_match(golden: Path, tmp_path: Path) -> None:
     corpus = str(golden / "corpus.json")
     out = tmp_path / "synth"
     assert main(["synth", "--corpus", corpus, "--out", str(out)]) == 0

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsynth import (
     EndpointSpec,
@@ -115,3 +118,40 @@ def test_truncation_keeps_the_first_paths_in_oracle_order():
         expected = brute_simple_paths(edges, source, sink, max_len)
         assert [t.nodes for t in result.traces] == expected[:max_paths]
         assert result.truncated == (len(expected) > max_paths)
+
+
+def test_a_dense_part_the_sink_is_reachable_from_only_through_the_path_is_not_walked():
+    # a 14-node clique hangs off the one path; from every clique node but
+    # v0, the sink is reachable only through v0, which is on the path
+    clique = [f"v{i}" for i in range(14)]
+    edges = {(a, b) for a in clique for b in clique if a != b} | {("src", "v0"), ("v0", "snk")}
+    graph = StaticGraph(frozenset([*clique, "src", "snk"]), frozenset(edges))
+    spec = EndpointSpec("src", "snk")
+    assert spec.max_path_len == 12
+    start = time.perf_counter()
+    result = enumerate_candidate_paths(graph, spec)
+    assert time.perf_counter() - start < 1.0
+    assert [t.nodes for t in result.traces] == [("src", "v0", "snk")]
+    assert not result.truncated
+
+
+@st.composite
+def expansions(draw: st.DrawFn):
+    names = [chr(97 + i) for i in range(draw(st.integers(min_value=2, max_value=7)))]
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.sets(pairs, max_size=len(names) ** 2))
+    source, sink = draw(st.permutations(names))[:2]
+    max_len = draw(st.integers(min_value=2, max_value=8))
+    max_paths = draw(st.integers(min_value=1, max_value=30))
+    return edges, EndpointSpec(source, sink, max_path_len=max_len, max_paths=max_paths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expansions())
+def test_paths_and_truncation_match_the_brute_force_reference(expansion):
+    edges, spec = expansion
+    nodes = {node for edge in edges for node in edge} | {spec.source, spec.sink}
+    result = enumerate_candidate_paths(StaticGraph(frozenset(nodes), frozenset(edges)), spec)
+    expected = brute_simple_paths(edges, spec.source, spec.sink, spec.max_path_len)
+    assert [t.nodes for t in result.traces] == expected[: spec.max_paths]
+    assert result.truncated == (len(expected) > spec.max_paths)

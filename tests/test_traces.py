@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import string
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from flowsynth import (
     validate_corpus,
 )
 
-from flowsynth.traces import _bulk_traces, is_string_list, is_valid_node_id, load_json
+from flowsynth.traces import _bulk_traces, _plain, is_string_list, is_valid_node_id, load_json
 
 from corpusgen import front_end_corpora
 from oracles import (
@@ -385,16 +386,23 @@ _json_values = st.recursive(
 )
 
 
+# characters that encode_basestring writes as they are; the writer renders
+# a corpus whose ids all hold only these without an escape call per id
+_plain_char = st.characters(exclude_categories=("Cs",)).filter(lambda ch: ch.isprintable() and ch not in '"\\')
+_plain_text = st.text(_plain_char, min_size=1, max_size=6)
+_plain_node = st.text(_plain_char.filter(lambda ch: not ch.isspace()), min_size=1, max_size=6)
+
+
 @st.composite
-def rich_corpora(draw: st.DrawFn) -> Corpus:
-    """Any ids and node ids, optional origins, required edges and
-    metadata, zero traces included."""
-    ids = draw(st.lists(_text, unique=True, max_size=6))
+def rich_corpora(draw: st.DrawFn, ids=_text, nodes=_any_node) -> Corpus:
+    """Any ids and node ids (or those `ids` and `nodes` draw), optional
+    origins, required edges and metadata, zero traces included."""
+    ids = draw(st.lists(ids, unique=True, max_size=6))
     traces = tuple(
         Trace(
             trace_id,
             draw(st.sampled_from(["positive", "negative"])),
-            tuple(draw(st.lists(_any_node, min_size=2, max_size=4))),
+            tuple(draw(st.lists(nodes, min_size=2, max_size=4))),
             origin=draw(st.none() | st.text(_char, max_size=6)),
         )
         for trace_id in ids
@@ -409,8 +417,29 @@ def rich_corpora(draw: st.DrawFn) -> Corpus:
 
 
 @settings(max_examples=150, deadline=None)
-@given(rich_corpora())
+@given(rich_corpora() | rich_corpora(_plain_text, _plain_node))
 def test_serialize_matches_reference(corpus: Corpus):
+    text = serialize_corpus(corpus)
+    assert text == reference_serialize_corpus(corpus)
+    assert corpus_digest(corpus) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(_char | st.sampled_from("\x7f\x1b\u00ad\u2028\u2029\U000e0001"), max_size=8))
+def test_plain_text_is_written_as_it_is(text: str):
+    if _plain(text):
+        assert encode_basestring(text) == json.dumps(text, ensure_ascii=False) == '"' + text + '"'
+
+
+@pytest.mark.parametrize(
+    "last_id, last_node",
+    [("t", "c"), ('t"', "c"), ("t\\", "c"), ("t\t", "c"), ("t\u2028", "c")]
+    + [("t", "c" + char) for char in ('"', "\\", "\x01", "\x7f", "\u00ad")],
+)
+def test_a_column_whose_last_id_needs_escaping_is_written_as_json_dumps_writes_it(last_id, last_node):
+    # the origins, outside both columns, need escaping too
+    traces = [Trace(f"t{i}", "negative", ("a", f"n{i}"), None if i % 2 else 'o"') for i in range(4)]
+    corpus = Corpus(traces=(*traces, Trace(last_id, "positive", ("a", "b", last_node))))
     text = serialize_corpus(corpus)
     assert text == reference_serialize_corpus(corpus)
     assert corpus_digest(corpus) == hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -659,6 +688,12 @@ def test_bulk_trace_key_check_returns_none_exactly_when_the_entry_loop_raises(en
         ([_entry(polarity=_DROP)], "trace entry 0: missing field(s): polarity"),
         (_TEN[:7] + [_entry(7, nodes="ab")] + _TEN[8:], "trace entry 7: 'nodes' must be an array of strings"),
         (_TEN[:7] + [_entry(7, origin=3)] + _TEN[8:], "trace entry 7: 'origin' must be a string"),
+        # one bad id in three entries: the set holds it once, the loop names its first entry
+        (
+            _TEN[:3] + [_entry(3, nodes=["a", "x\ty"]), _entry(4, nodes=["x\ty", "b"]), _entry(5, nodes=["b", "x\ty"])],
+            "trace t3: invalid node id 'x\\ty'",
+        ),
+        ([_entry(nodes=["a b", "c", "a b"]), _entry(1, nodes=["", "a b"])], "trace t0: invalid node id 'a b'"),
     ],
 )
 def test_bulk_trace_check_agrees_with_the_entry_loop(entries, error):
