@@ -308,9 +308,6 @@ def _cut_origin_row(entry: list) -> str:
     return _CUT_ORIGIN_ROW % (_str(src), _str(dst), _strings(ids, " " * 10))
 
 
-_ELEMENT_KEYS = {"name", "members", "synthetic"}
-
-
 def load_analysis(text: str) -> AnalysisSpec:
     """Parse and law-check a serialized analysis.
 
@@ -334,7 +331,7 @@ def load_analysis(text: str) -> AnalysisSpec:
     elements = []
     names: set[str] = set()
     for raw in doc["elements"]:
-        if not isinstance(raw, dict) or not raw.keys() >= _ELEMENT_KEYS:
+        if not isinstance(raw, dict) or not raw.keys() >= {"name", "members", "synthetic"}:
             raise InvalidAnalysisError("element entries need name, members, synthetic")
         name, members = raw["name"], raw["members"]
         if not isinstance(name, str):
@@ -352,8 +349,8 @@ def load_analysis(text: str) -> AnalysisSpec:
     for element in elements:
         if not element.synthetic and not element.members:
             raise InvalidAnalysisError(f"non-synthetic element {element.name} has no members")
-        if not owner.keys().isdisjoint(element.members):
-            overlap = [member for member in element.members if member in owner]
+        overlap = [member for member in element.members if member in owner]
+        if overlap:
             raise InvalidAnalysisError(
                 f"element {element.name} shares members with another element: {sorted(overlap)}"
             )

@@ -74,17 +74,28 @@ def enumerate_candidate_paths(graph: StaticGraph, spec: EndpointSpec) -> Expansi
     The truncated flag is set iff more paths exist than were returned.
     The walk enters a node only if the sink is reachable from it within
     the hops the bound leaves, through nodes not on the path: it prunes
-    exactly the branches that hold no path, so every node it enters
-    leads to one."""
+    exactly the branches that hold no path.  Fewest hops to the sink,
+    from one backward breadth-first search, rule out most nodes at once
+    and keep each `_reaches` search to the nodes that can still reach the
+    sink in time."""
     if spec.source not in graph.nodes:
         raise UnknownNode(spec.source)
     if spec.sink not in graph.nodes:
         raise UnknownNode(spec.sink)
 
     successors: dict[str, list[str]] = {}
+    predecessors: dict[str, list[str]] = {}
     for src, dst in graph.edges:
         successors.setdefault(src, []).append(dst)
+        predecessors.setdefault(dst, []).append(src)
     adjacency = {node: sorted(dsts) for node, dsts in successors.items()}
+    hops = {spec.sink: 0}
+    frontier = [spec.sink]
+    for node in frontier:  # the list grows while it is walked: a FIFO queue
+        for pred in predecessors.get(node, ()):
+            if pred not in hops:
+                hops[pred] = hops[node] + 1
+                frontier.append(pred)
 
     # Depth-first with an explicit stack of successor iterators, one per
     # node on the current path; a path never continues past the sink.
@@ -103,10 +114,12 @@ def enumerate_candidate_paths(graph: StaticGraph, spec: EndpointSpec) -> Expansi
                 truncated = True  # one path more than the budget exists
                 break
             paths.append((*path, succ))
-        elif succ not in on_path and _reaches(adjacency, succ, spec.sink, on_path, spec.max_path_len - len(path) - 1):
-            path.append(succ)
-            on_path.add(succ)
-            pending.append(iter(adjacency.get(succ, ())))
+        elif succ not in on_path:
+            left = spec.max_path_len - len(path) - 1  # edges from succ to the sink
+            if hops.get(succ, left + 1) <= left and _reaches(adjacency, hops, succ, spec.sink, on_path, left):
+                path.append(succ)
+                on_path.add(succ)
+                pending.append(iter(adjacency.get(succ, ())))
 
     traces = tuple(
         Trace(
@@ -120,19 +133,23 @@ def enumerate_candidate_paths(graph: StaticGraph, spec: EndpointSpec) -> Expansi
     return ExpansionResult(traces, truncated)
 
 
-def _reaches(adjacency: dict[str, list[str]], start: str, sink: str, avoid: set[str], hops: int) -> bool:
-    """Whether `sink` is at most `hops` edges from `start` along a path
+def _reaches(
+    adjacency: dict[str, list[str]], hops: dict[str, int], start: str, sink: str, avoid: set[str], budget: int
+) -> bool:
+    """Whether `sink` is at most `budget` edges from `start` along a path
     whose other nodes are not in `avoid`: a breadth-first search, one
-    level per hop."""
+    level per edge, that queues only nodes whose fewest hops to the sink
+    fit in what is left of the budget."""
     seen = {start, *avoid}
     frontier = [start]
-    for _ in range(hops):
+    for level in range(1, budget + 1):
+        left = budget - level
         reached = []
         for node in frontier:
             for succ in adjacency.get(node, ()):
                 if succ == sink:
                     return True
-                if succ not in seen:
+                if succ not in seen and hops.get(succ, left + 1) <= left:
                     seen.add(succ)
                     reached.append(succ)
         frontier = reached

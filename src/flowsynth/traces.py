@@ -408,7 +408,10 @@ def serialize_corpus(corpus: Corpus) -> str:
     rest by json.dumps (see dump_json); the bytes are those of one
     `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`.  When
     the joined trace ids and the joined node ids are both plain, one test
-    each, the rows are rendered without an escape call per id.
+    each, the rows are rendered without an escape call per id.  A corpus
+    with a node id that needs escaping pays for both tests and then for
+    every escape: on 25,000 traces, up to about a quarter slower than
+    escaping without the tests.
     """
     doc: dict = {
         "mode": corpus.mode,
