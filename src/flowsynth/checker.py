@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from json.encoder import encode_basestring as _str
 from operator import itemgetter
 from typing import Any, NamedTuple
@@ -108,27 +109,24 @@ def check_trace(spec: AnalysisSpec, trace: Trace) -> Verdict:
     """Accept iff every consecutive edge relates source element to target
     element; reject at the first violating edge in path order.  Unknown
     nodes map to the spec's default element."""
-    violation = next(_violations(spec, (trace.nodes,)))
-    if violation is None:
-        return Verdict(trace.id, True)
-    i, a, b = violation
-    return Verdict(trace.id, False, i, (trace.nodes[i], trace.nodes[i + 1]), a, b)
+    for _, i, a, b in _rejections(spec, (trace.nodes,)):
+        return Verdict(trace.id, False, i, (trace.nodes[i], trace.nodes[i + 1]), a, b)
+    return Verdict(trace.id, True)
 
 
 def check_corpus(spec: AnalysisSpec, corpus: Corpus) -> CheckReport:
     """Every trace's verdict, as `check_trace` gives it, and the four
-    counts: one walk per trace, paired with its verdict as it comes."""
+    counts: every verdict is made accepted in one pass, and each rejection
+    the walk finds is then put in its place."""
     traces = corpus.traces
     new = tuple.__new__  # a Verdict from its six fields, without the keyword-argument constructor
-    verdicts = []
+    none = repeat(None)  # zip draws the four None fields of a row from it in turn
+    verdicts = list(map(new, repeat(Verdict), zip(map(itemgetter(0), traces), repeat(True), none, none, none, none)))
     rejected = dict.fromkeys([NEGATIVE, POSITIVE], 0)
-    for (trace_id, polarity, nodes, _), violation in zip(traces, _violations(spec, map(itemgetter(2), traces))):
-        if violation is None:
-            verdicts.append(new(Verdict, (trace_id, True, None, None, None, None)))
-        else:
-            i, a, b = violation
-            verdicts.append(new(Verdict, (trace_id, False, i, (nodes[i], nodes[i + 1]), a, b)))
-            rejected[polarity] += 1
+    for k, i, a, b in _rejections(spec, map(itemgetter(2), traces)):
+        trace_id, polarity, nodes, _ = traces[k]
+        verdicts[k] = new(Verdict, (trace_id, False, i, (nodes[i], nodes[i + 1]), a, b))
+        rejected[polarity] += 1
     negatives = list(map(itemgetter(1), traces)).count(NEGATIVE)
     positives = len(traces) - negatives
     return CheckReport(
@@ -140,26 +138,26 @@ def check_corpus(spec: AnalysisSpec, corpus: Corpus) -> CheckReport:
     )
 
 
-def _violations(spec: AnalysisSpec, paths):
-    """For each path, in order: None when it is accepted, else (i, a, b),
-    its first edge i whose source element a is not below its target
-    element b, as names.  Element indices a, b relate iff up[a] >> b & 1."""
+def _rejections(spec: AnalysisSpec, paths) -> list[tuple[int, int, str, str]]:
+    """(k, i, a, b) for the k-th path of `paths` when its first edge i has a
+    source element a not below its target element b, as names, in order.
+    Element indices a, b relate iff up[a] >> b & 1."""
     element = spec.node_index.get
     default = spec.index[spec.default_element]
     up = spec.up
     names = spec.names
-    for nodes in paths:
+    found = []
+    for k, nodes in enumerate(paths):
         a = element(nodes[0], default)
         i = 0
         for node in nodes[1:]:
             b = element(node, default)
             if not up[a] >> b & 1:
-                yield i, names[a], names[b]
+                found.append((k, i, names[a], names[b]))
                 break
             a = b
             i += 1
-        else:
-            yield None
+    return found
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,18 @@ corpus validation that walks every edge of every trace, the nearest walk
 that takes each step from a generator expression, the spec builder that
 read the completed semilattice in effect mode (which also builds an
 effect spec from the generator order alone), the condensation by
-iterative Tarjan, and the stack-trace parser that kept one object per
-section.  None of it shares code
+iterative Tarjan, the stack-trace parser that kept one object per
+section, the corpus writer that rendered one `%` row per trace, and the
+corpus check that paired each trace with a generator walk's verdict.
+None of it shares code
 with the implementations under test; the references only build the
 package's own data types (the corpus parser also reads the document
 with the package's JSON decoder and predicates, the spec builder takes
 its digest with `corpus_digest`, the mask completion reads bits with
-`_bits`, and the graph builder and validation take their edges from
-`trace_edges`, which are not what their oracle tests).  Covers are
+`_bits`, the row-by-row corpus writer hands its rows to `dump_json`,
+the walk reads the spec's node index and up-sets, and the graph builder
+and validation take their edges from `trace_edges`, which are not what
+their oracle tests).  Covers are
 reduced by `reference_covers`, the name-pair reduction as it was before
 orders carried their covers as index pairs.
 """
@@ -46,6 +50,7 @@ from bisect import bisect_left
 from collections import deque
 from functools import reduce
 from itertools import combinations
+from json.encoder import encode_basestring
 from operator import and_
 from typing import NamedTuple
 
@@ -58,6 +63,8 @@ from flowsynth.lattice import BOTTOM_NAME, EffectSemilattice, Element, Qualifier
 from flowsynth.traces import (
     EFFECT,
     ERROR,
+    NEGATIVE,
+    POSITIVE,
     QUALIFIER,
     WARNING,
     Corpus,
@@ -65,6 +72,7 @@ from flowsynth.traces import (
     Edge,
     Trace,
     corpus_digest,
+    dump_json,
     is_string_list,
     is_string_pair,
     is_valid_node_id,
@@ -632,6 +640,57 @@ def reference_serialize_corpus(corpus) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+# the corpus rows as they were rendered one `%` format per row, with no
+# escape call per id when the joined trace ids and the joined node ids are
+# printable and hold no quote or backslash
+_TRACE_ROW = '    {\n      "id": %s,\n      "nodes": [\n        %s\n      ],%s\n      "polarity": %s\n    }'
+_ORIGIN_LINE = '\n      "origin": %s,'
+_NODE_SEP = ",\n        "
+_PLAIN_ROW = '    {\n      "id": "%s",\n      "nodes": [\n        "%s"\n      ],%s\n      "polarity": "%s"\n    }'
+_PLAIN_NODE_SEP = '",\n        "'
+
+
+def _printable_plain(text: str) -> bool:
+    return text.isprintable() and '"' not in text and "\\" not in text
+
+
+def reference_row_serialize_corpus(corpus) -> str:
+    """serialize_corpus as it rendered the traces array row by row from a
+    template, and the rest through `dump_json`."""
+    doc: dict = {
+        "mode": corpus.mode,
+        "required_edges": [list(pair) for pair in sorted(corpus.required_edges)],
+        "options": {"min_positive_support": corpus.min_positive_support},
+        "traces": [],
+    }
+    if corpus.metadata:
+        doc["metadata"] = corpus.metadata
+    traces = corpus.traces
+    if _printable_plain("".join(t.id for t in traces)) and _printable_plain("".join("".join(t.nodes) for t in traces)):
+        rows = [
+            _PLAIN_ROW
+            % (
+                trace_id,
+                _PLAIN_NODE_SEP.join(nodes),
+                "" if origin is None else _ORIGIN_LINE % encode_basestring(origin),
+                polarity,
+            )
+            for trace_id, polarity, nodes, origin in traces
+        ]
+    else:
+        rows = [
+            _TRACE_ROW
+            % (
+                encode_basestring(trace_id),
+                _NODE_SEP.join(map(encode_basestring, nodes)),
+                "" if origin is None else _ORIGIN_LINE % encode_basestring(origin),
+                encode_basestring(polarity),
+            )
+            for trace_id, polarity, nodes, origin in traces
+        ]
+    return dump_json(doc, {"traces": rows})
+
+
 # make_analysis_spec as it was when it read the completed semilattice in
 # effect mode: it keeps the generators and the bottom of the completion.
 def reference_make_analysis_spec(
@@ -773,6 +832,49 @@ def reference_check_corpus(spec, corpus):
             else:
                 pos_rej += 1
     return CheckReport(verdicts, neg_rej, neg_acc, pos_acc, pos_rej)
+
+
+def _reference_violations(spec, paths):
+    """For each path, in order: None when it is accepted, else (i, a, b),
+    its first edge i whose source element a is not below its target
+    element b, as names.  Element indices a, b relate iff up[a] >> b & 1."""
+    element = spec.node_index.get
+    default = spec.index[spec.default_element]
+    for nodes in paths:
+        a = element(nodes[0], default)
+        i = 0
+        for node in nodes[1:]:
+            b = element(node, default)
+            if not spec.up[a] >> b & 1:
+                yield i, spec.names[a], spec.names[b]
+                break
+            a = b
+            i += 1
+        else:
+            yield None
+
+
+def reference_walk_check_corpus(spec, corpus):
+    """check_corpus as it paired each trace with the verdict of a generator
+    walk, one verdict per trace as it came."""
+    verdicts = []
+    rejected = {NEGATIVE: 0, POSITIVE: 0}
+    for trace, violation in zip(corpus.traces, _reference_violations(spec, (t.nodes for t in corpus.traces))):
+        if violation is None:
+            verdicts.append(Verdict(trace.id, True))
+        else:
+            i, a, b = violation
+            verdicts.append(Verdict(trace.id, False, i, (trace.nodes[i], trace.nodes[i + 1]), a, b))
+            rejected[trace.polarity] += 1
+    negatives = sum(trace.is_negative for trace in corpus.traces)
+    positives = len(corpus.traces) - negatives
+    return CheckReport(
+        tuple(verdicts),
+        rejected[NEGATIVE],
+        negatives - rejected[NEGATIVE],
+        positives - rejected[POSITIVE],
+        rejected[POSITIVE],
+    )
 
 
 def reference_report_json(report, digest, spec) -> str:

@@ -27,6 +27,7 @@ from flowsynth import (
     SolverConfig,
     Trace,
     UnknownElement,
+    Verdict,
     check_corpus,
     check_trace,
     dump_analysis,
@@ -48,6 +49,7 @@ from oracles import (
     reference_check_trace,
     reference_dump_analysis,
     reference_make_analysis_spec,
+    reference_walk_check_corpus,
     spec_of,
     transitive_reduction,
 )
@@ -692,6 +694,55 @@ def test_check_corpus_matches_reference(spec, corpus):
     report = check_corpus(spec, corpus)
     assert report == reference_check_corpus(spec, corpus)
     assert report.verdicts == tuple(check_trace(spec, trace) for trace in corpus.traces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(checked_specs(), st.lists(_PATHS, max_size=40).map(lambda paths: _corpus(*paths)))
+def test_check_corpus_matches_the_generator_walk(spec, corpus):
+    """check_corpus, which puts each rejection in place among verdicts made
+    accepted in one pass, gives the report of the walk that made one
+    verdict per trace as it came, and each trace check_trace's verdict."""
+    report = check_corpus(spec, corpus)
+    assert report == reference_walk_check_corpus(spec, corpus)
+    assert report.verdicts == tuple(check_trace(spec, trace) for trace in corpus.traces)
+
+
+# a, b assigned to A below B; c to C, unrelated to both; the default is A
+_ABC = _spec([("A", "B")], {"a": "A", "b": "B", "c": "C"}, "A", names="ABC")
+_ACCEPTED = ("positive", ("a", "b", "b"))
+_REJECTED = ("negative", ("b", "a"))
+
+
+@pytest.mark.parametrize(
+    "paths, rejections",
+    [
+        ((), {}),
+        ((_ACCEPTED,) * 3, {}),
+        ((_REJECTED,) * 3, {0: (0, "B", "A"), 1: (0, "B", "A"), 2: (0, "B", "A")}),
+        ((_REJECTED, _ACCEPTED, _ACCEPTED, _REJECTED), {0: (0, "B", "A"), 3: (0, "B", "A")}),
+        # the violation on a path's last edge, after self-loops
+        ((_ACCEPTED, ("positive", ("a", "a", "b", "b", "c")), _ACCEPTED), {1: (3, "B", "C")}),
+        # unknown nodes map to A: accepted into b, rejected out of b
+        ((("positive", ("x", "b")), ("negative", ("b", "y", "a")), ("positive", ("x", "a", "y"))), {1: (0, "B", "A")}),
+    ],
+    ids=["no-traces", "all-accepted", "all-rejected", "first-and-last", "last-edge", "unknown-nodes"],
+)
+def test_rejections_are_put_in_place(paths, rejections):
+    corpus = _corpus(*paths)
+    report = check_corpus(_ABC, corpus)
+    expected = []
+    for k, trace in enumerate(corpus.traces):
+        if k in rejections:
+            i, a, b = rejections[k]
+            expected.append(Verdict(trace.id, False, i, (trace.nodes[i], trace.nodes[i + 1]), a, b))
+        else:
+            expected.append(Verdict(trace.id, True))
+    assert report.verdicts == tuple(expected)
+    negatives = [k for k, (polarity, _) in enumerate(paths) if polarity == "negative"]
+    assert report.negatives_rejected == len(rejections.keys() & set(negatives))
+    assert report.positives_rejected == len(rejections.keys() - set(negatives))
+    assert report.negatives_accepted + report.negatives_rejected == len(negatives)
+    assert report.positives_accepted + report.positives_rejected == len(paths) - len(negatives)
 
 
 # names that need escaping, line separators, non-ASCII text and the bottom

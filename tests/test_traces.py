@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import string
+import sys
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from oracles import (
     reference_is_valid_node_id,
     reference_parse_corpus,
     reference_parse_stack_trace,
+    reference_row_serialize_corpus,
     reference_serialize_corpus,
     reference_validate_corpus,
 )
@@ -359,7 +361,8 @@ def test_validate_corpus_matches_the_reference(corpus):
 
 
 # ---------------------------------------------------------------------------
-# the row-template writer against json.dumps, and the node-id predicate
+# the corpus writer against json.dumps and the row-by-row writer, and the
+# node-id predicate
 
 # characters str.isspace() accepts that are easy to miss, and some that look
 # blank or need escaping but are not whitespace
@@ -386,9 +389,10 @@ _json_values = st.recursive(
 )
 
 
-# characters that encode_basestring writes as they are; the writer renders
-# a corpus whose ids all hold only these without an escape call per id
-_plain_char = st.characters(exclude_categories=("Cs",)).filter(lambda ch: ch.isprintable() and ch not in '"\\')
+# characters that encode_basestring writes as they are, every one but the
+# control characters U+0000-U+001F, quote and backslash; the writer puts a
+# corpus whose ids all hold only these into its rows as they are
+_plain_char = st.characters(exclude_categories=("Cs",)).filter(lambda ch: ch >= " " and ch not in '"\\')
 _plain_text = st.text(_plain_char, min_size=1, max_size=6)
 _plain_node = st.text(_plain_char.filter(lambda ch: not ch.isspace()), min_size=1, max_size=6)
 
@@ -429,6 +433,64 @@ def test_serialize_matches_reference(corpus: Corpus):
 def test_plain_text_is_written_as_it_is(text: str):
     if _plain(text):
         assert encode_basestring(text) == json.dumps(text, ensure_ascii=False) == '"' + text + '"'
+    else:
+        assert encode_basestring(text) != '"' + text + '"'
+
+
+def test_plain_holds_for_exactly_the_characters_written_as_they_are():
+    # every code point, surrogates included: _plain encodes them with
+    # surrogatepass, and encode_basestring leaves them as they are
+    written = [c for c in range(sys.maxunicode + 1) if encode_basestring(chr(c)) == '"' + chr(c) + '"']
+    assert [c for c in range(sys.maxunicode + 1) if _plain(chr(c))] == written
+    assert sys.maxunicode + 1 - len(written) == 34
+
+
+@settings(max_examples=150, deadline=None)
+@given(rich_corpora() | rich_corpora(_plain_text, _plain_node))
+def test_serialize_matches_the_row_by_row_writer(corpus: Corpus):
+    assert serialize_corpus(corpus) == reference_row_serialize_corpus(corpus)
+
+
+# characters encode_basestring escapes that a node id may hold
+_ESCAPED = st.sampled_from('"\\\x00\x01\x1b')
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(_plain_node, min_size=2, max_size=4).map(tuple), min_size=3, max_size=30),
+    st.data(),
+    st.sampled_from(["id", "node", "origin"]),
+    _ESCAPED,
+)
+def test_a_row_that_needs_escaping_anywhere_is_written_as_json_dumps_writes_it(paths, data, field, char):
+    """One id, node or origin that needs escaping, at a middle row among
+    plain ones; the node at any place in its path."""
+    k = data.draw(st.integers(1, len(paths) - 2), label="row")
+    traces = [Trace(f"t{i}", "negative" if i % 3 else "positive", path) for i, path in enumerate(paths)]
+    trace = traces[k]
+    if field == "id":
+        traces[k] = trace._replace(id=trace.id + char)
+    elif field == "node":
+        at = data.draw(st.integers(0, len(trace.nodes) - 1), label="node")
+        traces[k] = trace._replace(nodes=(*trace.nodes[:at], "n" + char, *trace.nodes[at + 1 :]))
+    else:
+        traces[k] = trace._replace(origin="o" + char)
+    corpus = Corpus(traces=tuple(traces))
+    text = serialize_corpus(corpus)
+    assert text == reference_serialize_corpus(corpus) == reference_row_serialize_corpus(corpus)
+    assert parse_corpus(text) == corpus
+
+
+@pytest.mark.parametrize("origins", ["none", "every", "some"])
+@pytest.mark.parametrize("node", ["b", 'b"'], ids=["plain", "escaped"])
+def test_corpora_with_origins_on_no_trace_every_trace_or_some(origins, node):
+    def origin(i):
+        return None if origins == "none" or (origins == "some" and i % 2) else f"o{i}" + '"' * (i % 3 == 0)
+
+    corpus = Corpus(traces=tuple(Trace(f"t{i}", "positive", ("a", node), origin(i)) for i in range(5)))
+    text = serialize_corpus(corpus)
+    assert text == reference_serialize_corpus(corpus) == reference_row_serialize_corpus(corpus)
+    assert ('"origin"' in text) == (origins != "none")
 
 
 @pytest.mark.parametrize(
