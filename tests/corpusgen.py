@@ -24,6 +24,16 @@ from oracles import prefix_conflicts
 
 ALPHABET = "abcdefgh"
 
+# strings that JSON writes as they are (no quote, backslash or control
+# character; DEL, U+2028 and other non-ASCII text included), and strings
+# that hold one character it escapes, anywhere in them
+_plain_chars = st.sampled_from("abqz09_.:$ é⊥猫\x7f\u2028")
+plain_strings = st.text(_plain_chars, min_size=1, max_size=6)
+escaped_strings = st.builds(
+    "".join,
+    st.tuples(st.text(_plain_chars, max_size=3), st.sampled_from('"\\\n\t\x00\x1f'), st.text(_plain_chars, max_size=3)),
+)
+
 
 def random_walk(rng: random.Random, alphabet: list[str], length: int) -> tuple[str, ...]:
     path = [rng.choice(alphabet)]

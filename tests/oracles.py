@@ -1089,7 +1089,8 @@ def reference_nearest_walk(graph, start, dist, excluded):
 
 
 def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    """`text` as a JSON string holds it, without the quotes."""
+    return json.dumps(text, ensure_ascii=False)[1:-1]
 
 
 def _quote(name: str) -> str:
@@ -1104,8 +1105,8 @@ def _label(name: str, members: frozenset[str]) -> str:
 
 
 def reference_lattice_dot(order: QualifierOrder) -> str:
-    """The DOT writer as first written: each name escaped once quoted and
-    once more in its label."""
+    """The DOT writer as first written, with names escaped as JSON strings:
+    each name escaped once quoted and once more in its label."""
     quoted = {element.name: _quote(element.name) for element in order.elements}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for element in sorted(order.elements, key=lambda e: e.name):

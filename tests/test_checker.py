@@ -41,7 +41,7 @@ from flowsynth import (
 from flowsynth.cut import PATH, SEPARATION
 from flowsynth.lattice import INCOMPARABLE, LESS
 
-from corpusgen import ALPHABET, random_corpus, random_walk
+from corpusgen import ALPHABET, escaped_strings, plain_strings, random_corpus, random_walk
 from oracles import (
     order_law_error,
     reachability_closure,
@@ -798,6 +798,66 @@ def analysis_specs(draw):
 @settings(max_examples=150, deadline=None)
 @given(analysis_specs())
 def test_dump_analysis_matches_reference(spec):
+    assert dump_analysis(spec) == reference_dump_analysis(spec)
+
+
+_PLACES = ("element name", "member", "assignment key", "cut node", "constraint id", "constraint node", "cut-origin id")
+
+
+@st.composite
+def large_plain_specs(draw):
+    """Specs with 20-200 plain strings as element names and nodes, in the
+    shape synthesis writes, and zero or one string that needs escaping at
+    a random place: an element name, a member, an assignment key, a cut
+    node, a constraint id or node, or a cut-origin id."""
+    strings = draw(st.lists(plain_strings, unique=True, min_size=20, max_size=200))
+    count = draw(st.integers(1, len(strings) // 4))
+    names, nodes = strings[:count], strings[count:]
+    name = st.sampled_from(names)
+    node = st.sampled_from(nodes)
+    assignment = {n: draw(name) for n in nodes}
+    members = {n: {m for m, owner in assignment.items() if owner == n} for n in names}
+    cut = draw(st.lists(st.tuples(node, node), max_size=20))
+    paths = draw(st.lists(st.lists(node, min_size=2, max_size=6), max_size=20))
+    constraints = [{"id": f"c{k}", "nodes": path} for k, path in enumerate(paths)]
+    ids = st.lists(st.sampled_from([c["id"] for c in constraints] or ["c"]), min_size=1, max_size=3)
+    origins = [[list(edge), draw(ids)] for edge in cut]
+    place = draw(st.sampled_from((None, *_PLACES)))
+    tricky = draw(escaped_strings)
+    if place == "element name":
+        names.append(tricky)
+        members[tricky] = set()
+    elif place == "member":
+        members[draw(name)].add(tricky)
+    elif place == "assignment key":
+        assignment[tricky] = draw(name)
+    elif place == "cut node":
+        cut.append(draw(st.sampled_from([(tricky, nodes[0]), (nodes[0], tricky)])))
+        origins.append([list(cut[-1]), draw(ids)])
+    elif place in ("constraint id", "constraint node"):
+        if not constraints:
+            constraints.append({"id": "c", "nodes": [nodes[0], nodes[1]]})
+        entry = draw(st.sampled_from(constraints))
+        if place == "constraint id":
+            entry["id"] = tricky
+        else:
+            entry["nodes"].insert(draw(st.integers(0, len(entry["nodes"]))), tricky)
+    elif place == "cut-origin id":
+        if not origins:
+            origins.append([[nodes[0], nodes[1]], []])
+        causes = draw(st.sampled_from(origins))[1]
+        causes.insert(draw(st.integers(0, len(causes))), tricky)
+    order = sorted(names)
+    index = st.integers(0, len(order) - 1)
+    pairs = [(order[min(i, j)], order[max(i, j)]) for i, j in draw(st.lists(st.tuples(index, index), max_size=30))]
+    elements = [Element(n, frozenset(members[n]), draw(st.booleans())) for n in names]
+    metadata = {"constraints": constraints, "cut_origins": origins, "iterations": 2}
+    return spec_of("qualifier", elements, pairs, assignment, names[0], cut, metadata)
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_plain_specs())
+def test_dump_analysis_of_large_plain_specs_matches_reference(spec):
     assert dump_analysis(spec) == reference_dump_analysis(spec)
 
 

@@ -42,6 +42,7 @@ from flowsynth.dot import lattice_dot
 from flowsynth.pipeline import synthesize
 from flowsynth.traces import corpus_digest, parse_corpus, parse_file
 
+from corpusgen import escaped_strings, plain_strings
 from oracles import (
     reference_check_corpus,
     reference_dump_analysis,
@@ -872,12 +873,14 @@ def test_effect_synthesis_writes_the_version_2_fixture(tmp_path):
 def test_effect_synthesis_writes_the_join_fixture(tmp_path):
     """Three chains of two and three elements: 36 elements with the joins,
     one join primed because a generator (from the frame named
-    requestLayout∨Q_java.net.Socket.connect) already has its name."""
+    requestLayout∨Q_java.net.Socket.connect) already has its name; and the
+    effect-mode report: runs of accepted rows between rejections, two of
+    them adjacent."""
     folder = FIXTURES / "ui_chains"
     out = tmp_path / "out"
     assert main(["synth", "--stack-traces", str(folder / "traces"), "--mode", "effect", "--out", str(out)]) == 0
-    for name in ("analysis.json", "lattice.dot"):
-        assert (out / name).read_bytes() == (folder / name).read_bytes(), name
+    for name, golden in (("analysis.json",) * 2, ("lattice.dot",) * 2, ("report.json", "synth.report.json")):
+        assert (out / name).read_bytes() == (folder / golden).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -1048,3 +1051,47 @@ def reports(draw):
 def test_report_json_matches_reference(case):
     report, digest, spec = case
     assert cli._report_json(report, digest, spec) == reference_report_json(report, digest, spec)
+
+
+def _report_of(trace_ids, accepted) -> CheckReport:
+    """A verdict per trace id, accepted or rejected as `accepted` says."""
+    verdicts = tuple(
+        Verdict(trace_id, True) if ok else Verdict(trace_id, False, 3, ("src", 'd"st'), "Q_src", "Q_d\\st")
+        for trace_id, ok in zip(trace_ids, accepted)
+    )
+    rejected = accepted.count(False)
+    return CheckReport(verdicts, rejected, 0, len(verdicts) - rejected, 0)
+
+
+_SPEC = AnalysisSpec((), (), {}, mode="qualifier", cut=frozenset(), default_element="Q", metadata={})
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    ["", "+++++", "-----", "-+++-", "++--+", "+-+--+-", "-", "+"],
+    ids=["none", "all-accepted", "all-rejected", "first-and-last-rejected", "adjacent-rejections", "mixed",
+         "one-rejected", "one-accepted"],
+)
+@pytest.mark.parametrize("trace_id", ["t", 't"'], ids=["plain", "escaped"])
+def test_report_json_runs_match_reference(pattern, trace_id):
+    """The accepted rows between two rejections are one run: none, one
+    run, runs at either end and between adjacent rejections."""
+    report = _report_of([f"{trace_id}{k}" for k in range(len(pattern))], [c == "+" for c in pattern])
+    assert cli._report_json(report, "d", _SPEC) == reference_report_json(report, "d", _SPEC)
+
+
+@st.composite
+def long_plain_reports(draw):
+    """20-300 plain trace ids, each accepted or not, and zero or one id
+    that needs escaping at a random position."""
+    trace_ids = draw(st.lists(plain_strings, min_size=20, max_size=300))
+    if draw(st.booleans()):
+        trace_ids[draw(st.integers(0, len(trace_ids) - 1))] = draw(escaped_strings)
+    accepted = draw(st.lists(st.booleans() | st.just(True), min_size=len(trace_ids), max_size=len(trace_ids)))
+    return _report_of(trace_ids, accepted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_plain_reports())
+def test_report_json_of_long_plain_id_lists_matches_reference(report):
+    assert cli._report_json(report, "d", _SPEC) == reference_report_json(report, "d", _SPEC)

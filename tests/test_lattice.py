@@ -344,15 +344,15 @@ def test_completion_matches_the_mask_completion(order):
     assert complete_join_semilattice(order, len(reference.elements) - 1) is None
 
 
-_dot_names = st.text(st.sampled_from('ab"\\{} ∨⊥é日'), min_size=1, max_size=4)
+_dot_names = st.text(st.sampled_from('ab"\\{} ∨⊥é日\x01\n\t\x7f'), min_size=1, max_size=4)
 
 
 @st.composite
 def drawn_orders(draw):
     """A random order whose element and member names hold quotes,
-    backslashes, braces, `∨`, `⊥` and other non-ASCII characters; some
-    elements are synthetic, and some orders carry covers while the rest
-    have them reduced from the up-sets."""
+    backslashes, braces, control characters, `∨`, `⊥` and other non-ASCII
+    characters; some elements are synthetic, and some orders carry covers
+    while the rest have them reduced from the up-sets."""
     names = draw(st.lists(_dot_names, max_size=6, unique=True))
     pairs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10))
     edges = {(names[min(a, b)], names[max(a, b)]) for a, b in pairs if a != b and max(a, b) < len(names)}
@@ -377,6 +377,26 @@ def drawn_orders(draw):
 )
 def test_lattice_dot_matches_the_reference(order):
     assert lattice_dot(order) == reference_lattice_dot(order).encode("utf-8")
+    # a control character is written as its escape, so only line ends are below 0x20
+    assert set(lattice_dot(order)) & set(range(0x20)) <= {0x0A}
+
+
+def test_lattice_dot_tells_a_control_character_from_the_text_of_its_escape():
+    """Names that differ only by U+0001 against the six characters
+    `\\u0001` are two nodes: the first is written `\\u0001`, the second with
+    its backslash doubled."""
+    names = ["a\x01", "a\\u0001"]
+    order = hand_built([Element(name, frozenset()) for name in names], {(name, name) for name in names}, {})
+    lines = lattice_dot(order).decode("utf-8").splitlines()
+    ids = [line.split(" [", 1)[0].strip() for line in lines if " [label=" in line]
+    assert ids == ['"a\\u0001"', '"a\\\\u0001"']
+
+
+def test_no_lattice_dot_fixture_holds_a_control_byte_but_line_ends():
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*/lattice.dot"))
+    assert len(fixtures) == 3
+    for path in fixtures:
+        assert set(path.read_bytes()) & set(range(0x20)) <= {0x0A}, path
 
 
 def assert_carried_covers(order):
