@@ -16,9 +16,9 @@ a bottom (the pure, empty effect) is always added, and missing unions
 become synthetic elements named after their maximal generators ("A∨B").
 A down-set is a Python-int bitset over the generators, so a union is a
 bitwise OR and a subset test a mask.  No verdict reads a join, so
-synthesis does not complete; `complete_join_semilattice` runs on demand
-(for lattice.dot and `SynthesisResult.semilattice`) and can give up past
-an element limit, since k independent two-element chains have 3**k joins.
+synthesis does not complete: `complete_join_semilattice` runs on demand,
+for `SynthesisResult.semilattice`, lattice.dot draws from its walk, and
+both give up past an element limit: k two-element chains have 3**k joins.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class QualifierOrder:
     reflexive transitive relation over names, is a view computed on first
     read.  covers are the order's covering pairs, its Hasse diagram, as
     (p, q) element-index pairs in ascending order, which is also the
-    order of their name pairs; `build_order` and
-    `complete_join_semilattice` read them off the up-sets.  They are None
+    order of their name pairs; `build_order` reads them off the
+    up-sets and `complete_join_semilattice` off its walk.  They are None
     for an order built by hand or loaded, whose covers are reduced from
     the up-sets when they are needed; `covering_pairs` gives them as name
     pairs either way.
@@ -212,65 +212,68 @@ def check_consistency(
 
 def complete_join_semilattice(order: QualifierOrder, limit: int | None = None) -> EffectSemilattice | None:
     """Close the order under binary joins via generator down-sets; None if
-    the closure has more than `limit` elements.
+    the closure has more than `limit` elements.  The elements, names and
+    covers are `_join_walk`'s; an up-set is the union of its covers', built
+    from the largest masks down, since a strict subset is a smaller number.
+    lattice.dot does not build this (see `dot.completion_dot`)."""
+    walk = _join_walk(order, limit)
+    if walk is None:
+        return None
+    generators, masks, names, uppers = walk
+    up = [1 << p for p in range(len(masks))]
+    for p in sorted(range(len(masks)), key=masks.__getitem__, reverse=True):
+        for q in uppers[p]:
+            up[p] |= up[q]
+    return EffectSemilattice(
+        elements=tuple(generators.get(mask) or Element(name, frozenset(), True) for mask, name in zip(masks, names)),
+        up=tuple(up),
+        assignment=dict(order.assignment),
+        covers=tuple((p, q) for p, above in enumerate(uppers) for q in above),
+        bottom=names[masks.index(0)],
+        down=tuple(masks),
+    )
 
-    Every original element maps to the bitset of generators at or below it,
-    bit i standing for the i-th generator in element (so name) order.
-    Original elements embed order-faithfully: x leq y iff downset(x) is a
-    subset of downset(y).  The unions of those down-sets are the down-sets
-    of the generator order (Birkhoff), ordered by inclusion, with the empty
-    set as bottom; each covers exactly the down-sets it holds with one
-    maximal generator fewer.  So `_downsets` walks them up from the empty
-    set, and names, up-sets and covers are read off that walk; the
-    down-sets are then numbered in name order, and the covers are those
-    numbers' pairs, ascending.
-    """
+
+def _join_walk(order: QualifierOrder, limit: int | None):
+    """The join completion, or None past `limit` elements: the generators
+    by down-set mask, the down-set masks in name order, their names, and
+    the positions of each one's upper covers, ascending with no sort.
+
+    Element x maps to the bitset of generators at or below it, so x leq y
+    iff downset(x) is a subset of downset(y); the unions are the
+    generator order's down-sets (Birkhoff), which `_downsets` walks.  A
+    new one is named after its maximal generators, "A∨B", the empty one
+    "⊥", with "'" added while the name is taken."""
     at = [p for p, element in enumerate(order.elements) if not element.synthetic]
-    generators = [order.elements[p] for p in at]
-    names = [g.name for g in generators]
+    names = [order.elements[p].name for p in at]
     down = [sum(1 << i for i, q in enumerate(at) if order.up[q] >> p & 1) for p in at]
-    levels, top, upper = _downsets(down, limit)
+    levels, top, below = _downsets(down, limit)
     if limit is not None and len(top) > limit:
         return None
 
-    # a new down-set is named after its maximal generators, in the order of
-    # size, then of its sorted generator lists: within one size, reversed
-    # binary strings, descending, first differ at the smallest generator
-    # that one set holds and the other does not
+    # names go in the order of size, then of sorted generator lists:
+    # within one size, reversed binary strings, descending.  A join is its
+    # lowest maximal generator's name and the rest's join, named before.
     taken = set(names)
-    generator_of = dict(zip(down, generators))
     name_for = dict(zip(down, names))
+    joined = {1 << i: name for i, name in enumerate(names)}
     for level in levels:
         for mask in sorted(level, key=lambda mask: bin(mask)[:1:-1], reverse=True):
             if mask in name_for:
                 continue
-            name = "∨".join([names[i] for i in _bits(top[mask])]) if mask else BOTTOM_NAME
+            low = (maximal := top[mask]) & -maximal
+            name = joined[maximal] = f"{joined[low]}∨{joined[maximal ^ low]}" if mask else BOTTOM_NAME
             while name in taken:
                 name += "'"
             taken.add(name)
             name_for[mask] = name
-
-    ordered = sorted(name_for, key=name_for.__getitem__)
-    elements = tuple(generator_of.get(mask) or Element(name_for[mask], frozenset(), True) for mask in ordered)
-    # up-sets with bit p for the p-th element by name, each the union of
-    # its covers' up-sets, so built from the largest down-sets down
-    position = {mask: p for p, mask in enumerate(ordered)}
-    up_of = {mask: 1 << p for mask, p in position.items()}
-    for level in reversed(levels):
-        for mask in level:
-            above = up_of[mask]
-            for grown in upper[mask]:
-                above |= up_of[grown]
-            up_of[mask] = above
-    covers = sorted([(position[mask], position[grown]) for mask in ordered for grown in upper[mask]])
-    return EffectSemilattice(
-        elements=elements,
-        up=tuple(up_of[mask] for mask in ordered),
-        assignment=dict(order.assignment),
-        covers=tuple(covers),
-        bottom=name_for[0],
-        down=tuple(ordered),
-    )
+    masks = sorted(name_for, key=name_for.__getitem__)
+    position = {mask: p for p, mask in enumerate(masks)}
+    uppers = [[] for _ in masks]
+    for q, mask in enumerate(masks):
+        for lower in below[mask]:
+            uppers[position[lower]].append(q)
+    return {mask: order.elements[p] for mask, p in zip(down, at)}, masks, [name_for[mask] for mask in masks], uppers
 
 
 def _downsets(down: list[int], limit: int | None):
@@ -279,30 +282,30 @@ def _downsets(down: list[int], limit: int | None):
     grows by each generator outside it whose strict down-set it holds, and
     each such growth is a cover, whose generator is maximal in the larger
     set.  Returns the levels (lists of down-sets by size) and, per
-    down-set, its maximal generators and the down-sets covering it.  The
+    down-set, its maximal generators and the down-sets it covers.  The
     walk stops as soon as it holds more than `limit` down-sets."""
     steps = [(1 << i, mask & ~(1 << i)) for i, mask in enumerate(down)]
     bound = inf if limit is None else limit
     levels = [[0]]
     top = {0: 0}
-    upper: dict[int, list[int]] = {}
+    below: dict[int, list[int]] = {0: []}
     while levels[-1] and len(top) <= bound:
         level = []
         levels.append(level)
         for mask in levels[-2]:
-            covers = upper[mask] = []
             for bit, strict in steps:
                 if not mask & bit and strict & mask == strict:
                     grown = mask | bit
-                    covers.append(grown)
                     if grown in top:
                         top[grown] |= bit
+                        below[grown].append(mask)
                         continue
                     top[grown] = bit
+                    below[grown] = [mask]
                     level.append(grown)
                     if len(top) > bound:
-                        return levels, top, upper
-    return levels, top, upper
+                        return levels, top, below
+    return levels, top, below
 
 
 def order_query(lattice: QualifierOrder, a: str, b: str) -> str:

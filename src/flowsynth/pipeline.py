@@ -36,7 +36,7 @@ from .traces import (
 class SynthesisResult:
     """What a synthesis made.  In effect mode, the join completion of
     `order` is made only when it is asked for: `semilattice` builds it on
-    first read, and `completion` on every call, up to a size limit."""
+    first read."""
 
     corpus: Corpus
     diagnostics: tuple[Diagnostic, ...]
@@ -47,16 +47,9 @@ class SynthesisResult:
     spec: AnalysisSpec
     report: CheckReport
 
-    def completion(self, limit: int | None = None) -> EffectSemilattice | None:
-        """The join completion of an effect order; None in qualifier mode
-        or when it has more than `limit` elements."""
-        if self.corpus.mode != EFFECT:
-            return None
-        return complete_join_semilattice(self.order, limit)
-
     @cached_property
     def semilattice(self) -> EffectSemilattice | None:
-        return self.completion()
+        return complete_join_semilattice(self.order) if self.corpus.mode == EFFECT else None
 
     @property
     def lattice(self) -> QualifierOrder:

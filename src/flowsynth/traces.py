@@ -528,7 +528,7 @@ def parse_stack_trace(text: str, polarity: str, trace_id: str) -> Trace:
 def stack_traces_from_dir(directory: str | Path) -> tuple[Trace, ...]:
     """Read every *.neg.txt / *.pos.txt file under `directory` (sorted by
     name); the trace id is the filename with the polarity suffix removed.
-    A parse error names the file as `Path(directory) / name` prints."""
+    An error, in parsing or from `Trace`, names the file as `Path(directory) / name` prints."""
     directory = str(Path(directory))
     prefix = "" if directory == "." else os.path.join(directory, "")
     suffixes = ((".neg.txt", NEGATIVE), (".pos.txt", POSITIVE))
@@ -540,7 +540,10 @@ def stack_traces_from_dir(directory: str | Path) -> tuple[Trace, ...]:
                 path = prefix + name
                 if _SURROGATE.search(trace_id):
                     raise ParseError(f"file name is not UTF-8 (file {path!r})")
-                traces.append(parse_file(parse_stack_trace, path, polarity, trace_id))
+                try:
+                    traces.append(parse_file(parse_stack_trace, path, polarity, trace_id))
+                except ValidationError as exc:
+                    raise ParseError(f"{exc} (file {path})") from None
                 break
     return tuple(traces)
 

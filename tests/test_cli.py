@@ -291,6 +291,22 @@ def test_stack_trace_file_name_that_is_not_utf8_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("one.neg.txt", "boom\n\tat a.B.c(B.java:1)\n", "trace one: a path needs at least 2 nodes, got 1"),
+        (".neg.txt", (FIXTURES / "ui_traces" / "ui_violation.neg.txt").read_text(encoding="utf-8"), "trace id must be a non-empty string"),
+    ],
+    ids=["one-frame", "empty-id"],
+)
+def test_stack_trace_that_trace_refuses_exits_2_and_names_the_file(tmp_path, capsys, name, text, message):
+    stacks = tmp_path / "stacks"
+    stacks.mkdir()
+    (stacks / name).write_text(text, encoding="utf-8")
+    assert main(["synth", "--stack-traces", str(stacks), "--mode", "effect", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message} (file {stacks / name})\n"
+
+
+@pytest.mark.parametrize(
     "error",
     [CycleError("input relation contains a cycle"), FlowSynthError("bad graph"), InfeasibleSet(3), UnknownElement("x")],
 )
@@ -864,10 +880,12 @@ def test_a_version_1_analysis_checks_like_its_version_2_twin(tmp_path, fixture):
 
 
 def test_effect_synthesis_writes_the_version_2_fixture(tmp_path):
-    # generators and bottom only, covering pairs only
+    # analysis.json: generators and bottom only, covering pairs only;
+    # lattice.dot: the join completion, drawn from its walk
     out = tmp_path / "out"
     assert main(["synth", "--stack-traces", str(FIXTURES / "ui_traces"), "--mode", "effect", "--out", str(out)]) == 0
-    assert (out / "analysis.json").read_bytes() == (FIXTURES / "ui_effect" / "analysis.json").read_bytes()
+    for name in ("analysis.json", "lattice.dot"):
+        assert (out / name).read_bytes() == (FIXTURES / "ui_effect" / name).read_bytes(), name
 
 
 def test_effect_synthesis_writes_the_join_fixture(tmp_path):
@@ -912,8 +930,6 @@ def test_synthesis_completes_only_when_the_semilattice_is_read(monkeypatch):
     assert len(small.semilattice.elements) == 27
     assert small.lattice is small.semilattice
     assert calls == [None]
-    assert small.completion(26) is None
-    assert calls == [None, 26]
 
 
 def test_synth_draws_twelve_effect_chains_without_their_completion(tmp_path, capsys, caplog, monkeypatch):

@@ -38,6 +38,7 @@ from flowsynth import (
 )
 import flowsynth
 from flowsynth import lattice as lattice_module
+from flowsynth.dot import completion_dot, drawn_counts
 from flowsynth.graph import _bits
 from flowsynth.lattice import EQUAL, GREATER, INCOMPARABLE, LESS, covering_pairs
 from flowsynth.traces import EFFECT, QUALIFIER
@@ -304,11 +305,11 @@ def test_completion_names_colliding_joins_in_reference_order():
 
 
 @st.composite
-def effect_orders(draw):
+def effect_orders(draw, names=None):
     """A generator order of up to 8 elements, each owning one or two nodes:
     a chain, an antichain, disjoint diamonds, or random pairs oriented up a
     random ranking.  Names are drawn apart from the ranks, so name order is
-    not the order's."""
+    not the order's: "Q_g0", "Q_g1", ..., or distinct ones from `names`."""
     shape = draw(st.sampled_from(["chain", "antichain", "diamonds", "random"]))
     if shape == "diamonds":
         size = 4 * draw(st.integers(1, 2))
@@ -322,7 +323,10 @@ def effect_orders(draw):
         else:
             pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=14))
             edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) < size}
-    names = draw(st.permutations([f"Q_g{i}" for i in range(size)]))
+    if names is None:
+        names = draw(st.permutations([f"Q_g{i}" for i in range(size)]))
+    else:
+        names = draw(st.lists(names, min_size=size, max_size=size, unique=True))
     relation = frozenset(reachability_closure(names, {(names[a], names[b]) for a, b in edges}))
     members = {name: frozenset({f"m{i}", f"m{i}b"} if i % 3 else {f"m{i}"}) for i, name in enumerate(names)}
     elements = [Element(name, members[name]) for name in sorted(names)]
@@ -342,6 +346,37 @@ def test_completion_matches_the_mask_completion(order):
     assert lattice.down == reference.down
     assert complete_join_semilattice(order, len(reference.elements)) == lattice
     assert complete_join_semilattice(order, len(reference.elements) - 1) is None
+
+
+# generator names that are the bottom's, or that a join's name or a prime can equal
+_generator_names = st.one_of(st.sampled_from(["⊥", "⊥'"]), st.text(st.sampled_from("ab∨'⊥\x01\n"), min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(effect_orders(_generator_names), st.sampled_from([-1, 0, 1, None]))
+# "a∨b" is a join's name too, the joins of a and b∨b and of a∨b and b are
+# both "a∨b∨b", one primed by name order, and the bottom is "⊥'"
+@example(
+    hand_built(
+        [Element(name, frozenset({f"m{i}"})) for i, name in enumerate(["a", "a∨b", "b", "b∨b", "⊥"])],
+        {(name, name) for name in ["a", "a∨b", "b", "b∨b", "⊥"]},
+        {},
+    ),
+    0,
+)
+def test_the_completion_drawn_from_its_walk_is_the_completion_drawn(order, offset):
+    """`completion_dot` draws what `lattice_dot` draws of the completion,
+    and what the reference draws of the reference completion, for limits
+    just below, at and above the completion's size, and no limit; below
+    it, it is None, as the completion is."""
+    reference = reference_mask_completion(order)
+    limit = None if offset is None else len(reference.elements) + offset
+    drawn = completion_dot(order, limit)
+    completion = complete_join_semilattice(order, limit)
+    if offset == -1:
+        assert drawn is None and completion is None
+    else:
+        assert drawn == lattice_dot(completion) == reference_lattice_dot(reference).encode("utf-8")
 
 
 _dot_names = st.text(st.sampled_from('ab"\\{} ∨⊥é日\x01\n\t\x7f'), min_size=1, max_size=4)
@@ -379,6 +414,8 @@ def test_lattice_dot_matches_the_reference(order):
     assert lattice_dot(order) == reference_lattice_dot(order).encode("utf-8")
     # a control character is written as its escape, so only line ends are below 0x20
     assert set(lattice_dot(order)) & set(range(0x20)) <= {0x0A}
+    # the summary line's counts, read off the drawing, with or without edges
+    assert drawn_counts(lattice_dot(order)) == (len(order.elements), sum(e.synthetic for e in order.elements))
 
 
 def test_lattice_dot_tells_a_control_character_from_the_text_of_its_escape():
@@ -394,7 +431,7 @@ def test_lattice_dot_tells_a_control_character_from_the_text_of_its_escape():
 
 def test_no_lattice_dot_fixture_holds_a_control_byte_but_line_ends():
     fixtures = sorted((Path(__file__).parent / "fixtures").glob("*/lattice.dot"))
-    assert len(fixtures) == 3
+    assert len(fixtures) == 4
     for path in fixtures:
         assert set(path.read_bytes()) & set(range(0x20)) <= {0x0A}, path
 

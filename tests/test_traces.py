@@ -295,6 +295,17 @@ def test_stack_traces_from_dir_names_a_file_as_pathlib_does(tmp_path, monkeypatc
     with pytest.raises(ParseError) as error:
         stack_traces_from_dir(directory)
     assert str(error.value) == f"file name is not UTF-8 (file {str(Path(directory) / bad)!r})"
+    # what Trace refuses, a one-frame trace and an empty id, is a ParseError naming the file too
+    (stacks / bad).unlink()
+    for name, text, message in (
+        ("one.neg.txt", "boom\n\tat a.B.c(B.java:1)\n", "trace one: a path needs at least 2 nodes, got 1"),
+        (".neg.txt", SIMPLE_TRACE, "trace id must be a non-empty string"),
+    ):
+        (stacks / name).write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as error:
+            stack_traces_from_dir(directory)
+        assert str(error.value) == f"{message} (file {Path(directory) / name})"
+        (stacks / name).unlink()
 
 
 # ---------------------------------------------------------------------------
