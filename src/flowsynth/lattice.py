@@ -211,11 +211,10 @@ def check_consistency(
 # Join-semilattice completion
 
 def complete_join_semilattice(order: QualifierOrder, limit: int | None = None) -> EffectSemilattice | None:
-    """Close the order under binary joins via generator down-sets; None if
-    the closure has more than `limit` elements.  The elements, names and
-    covers are `_join_walk`'s; an up-set is the union of its covers', built
-    from the largest masks down, since a strict subset is a smaller number.
-    lattice.dot does not build this (see `dot.completion_dot`)."""
+    """Close the order under binary joins via generator down-sets; None past
+    `limit` elements.  Elements, names and covers are `_join_walk`'s; an
+    up-set is the union of its covers', built from the largest masks down
+    (a strict subset is a smaller number).  lattice.dot draws the walk."""
     walk = _join_walk(order, limit)
     if walk is None:
         return None

@@ -36,7 +36,7 @@ from .traces import (
 class SynthesisResult:
     """What a synthesis made.  In effect mode, the join completion of
     `order` is made only when it is asked for: `semilattice` builds it on
-    first read."""
+    first read, and `completion` on every call, up to a size limit."""
 
     corpus: Corpus
     diagnostics: tuple[Diagnostic, ...]
@@ -47,9 +47,13 @@ class SynthesisResult:
     spec: AnalysisSpec
     report: CheckReport
 
+    def completion(self, limit: int | None = None) -> EffectSemilattice | None:
+        """The join completion; None in qualifier mode or past `limit` elements."""
+        return complete_join_semilattice(self.order, limit) if self.corpus.mode == EFFECT else None
+
     @cached_property
     def semilattice(self) -> EffectSemilattice | None:
-        return complete_join_semilattice(self.order) if self.corpus.mode == EFFECT else None
+        return self.completion()
 
     @property
     def lattice(self) -> QualifierOrder:

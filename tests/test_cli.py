@@ -930,6 +930,8 @@ def test_synthesis_completes_only_when_the_semilattice_is_read(monkeypatch):
     assert len(small.semilattice.elements) == 27
     assert small.lattice is small.semilattice
     assert calls == [None]
+    assert small.completion(26) is None
+    assert calls == [None, 26]
 
 
 def test_synth_draws_twelve_effect_chains_without_their_completion(tmp_path, capsys, caplog, monkeypatch):
